@@ -23,7 +23,6 @@ from .errors import (
     NetworkTooLargeError,
     NonPositivePhiMinError,
     NonPositiveShapeError,
-    OverlappingAssignmentsError,
     OverlappingSetsError,
     ProbabilityOutOfRangeError,
     RejectionBudgetExceededError,
@@ -43,11 +42,9 @@ from .network import (
     serialize_network,
 )
 from .exact import (
-    OracleResult,
     exact_conditional,
     exact_distribution_over,
     exact_marginal,
-    exact_marginal_result,
 )
 from .dependence import (
     CostEstimate,

@@ -19,7 +19,6 @@ from .errors import (
     BudgetExceededError,
     CondsimError,
     NetworkFormatError,
-    OverlappingAssignmentsError,
     OverlappingSetsError,
     UnknownNodeError,
 )
@@ -179,26 +178,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_generator(args: argparse.Namespace) -> TrialGeneratorKind:
-    if args.generator == "gibbs":
-        return TrialGeneratorKind.gibbs(args.burn_in_sweeps)
-    if args.burn_in_sweeps is not None:
-        raise ValueError("--burn-in-sweeps applies to the gibbs "
-                         "generator only")
-    return TrialGeneratorKind.rejection()
+def _infer_config(cfg: Mapping) -> InferConfig:
+    """The InferConfig that a report's ``config`` dict records."""
+    return InferConfig(
+        greedy_exponent=cfg["greedy_exponent"],
+        max_s=cfg["max_s"],
+        prior=PriorChoice(cfg["prior"]),
+        generator=TrialGeneratorKind(cfg["generator"],
+                                     cfg["burn_in_sweeps"]),
+        sample_cap=cfg["sample_cap"],
+        rejection_cap=cfg["rejection_cap"])
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
     net, source = _load_network(args.network)
     query = parse_assignment_text(args.query)
     evidence = parse_assignment_text(args.evidence)
-    generator = _build_generator(args)
-    config = InferConfig(greedy_exponent=args.greedy_exponent,
-                         max_s=args.max_s,
-                         prior=PriorChoice(args.prior),
-                         generator=generator,
-                         sample_cap=args.sample_cap,
-                         rejection_cap=args.rejection_cap)
     report = {
         "tool": "condsim",
         "version": __version__,
@@ -219,6 +214,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
                    "rejection_cap": args.rejection_cap},
         "seed": args.seed,
     }
+    config = _infer_config(report["config"])
     started = time.perf_counter()
     try:
         result = infer(net, query, evidence, args.epsilon, args.delta,
@@ -265,17 +261,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 def rerun_report(report: Mapping) -> InferenceResult:
     """Re-execute an infer run from its own JSON report."""
     net = parse_network(report["network_source"])
-    cfg = report["config"]
-    if cfg["generator"] == "gibbs":
-        generator = TrialGeneratorKind.gibbs(cfg["burn_in_sweeps"])
-    else:
-        generator = TrialGeneratorKind.rejection()
-    config = InferConfig(greedy_exponent=cfg["greedy_exponent"],
-                         max_s=cfg["max_s"],
-                         prior=PriorChoice(cfg["prior"]),
-                         generator=generator,
-                         sample_cap=cfg["sample_cap"],
-                         rejection_cap=cfg["rejection_cap"])
+    config = _infer_config(report["config"])
     return infer(net, {k: int(v) for k, v in report["query"].items()},
                  {k: int(v) for k, v in report["evidence"].items()},
                  report["epsilon"], report["delta"], report["strategy"],
@@ -352,8 +338,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except OSError as exc:
         print(f"condsim: cannot read network: {exc}", file=sys.stderr)
         return 3
-    except (UnknownNodeError, OverlappingSetsError,
-            OverlappingAssignmentsError, ValueError) as exc:
+    except (UnknownNodeError, OverlappingSetsError, ValueError) as exc:
         print(f"condsim: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

@@ -60,10 +60,6 @@ class NetworkTooLargeError(CondsimError):
     """The exact oracle was asked to enumerate an oversized network."""
 
 
-class OverlappingAssignmentsError(CondsimError):
-    """Two assignments that must bind disjoint node sets overlap."""
-
-
 class CategoryOutOfRangeError(CondsimError):
     """A category index is outside the posterior's range."""
 
@@ -120,4 +116,4 @@ class ZeroDenominatorError(CondsimError):
 
 
 class OverlappingSetsError(CondsimError):
-    """Query, evidence, and conditioning sets must be pairwise disjoint."""
+    """Assignments or node sets that must be pairwise disjoint overlap."""

@@ -7,14 +7,13 @@ order (declaration-order bits, node 0 most significant), so repeated calls
 return bit-identical values.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     NetworkTooLargeError,
-    OverlappingAssignmentsError,
+    OverlappingSetsError,
     UnknownNodeError,
 )
 from .network import Assignment, BeliefNetwork
@@ -22,18 +21,9 @@ from .network import Assignment, BeliefNetwork
 MAX_NODES = 25
 MAX_PROJECTION = 20
 
-# Networks up to this size keep a cached joint table; larger ones are
-# enumerated in fixed-size chunks to bound memory.
-_TABLE_MAX_NODES = 20
-_CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """An exact value plus the number of full assignments summed."""
-
-    value: float
-    enumerated_terms: int
+# Nodes that vary within one enumeration chunk; the first n - 20 nodes
+# are fixed per chunk, so networks up to 20 nodes take a single chunk.
+_CHUNK_BITS = 20
 
 
 def _guard(net: BeliefNetwork) -> None:
@@ -42,6 +32,7 @@ def _guard(net: BeliefNetwork) -> None:
             f"exact enumeration refuses n = {net.n} > {MAX_NODES} nodes")
 
 
+@lru_cache(maxsize=64)
 def _joint_chunk(net: BeliefNetwork, start: int, stop: int) -> np.ndarray:
     """Joint probabilities of states ``start <= s < stop``.
 
@@ -61,50 +52,50 @@ def _joint_chunk(net: BeliefNetwork, start: int, stop: int) -> np.ndarray:
         else:
             p_one = cpt.rows[0]
         joint *= np.where(bits == 1, p_one, 1.0 - p_one)
+    joint.setflags(write=False)
     return joint
 
 
-@lru_cache(maxsize=64)
-def _joint_table(net: BeliefNetwork) -> np.ndarray:
-    table = _joint_chunk(net, 0, 1 << net.n)
-    table.setflags(write=False)
-    return table
+def _project(net: BeliefNetwork, keep: tuple[str, ...],
+             fix: Assignment) -> np.ndarray:
+    """Joint mass of the states that satisfy ``fix``, by values of ``keep``.
 
-
-def _masked_sum(net: BeliefNetwork, partial: Assignment) -> float:
-    """Sum of the joint over all completions of ``partial``."""
+    The result has one length-2 axis per kept node, in ``keep`` order;
+    ``keep`` and ``fix`` name disjoint nodes. Each chunk of the joint is
+    viewed as one length-2 axis per node it varies; the other nodes are
+    summed out one axis at a time. Every total is then a balanced tree
+    of additions, whose rounding error grows with the logarithm of the
+    number of states rather than with the number.
+    """
     n = net.n
-    pairs = [(net.index(node), value) for node, value in partial.items()]
-
-    def chunk_sum(states: np.ndarray, joint: np.ndarray) -> float:
-        mask = np.ones(states.shape[0], dtype=bool)
-        for i, value in pairs:
-            mask &= ((states >> (n - 1 - i)) & 1) == value
-        return float(joint[mask].sum())
-
-    if n <= _TABLE_MAX_NODES:
-        states = np.arange(1 << n, dtype=np.int64)
-        return chunk_sum(states, _joint_table(net))
-    total = 0.0
-    for start in range(0, 1 << n, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n)
-        total += chunk_sum(np.arange(start, stop, dtype=np.int64),
-                           _joint_chunk(net, start, stop))
-    return total
-
-
-def exact_marginal_result(net: BeliefNetwork,
-                          partial: Assignment) -> OracleResult:
-    """Exact Pr[partial] with the enumeration size attached."""
-    _guard(net)
-    net.validate_assignment(partial)
-    value = _masked_sum(net, partial)
-    return OracleResult(value, 1 << (net.n - len(partial)))
+    high = max(0, n - _CHUNK_BITS)
+    low = n - high
+    kept = [net.index(node) for node in keep]
+    fixed = {net.index(node): value for node, value in fix.items()}
+    free = [c for c in range(high, n) if c not in fixed]
+    inner = [c for c in free if c in kept]
+    order = [inner.index(c) for c in kept if c >= high]
+    mass = np.zeros((2,) * len(kept))
+    for chunk in range(1 << high):
+        top = [(chunk >> (high - 1 - c)) & 1 for c in range(high)]
+        if any(top[c] != v for c, v in fixed.items() if c < high):
+            continue
+        part = _joint_chunk(net, chunk << low, (chunk + 1) << low)
+        part = part.reshape((2,) * low)[
+            tuple(fixed.get(c, slice(None)) for c in range(high, n))]
+        for axis in reversed(range(len(free))):
+            if free[axis] not in inner:
+                part = part.sum(axis=axis)
+        mass[tuple(top[c] if c < high else slice(None) for c in kept)] += \
+            part.transpose(order)
+    return mass
 
 
 def exact_marginal(net: BeliefNetwork, partial: Assignment) -> float:
     """Exact probability that every binding in ``partial`` holds."""
-    return exact_marginal_result(net, partial).value
+    _guard(net)
+    net.validate_assignment(partial)
+    return float(_project(net, (), partial))
 
 
 def exact_conditional(net: BeliefNetwork, target: Assignment,
@@ -118,7 +109,7 @@ def exact_conditional(net: BeliefNetwork, target: Assignment,
     _guard(net)
     overlap = set(target) & set(evidence)
     if overlap:
-        raise OverlappingAssignmentsError(
+        raise OverlappingSetsError(
             f"target and evidence both bind {sorted(overlap)}")
     merged = {**target, **evidence}
     return exact_marginal(net, merged) / exact_marginal(net, evidence)
@@ -141,10 +132,4 @@ def exact_distribution_over(net: BeliefNetwork,
     if len(subset) > MAX_PROJECTION:
         raise NetworkTooLargeError(
             f"projection over {len(subset)} > {MAX_PROJECTION} nodes")
-    k = len(subset)
-    values = []
-    for i in range(1 << k):
-        instantiation = {node: (i >> (k - 1 - j)) & 1
-                         for j, node in enumerate(subset)}
-        values.append(exact_marginal(net, instantiation))
-    return tuple(values)
+    return tuple(float(p) for p in _project(net, tuple(subset), {}).ravel())

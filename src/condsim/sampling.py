@@ -18,7 +18,7 @@ import numpy as np
 from .dependence import dependence_value, phi_min_lower_bound
 from .errors import (
     NetworkTooLargeError,
-    OverlappingAssignmentsError,
+    OverlappingSetsError,
     RejectionBudgetExceededError,
     SampleBudgetExceededError,
 )
@@ -33,6 +33,9 @@ from .stopping import (
 DEFAULT_REJECTION_CAP = 10 ** 7
 
 _MASK64 = (1 << 64) - 1
+# Rows per draw between checkpoints. A rejection stream returns the same
+# rows however a count is split into draws; a Gibbs stream does as long
+# as this stays a multiple of its chunk size, _MAX_RAW_BATCH.
 _MAX_CHUNK = 1 << 18
 _MAX_RAW_BATCH = 1 << 16
 _MAX_CATEGORY_NODES = 20
@@ -342,6 +345,35 @@ def _check_risk_params(epsilon: float, delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
 
 
+def _certify(draw, classify, k: int, epsilon: float, delta: float,
+             prior: PriorChoice, sample_cap: int, phase: str
+             ) -> tuple[DirichletPosterior, int]:
+    """Count classified rows until the stopping rule certifies them.
+
+    ``draw(m)`` returns the next ``m`` rows of a stream and
+    ``classify(rows)`` their length-``k`` category counts. The rule is
+    evaluated at checkpoints that double from ``k`` trials; a checkpoint
+    past ``sample_cap`` raises. Returns the certified posterior and the
+    trial count.
+    """
+    counts = np.zeros(k, dtype=np.int64)
+    trials = 0
+    checkpoint = k
+    while True:
+        if checkpoint > sample_cap:
+            raise SampleBudgetExceededError(
+                f"stopping rule unsatisfied at {trials} trials",
+                phase=phase, trials=trials, cap=sample_cap)
+        while trials < checkpoint:
+            m = min(checkpoint - trials, _MAX_CHUNK)
+            counts += classify(draw(m))
+            trials += m
+        posterior = DirichletPosterior(tuple(counts), prior)
+        if should_stop(posterior, epsilon, delta):
+            return posterior, trials
+        checkpoint *= 2
+
+
 def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
                                epsilon: float, delta: float,
                                prior: PriorChoice, rng: RandomSource,
@@ -368,29 +400,12 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
     if sample_cap is None:
         sample_cap = 10 * worst_case_sample_bound(len(s), epsilon, delta,
                                                   phi_bound)
-    cols = np.array([net.index(x) for x in s], dtype=np.int64)
-    counts = np.zeros(k, dtype=np.int64)
-    trials = 0
-    checkpoint = k
-    while True:
-        if checkpoint > sample_cap:
-            raise SampleBudgetExceededError(
-                f"stopping rule unsatisfied at {trials} trials",
-                phase="distribution", trials=trials, cap=sample_cap)
-        need = checkpoint - trials
-        while need > 0:
-            m = min(need, _MAX_CHUNK)
-            batch = _sample_batch(net, rng, m)
-            idx = np.zeros(m, dtype=np.int64)
-            for col in cols:
-                idx = (idx << 1) | batch[:, col]
-            counts += np.bincount(idx, minlength=k)
-            need -= m
-        trials = checkpoint
-        posterior = DirichletPosterior(tuple(counts), prior)
-        if should_stop(posterior, epsilon, delta):
-            return posterior.mu, trials
-        checkpoint *= 2
+    cols = tuple(net.index(x) for x in s)
+    posterior, trials = _certify(
+        lambda m: _sample_batch(net, rng, m),
+        lambda rows: np.bincount(_row_indices(rows, cols), minlength=k),
+        k, epsilon, delta, prior, sample_cap, "distribution")
+    return posterior.mu, trials
 
 
 def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
@@ -412,7 +427,7 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
     net.validate_assignment(condition)
     shared = sorted(set(target) & set(condition))
     if shared:
-        raise OverlappingAssignmentsError(
+        raise OverlappingSetsError(
             f"target and condition both bind: {', '.join(shared)}")
     if not target:
         return RasEstimate(1.0, epsilon, delta, 0, 0)
@@ -422,18 +437,10 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
                                                   phi_bound)
     stream = _make_stream(net, condition, kind, rng, attempt_cap)
     t_cols, t_vals = _bound_columns(net, target)
-    hits = 0
-    trials = 0
-    checkpoint = 2
-    while True:
-        if checkpoint > sample_cap:
-            raise SampleBudgetExceededError(
-                f"stopping rule unsatisfied at {trials} trials",
-                phase="fraction", trials=trials, cap=sample_cap)
-        rows = stream.take(checkpoint - trials)
-        hits += int(np.all(rows[:, t_cols] == t_vals, axis=1).sum())
-        trials = checkpoint
-        posterior = DirichletPosterior((trials - hits, hits), prior)
-        if should_stop(posterior, epsilon, delta):
-            return RasEstimate(posterior.mu[1], epsilon, delta, trials, hits)
-        checkpoint *= 2
+    posterior, trials = _certify(
+        stream.take,
+        lambda rows: np.bincount(
+            np.all(rows[:, t_cols] == t_vals, axis=1), minlength=2),
+        2, epsilon, delta, prior, sample_cap, "fraction")
+    return RasEstimate(posterior.mu[1], epsilon, delta, trials,
+                       posterior.counts[1])

@@ -6,8 +6,7 @@ from condsim import (
     exact_distribution_over,
     exact_marginal,
 )
-from condsim.exact import exact_marginal_result
-from condsim.errors import NetworkTooLargeError, OverlappingAssignmentsError
+from condsim.errors import NetworkTooLargeError, OverlappingSetsError
 
 from helpers import arcless_network, brute_marginal, random_network
 
@@ -17,12 +16,6 @@ def test_marginal_reference_values(net_a):
     assert exact_marginal(net_a, {}) == pytest.approx(1.0, abs=1e-12)
     assert exact_marginal(net_a, {"A": 1, "B": 1}) == pytest.approx(
         0.27, abs=1e-12)
-
-
-def test_marginal_result_counts_enumerated_terms(net_a):
-    result = exact_marginal_result(net_a, {"B": 1})
-    assert result.enumerated_terms == 2
-    assert exact_marginal_result(net_a, {}).enumerated_terms == 4
 
 
 def test_conditional_reference_values(net_a, net_c):
@@ -35,7 +28,7 @@ def test_conditional_reference_values(net_a, net_c):
 
 
 def test_conditional_rejects_overlap(net_a):
-    with pytest.raises(OverlappingAssignmentsError):
+    with pytest.raises(OverlappingSetsError):
         exact_conditional(net_a, {"A": 1}, {"A": 0, "B": 1})
 
 
@@ -88,6 +81,16 @@ def test_size_guard():
     big = arcless_network(26)
     with pytest.raises(NetworkTooLargeError):
         exact_marginal(big, {})
+
+
+def test_chunked_enumeration_matches_closed_form():
+    # 2^21 states take two enumeration chunks; node Z0 splits them.
+    net = arcless_network(21)
+    partial = {"Z0": 1, "Z7": 0, "Z20": 1}
+    assert exact_marginal(net, partial) == pytest.approx(
+        0.4 * 0.6 * 0.4, abs=1e-12)
+    assert exact_distribution_over(net, ["Z20", "Z0"]) == pytest.approx(
+        (0.36, 0.24, 0.24, 0.16), abs=1e-12)
 
 
 def test_projection_guard():

@@ -332,3 +332,37 @@ def test_infer_accepts_gibbs_generator(net_c):
                    config=config, seed=21)
     phi = exact_conditional(net_c, {"C": 1}, {"A": 1})
     assert abs(result.estimate - phi) < 0.15
+
+
+_GIBBS_3 = InferConfig(generator=TrialGeneratorKind.gibbs(3))
+_CAP_100 = InferConfig(sample_cap=100)
+
+
+@pytest.mark.parametrize(
+    "query,evidence,epsilon,strategy,config,seed,pinned",
+    [({"A": 1}, {"C": 1}, 0.2, "direct", None, 11,
+      (0.74609375, 256, (1.0,))),
+     ({"C": 1}, {"A": 1}, 0.2, "selective", None, 12,
+      (0.7371092681508755, 339968, (0.509765625, 0.490234375))),
+     ({"A": 1}, {"C": 1}, 0.002, "direct", _GIBBS_3, 13,
+      (0.6722040176391602, 2097152, (1.0,))),
+     ({"A": 1}, {"C": 1}, 0.002, "direct", None, 11,
+      (0.7403459548950195, 2097152, (1.0,))),
+     ({"A": 1}, {"C": 1}, 0.05, "direct", _CAP_100, 14,
+      ("fraction", 64, 100)),
+     ({"C": 1}, {"A": 1}, 0.2, "selective", _CAP_100, 14,
+      ("distribution", 64, 100))],
+    ids=["rejection", "selective", "gibbs-past-2^18", "rejection-past-2^18",
+         "cap-fraction", "cap-distribution"])
+def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
+                                   config, seed, pinned):
+    # Recorded at version 0.1.0. A change that fails this changes a random
+    # stream, so it bumps the version and says so in CHANGES.md.
+    try:
+        result = infer(net_c, query, evidence, epsilon, 0.1, strategy,
+                       config, seed)
+    except SampleBudgetExceededError as exc:
+        got = (exc.phase, exc.trials, exc.cap)
+    else:
+        got = (result.estimate, result.trials_total, result.mu_s)
+    assert got == pinned

@@ -6,7 +6,7 @@ import pytest
 from condsim.dependence import satisfies_ras
 from condsim.errors import (
     NetworkTooLargeError,
-    OverlappingAssignmentsError,
+    OverlappingSetsError,
     RejectionBudgetExceededError,
     SampleBudgetExceededError,
     UnknownNodeError,
@@ -253,7 +253,7 @@ def test_conditioned_trial_needs_an_unbound_node(net_a):
 
 
 def test_fraction_rejects_overlapping_assignments(net_c):
-    with pytest.raises(OverlappingAssignmentsError):
+    with pytest.raises(OverlappingSetsError):
         estimate_conditional_fraction(
             net_c, {"A": 1, "B": 0}, {"B": 1}, 0.2, 0.1,
             TrialGeneratorKind.rejection(), RandomSource(1))
