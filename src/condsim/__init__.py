@@ -73,10 +73,8 @@ from .sampling import (
     RasEstimate,
     TrialGeneratorKind,
     conditioned_sample_batch,
-    conditioned_trial,
     estimate_conditional_fraction,
     estimate_distribution_over,
-    logic_sample,
     logic_sample_batch,
     mix_seed,
 )

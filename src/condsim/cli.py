@@ -10,11 +10,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from collections.abc import Mapping
 
 from . import __version__
-from .dependence import CostEstimate, dependence_value, predicted_cost
+from .dependence import dependence_value, predicted_cost
 from .errors import (
     BudgetExceededError,
     CondsimError,
@@ -27,13 +28,13 @@ from .dependence import satisfies_ras
 from .network import BeliefNetwork, parse_network
 from .reformulate import (
     DEFAULT_SEED,
-    GreedyTrace,
     InferConfig,
     InferenceResult,
+    _STRATEGIES,
     greedy_select,
     infer,
 )
-from .sampling import DEFAULT_REJECTION_CAP, TrialGeneratorKind
+from .sampling import _GENERATOR_KINDS, TrialGeneratorKind
 from .stopping import PriorChoice
 
 
@@ -63,55 +64,17 @@ def _format_assignment(assignment: Mapping[str, int]) -> str:
     return ", ".join(f"{k}={v}" for k, v in assignment.items())
 
 
-def _cost_dict(cost: CostEstimate) -> dict:
-    return {"subproblem_term": cost.subproblem_term,
-            "weight_term": cost.weight_term,
-            "phi_min_bound": cost.phi_min_bound}
-
-
-def _trace_dict(trace: GreedyTrace | None) -> dict | None:
-    if trace is None:
-        return None
-    return {
-        "steps": [{"node": s.node, "added": list(s.added),
-                   "lambda_before": s.lambda_before,
-                   "candidate_ratio": s.candidate_ratio,
-                   "cost_before": _cost_dict(s.cost_before),
-                   "cost_after": _cost_dict(s.cost_after)}
-                  for s in trace.steps],
-        "stop_reason": trace.stop_reason,
-        "final_cost": _cost_dict(trace.final_cost),
-    }
-
-
-def _estimate_dict(est) -> dict:
-    return {"value": est.value, "epsilon": est.epsilon, "delta": est.delta,
-            "trials": est.trials, "consistent": est.consistent}
-
-
 def _result_dict(result: InferenceResult) -> dict:
-    return {
-        "estimate": result.estimate,
-        "epsilon": result.epsilon,
-        "delta": result.delta,
-        "strategy_used": result.strategy_used,
-        "selected_s": list(result.selected_s),
-        "mu_s": list(result.mu_s),
-        "weight_trials": result.weight_trials,
-        "subproblems": [{"index": i,
-                         "numerator": _estimate_dict(num),
-                         "denominator": _estimate_dict(den)}
-                        for i, (num, den)
-                        in enumerate(result.subproblem_estimates)],
-        "numerator": result.numerator,
-        "denominator": result.denominator,
-        "clamped": result.clamped,
-        "dependence_before": result.dependence_before,
-        "dependence_after": result.dependence_after,
-        "trials_total": result.trials_total,
-        "seed": result.seed,
-        "greedy_trace": _trace_dict(result.greedy_trace),
-    }
+    """``result``'s fields by name, with ``subproblem_estimates`` written
+    as ``subproblems``: one indexed numerator/denominator entry each."""
+    out = {}
+    for key, value in asdict(result).items():
+        if key == "subproblem_estimates":
+            key = "subproblems"
+            value = [{"index": i, "numerator": num, "denominator": den}
+                     for i, (num, den) in enumerate(value)]
+        out[key] = value
+    return out
 
 
 def _load_network(path: str) -> tuple[BeliefNetwork, str]:
@@ -151,9 +114,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "dependence_value": dep.value,
         "dependence_after": dep_after.value,
         "selected_s": list(selected),
-        "greedy_trace": _trace_dict(trace),
-        "cost_before": _cost_dict(cost_before),
-        "cost_after": _cost_dict(cost_after),
+        "greedy_trace": asdict(trace),
+        "cost_before": asdict(cost_before),
+        "cost_after": asdict(cost_after),
         "elapsed_ms": elapsed_ms,
     }
     lines = [f"network {net.name} ({net.n} nodes)",
@@ -233,8 +196,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
         return 5
     report["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
     report["result"] = _result_dict(result)
-    report["cost_before"] = _cost_dict(predicted_cost(net, evidence, ()))
-    report["cost_after"] = _cost_dict(
+    report["cost_before"] = asdict(predicted_cost(net, evidence, ()))
+    report["cost_after"] = asdict(
         predicted_cost(net, evidence, result.selected_s))
     lines = [f"network {net.name} ({net.n} nodes)",
              f"Pr[{_format_assignment(query)} | "
@@ -269,6 +232,7 @@ def rerun_report(report: Mapping) -> InferenceResult:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = InferConfig()
     parser = argparse.ArgumentParser(
         prog="condsim",
         description="Randomized approximate inference for binary belief "
@@ -277,23 +241,25 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--network", required=True,
+                        help="path to a .bnet file")
+    shared.add_argument("--greedy-exponent", type=float,
+                        default=defaults.greedy_exponent)
+    shared.add_argument("--max-s", type=int, default=defaults.max_s)
+    shared.add_argument("--report", choices=("text", "json"),
+                        default="text")
+
     analyze = sub.add_parser(
-        "analyze", help="report dependence diagnostics and the greedy "
-                        "conditioning set")
-    analyze.add_argument("--network", required=True,
-                         help="path to a .bnet file")
+        "analyze", parents=[shared],
+        help="report dependence diagnostics and the greedy conditioning set")
     analyze.add_argument("--evidence", default="",
                          help="comma-separated Name=0|1 bindings")
-    analyze.add_argument("--greedy-exponent", type=float, default=1.0)
-    analyze.add_argument("--max-s", type=int, default=12)
-    analyze.add_argument("--report", choices=("text", "json"),
-                         default="text")
 
     run = sub.add_parser(
-        "infer", help="estimate a conditional probability with certified "
-                      "relative error")
-    run.add_argument("--network", required=True,
-                     help="path to a .bnet file")
+        "infer", parents=[shared],
+        help="estimate a conditional probability with certified relative "
+             "error")
     run.add_argument("--query", required=True,
                      help="comma-separated Name=0|1 bindings")
     run.add_argument("--evidence", default="")
@@ -301,24 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="relative error target, positive")
     run.add_argument("--delta", type=float, required=True,
                      help="failure probability target in (0, 1]")
-    run.add_argument("--strategy", choices=("auto", "direct", "selective"),
-                     default="auto")
-    run.add_argument("--greedy-exponent", type=float, default=1.0)
-    run.add_argument("--max-s", type=int, default=12)
-    run.add_argument("--prior", choices=("unbiased", "uniform"),
-                     default="unbiased")
-    run.add_argument("--generator", choices=("rejection", "gibbs"),
-                     default="rejection")
-    run.add_argument("--burn-in-sweeps", type=int, default=None)
-    run.add_argument("--sample-cap", type=int, default=None)
+    run.add_argument("--strategy", choices=_STRATEGIES, default="auto")
+    run.add_argument("--prior", choices=[p.value for p in PriorChoice],
+                     default=defaults.prior.value)
+    run.add_argument("--generator", choices=_GENERATOR_KINDS,
+                     default=defaults.generator.kind)
+    run.add_argument("--burn-in-sweeps", type=int,
+                     default=defaults.generator.burn_in_sweeps)
+    run.add_argument("--sample-cap", type=int, default=defaults.sample_cap)
     run.add_argument("--rejection-cap", type=int,
-                     default=DEFAULT_REJECTION_CAP)
+                     default=defaults.rejection_cap)
     run.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"64-bit seed (default {DEFAULT_SEED})")
     run.add_argument("--exact", action="store_true",
                      help="also run the exact oracle and report the "
                           "interval verdict")
-    run.add_argument("--report", choices=("text", "json"), default="text")
     return parser
 
 

@@ -44,8 +44,6 @@ class DependenceReport:
 
     per_node: dict[str, tuple[NodeBounds, float]]
     value: float
-    fixed: dict[str, int]
-    conditioning: tuple[str, ...]
 
 
 def node_bounds(net: BeliefNetwork, node: str, node_value: int,
@@ -114,8 +112,7 @@ def dependence_value(net: BeliefNetwork, fixed: Assignment,
         lam = node_lambda(net, node, fixed, conditioning)
         per_node[node] = (b, lam)
         value *= lam * lam
-    return DependenceReport(per_node, value, dict(fixed),
-                            tuple(conditioning))
+    return DependenceReport(per_node, value)
 
 
 def phi_min_lower_bound(net: BeliefNetwork,

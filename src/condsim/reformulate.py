@@ -27,6 +27,7 @@ from .sampling import (
     RandomSource,
     RasEstimate,
     TrialGeneratorKind,
+    _check_risk_params,
     estimate_conditional_fraction,
     estimate_distribution_over,
 )
@@ -255,10 +256,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     if strategy not in _STRATEGIES:
         raise ValueError(f"strategy must be one of {_STRATEGIES}, "
                          f"got {strategy!r}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
+    _check_risk_params(epsilon, delta)
     net.validate_assignment(query)
     net.validate_assignment(evidence)
     if not query:
@@ -270,6 +268,12 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     root = RandomSource(seed)
     dependence_before = dependence_value(net, evidence).value
 
+    def fraction(target, condition, stage_eps, stage_delta, stream):
+        return estimate_conditional_fraction(
+            net, target, condition, stage_eps, stage_delta,
+            config.generator, root.derive(stream), prior=config.prior,
+            sample_cap=config.sample_cap, attempt_cap=config.rejection_cap)
+
     trace: GreedyTrace | None = None
     selected: tuple[str, ...] = ()
     if strategy != "direct":
@@ -279,55 +283,37 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     use_selective = (strategy == "selective"
                      or (strategy == "auto" and bool(selected)))
 
-    if not use_selective:
-        estimate = estimate_conditional_fraction(
-            net, query, evidence, epsilon, delta, config.generator,
-            root.derive(1), prior=config.prior,
-            sample_cap=config.sample_cap, attempt_cap=config.rejection_cap)
-        vacuous = RasEstimate(1.0, epsilon, delta, 0, 0)
-        return InferenceResult(
-            estimate=estimate.value, epsilon=epsilon, delta=delta,
-            strategy_used="direct", selected_s=(), mu_s=(1.0,),
-            weight_trials=0, subproblem_estimates=((estimate, vacuous),),
-            numerator=estimate.value, denominator=1.0, clamped=False,
-            dependence_before=dependence_before,
-            dependence_after=dependence_before,
-            trials_total=estimate.trials, seed=seed, greedy_trace=trace)
-
-    stage_eps, delta_w, delta_s = _budget_split(epsilon, delta,
-                                                len(selected))
-    mu_s, weight_trials = estimate_distribution_over(
-        net, selected, stage_eps, delta_w, config.prior, root.derive(0),
-        sample_cap=config.sample_cap)
-    pairs = []
-    numerator_values = []
-    denominator_values = []
-    trials_total = weight_trials
-    for sub in decompose(net, query, evidence, selected):
-        num = estimate_conditional_fraction(
-            net, sub.numerator_target, sub.instantiation, stage_eps,
-            delta_s, config.generator, root.derive(2 * sub.index + 1),
-            prior=config.prior, sample_cap=config.sample_cap,
-            attempt_cap=config.rejection_cap)
-        den = estimate_conditional_fraction(
-            net, sub.denominator_target, sub.instantiation, stage_eps,
-            delta_s, config.generator, root.derive(2 * sub.index + 2),
-            prior=config.prior, sample_cap=config.sample_cap,
-            attempt_cap=config.rejection_cap)
-        pairs.append((num, den))
-        numerator_values.append(num.value)
-        denominator_values.append(den.value)
-        trials_total += num.trials + den.trials
-    numerator = combine_weighted(numerator_values, mu_s)
-    denominator = combine_weighted(denominator_values, mu_s)
+    if use_selective:
+        stage_eps, delta_w, delta_s = _budget_split(epsilon, delta,
+                                                    len(selected))
+        mu_s, weight_trials = estimate_distribution_over(
+            net, selected, stage_eps, delta_w, config.prior, root.derive(0),
+            sample_cap=config.sample_cap)
+        pairs = tuple(
+            (fraction(sub.numerator_target, sub.instantiation, stage_eps,
+                      delta_s, 2 * sub.index + 1),
+             fraction(sub.denominator_target, sub.instantiation, stage_eps,
+                      delta_s, 2 * sub.index + 2))
+            for sub in decompose(net, query, evidence, selected))
+        dependence_after = dependence_value(net, evidence,
+                                            conditioning=selected).value
+    else:
+        # One subproblem of weight 1 whose denominator is exactly 1.
+        mu_s, weight_trials = (1.0,), 0
+        pairs = ((fraction(query, evidence, epsilon, delta, 1),
+                  RasEstimate(1.0, epsilon, delta, 0, 0)),)
+        dependence_after = dependence_before
+    numerator = combine_weighted([num.value for num, _ in pairs], mu_s)
+    denominator = combine_weighted([den.value for _, den in pairs], mu_s)
     estimate, clamped = bayes_ratio(numerator, denominator)
-    dependence_after = dependence_value(net, evidence,
-                                        conditioning=selected).value
     return InferenceResult(
         estimate=estimate, epsilon=epsilon, delta=delta,
-        strategy_used="selective", selected_s=selected, mu_s=mu_s,
-        weight_trials=weight_trials, subproblem_estimates=tuple(pairs),
-        numerator=numerator, denominator=denominator, clamped=clamped,
+        strategy_used="selective" if use_selective else "direct",
+        selected_s=selected, mu_s=mu_s, weight_trials=weight_trials,
+        subproblem_estimates=pairs, numerator=numerator,
+        denominator=denominator, clamped=clamped,
         dependence_before=dependence_before,
-        dependence_after=dependence_after, trials_total=trials_total,
+        dependence_after=dependence_after,
+        trials_total=weight_trials + sum(num.trials + den.trials
+                                         for num, den in pairs),
         seed=seed, greedy_trace=trace)

@@ -31,6 +31,7 @@ from .stopping import (
 )
 
 DEFAULT_REJECTION_CAP = 10 ** 7
+_GENERATOR_KINDS = ("rejection", "gibbs")
 
 _MASK64 = (1 << 64) - 1
 # Rows per draw between checkpoints. A rejection stream returns the same
@@ -96,7 +97,7 @@ class TrialGeneratorKind:
     burn_in_sweeps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rejection", "gibbs"):
+        if self.kind not in _GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind == "rejection" and self.burn_in_sweeps is not None:
             raise ValueError("rejection takes no burn-in")
@@ -170,12 +171,6 @@ def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
     return out
 
 
-def logic_sample(net: BeliefNetwork, rng: RandomSource) -> dict[str, int]:
-    """One full assignment drawn exactly from the factored joint."""
-    row = _sample_batch(net, rng, 1)[0]
-    return {name: int(row[net.index(name)]) for name in net.nodes}
-
-
 def logic_sample_batch(net: BeliefNetwork, rng: RandomSource,
                        count: int) -> np.ndarray:
     """``count`` joint samples as a (count, n) array, declaration order."""
@@ -192,7 +187,12 @@ def _bound_columns(net: BeliefNetwork,
 
 
 class _RejectionStream:
-    """Accepted-sample buffer over repeated forward batches."""
+    """Accepted-sample buffer over repeated forward batches.
+
+    More than ``attempt_cap`` rejected rows in a row raise, wherever the
+    run falls across batches; the error's ``trials`` counts the rows
+    already taken from the stream.
+    """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
                  rng: RandomSource, attempt_cap: int) -> None:
@@ -202,6 +202,7 @@ class _RejectionStream:
         self._cols, self._vals = _bound_columns(net, condition)
         self._parts: list[np.ndarray] = []
         self._count = 0
+        self._taken = 0
         self._batch = 256
         self._since_accept = 0
 
@@ -217,7 +218,10 @@ class _RejectionStream:
         if len(hits) == 0:
             self._since_accept += m
         else:
-            if self._since_accept + int(hits[0]) > self._cap:
+            longest = self._since_accept + int(hits[0])
+            if len(hits) > 1:
+                longest = max(longest, int(np.diff(hits).max()) - 1)
+            if longest > self._cap:
                 self._fail()
             self._since_accept = m - 1 - int(hits[-1])
             accepted = raw[hits]
@@ -229,7 +233,7 @@ class _RejectionStream:
     def _fail(self) -> None:
         raise RejectionBudgetExceededError(
             f"no accepted trial within {self._cap} attempts",
-            phase="rejection", trials=self._count, cap=self._cap)
+            phase="rejection", trials=self._taken, cap=self._cap)
 
     def take(self, count: int) -> np.ndarray:
         while self._count < count:
@@ -239,6 +243,7 @@ class _RejectionStream:
         taken, rest = rows[:count], rows[count:]
         self._parts = [rest] if len(rest) else []
         self._count = len(rest)
+        self._taken += count
         return taken
 
 
@@ -315,16 +320,6 @@ def _make_stream(net: BeliefNetwork, condition: Assignment,
     if sweeps is None:
         sweeps = default_burn_in_sweeps(net, condition)
     return _GibbsStream(net, condition, rng, sweeps)
-
-
-def conditioned_trial(net: BeliefNetwork, condition: Assignment,
-                      kind: TrialGeneratorKind, rng: RandomSource,
-                      attempt_cap: int = DEFAULT_REJECTION_CAP
-                      ) -> dict[str, int]:
-    """One full assignment distributed (exactly, for rejection;
-    approximately, for gibbs) as the joint conditioned on ``condition``."""
-    row = _make_stream(net, condition, kind, rng, attempt_cap).take(1)[0]
-    return {name: int(row[net.index(name)]) for name in net.nodes}
 
 
 def conditioned_sample_batch(net: BeliefNetwork, condition: Assignment,

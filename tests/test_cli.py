@@ -1,8 +1,13 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from condsim import cli
+from condsim.network import parse_network
+from condsim.reformulate import InferConfig, InferenceResult, infer
+
+from helpers import NET_C_SOURCE
 
 
 def run_cli(capsys, argv):
@@ -149,6 +154,9 @@ def test_infer_selective_report_shape(capsys, net_c_path):
                  "--epsilon", "0.2", "--delta", "0.1", "--seed", "13"])
     assert code == 0
     result = report["result"]
+    assert list(result) == [
+        "subproblems" if f.name == "subproblem_estimates" else f.name
+        for f in fields(InferenceResult)]
     assert result["strategy_used"] == "selective"
     assert result["selected_s"] == ["A", "B"]
     assert len(result["subproblems"]) == 4
@@ -184,6 +192,19 @@ def test_sample_cap_produces_partial_report_and_exit_5(capsys,
     assert error["cap"] == 2
     assert "result" not in report
     assert err
+
+
+def test_infer_defaults_are_the_library_defaults(capsys, net_c_path):
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", net_c_path, "--query", "A=1",
+                 "--evidence", "C=1", "--epsilon", "0.2", "--delta", "0.1",
+                 "--seed", "21"])
+    assert code == 0
+    assert cli._infer_config(report["config"]) == InferConfig()
+    result = infer(parse_network(NET_C_SOURCE), {"A": 1}, {"C": 1}, 0.2,
+                   0.1, seed=21)
+    assert report["result"]["estimate"] == result.estimate
+    assert report["result"]["trials_total"] == result.trials_total
 
 
 def test_rerun_report_reproduces_the_estimate(capsys, net_c_path):

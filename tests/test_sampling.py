@@ -18,11 +18,9 @@ from condsim.sampling import (
     RasEstimate,
     TrialGeneratorKind,
     conditioned_sample_batch,
-    conditioned_trial,
     default_burn_in_sweeps,
     estimate_conditional_fraction,
     estimate_distribution_over,
-    logic_sample,
     logic_sample_batch,
     mix_seed,
 )
@@ -74,9 +72,9 @@ def test_generator_kind_validation():
 
 
 def test_logic_sample_returns_full_binary_assignment(net_c):
-    sample = logic_sample(net_c, RandomSource(11))
-    assert set(sample) == {"A", "B", "C"}
-    assert all(v in (0, 1) for v in sample.values())
+    sample = logic_sample_batch(net_c, RandomSource(11), 1)
+    assert sample.shape == (1, 3)
+    assert set(np.unique(sample)) <= {0, 1}
 
 
 def test_logic_sample_tracks_a_nearly_deterministic_net():
@@ -86,7 +84,7 @@ def test_logic_sample_tracks_a_nearly_deterministic_net():
     net = parse_network("\n".join(lines) + "\n")
     rng = RandomSource(42)
     all_ones = sum(
-        all(v == 1 for v in logic_sample(net, rng).values())
+        bool(np.all(logic_sample_batch(net, rng, 1) == 1))
         for _ in range(10))
     assert all_ones >= 9
 
@@ -191,10 +189,11 @@ def test_estimate_distribution_rejects_bad_risk_params(net_a):
 
 
 def test_conditioned_trial_respects_condition(net_a):
-    trial = conditioned_trial(net_a, {"A": 1}, TrialGeneratorKind.rejection(),
-                              RandomSource(5))
-    assert trial["A"] == 1
-    assert set(trial) == {"A", "B"}
+    trial = conditioned_sample_batch(net_a, {"A": 1},
+                                     TrialGeneratorKind.rejection(),
+                                     RandomSource(5), 1)
+    assert trial.shape == (1, 2)
+    assert trial[0, net_a.index("A")] == 1
 
 
 def test_conditioned_batch_consistency_postcondition(net_c):
@@ -248,8 +247,9 @@ def test_default_burn_in_sweeps_is_capped():
 
 def test_conditioned_trial_needs_an_unbound_node(net_a):
     with pytest.raises(ValueError):
-        conditioned_trial(net_a, {"A": 0, "B": 1},
-                          TrialGeneratorKind.rejection(), RandomSource(1))
+        conditioned_sample_batch(net_a, {"A": 0, "B": 1},
+                                 TrialGeneratorKind.rejection(),
+                                 RandomSource(1), 1)
 
 
 def test_fraction_rejects_overlapping_assignments(net_c):
@@ -323,6 +323,30 @@ def test_rejection_attempt_cap_raises_with_phase():
             attempt_cap=100)
     assert einfo.value.phase == "rejection"
     assert einfo.value.cap == 100
+
+
+def test_rejection_cap_counts_runs_inside_a_batch(net_c):
+    # Half the rows have C=1, so the stream's first 4096 forward rows hold
+    # a run of more than 5 rejected rows; no batch ends in a run that long.
+    with pytest.raises(RejectionBudgetExceededError) as einfo:
+        conditioned_sample_batch(net_c, {"C": 1},
+                                 TrialGeneratorKind.rejection(),
+                                 RandomSource(1), 4096, attempt_cap=5)
+    assert einfo.value.trials == 0
+
+
+def test_rejection_budget_error_counts_scored_trials(net_c):
+    scored = []
+    for seed in range(8):
+        with pytest.raises(RejectionBudgetExceededError) as einfo:
+            estimate_conditional_fraction(
+                net_c, {"A": 1}, {"C": 1}, 0.02, 0.1,
+                TrialGeneratorKind.rejection(), RandomSource(seed),
+                attempt_cap=5)
+        scored.append(einfo.value.trials)
+    # Trials are scored a checkpoint at a time, and checkpoints double.
+    assert all(t & (t - 1) == 0 for t in scored)
+    assert max(scored) > 0
 
 
 def test_fraction_is_deterministic_per_seed(net_c):
