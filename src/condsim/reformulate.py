@@ -17,6 +17,7 @@ from .dependence import (
     predicted_cost,
 )
 from .errors import (
+    BudgetExceededError,
     LengthMismatchError,
     OverlappingSetsError,
     ZeroDenominatorError,
@@ -250,6 +251,10 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     weighted sums meet in a clamped ratio. Auto picks selective exactly
     when the greedy set is nonempty. Equal arguments and seed reproduce
     the result bit for bit.
+
+    A :class:`BudgetExceededError` from a subproblem estimate is raised
+    again with the trials the whole run had scored, its message naming
+    the subproblem and whether its numerator or denominator failed.
     """
     if config is None:
         config = InferConfig()
@@ -268,11 +273,26 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     root = RandomSource(seed)
     dependence_before = dependence_value(net, evidence).value
 
+    scored = 0
+
     def fraction(target, condition, stage_eps, stage_delta, stream):
-        return estimate_conditional_fraction(
-            net, target, condition, stage_eps, stage_delta,
-            config.generator, root.derive(stream), prior=config.prior,
-            sample_cap=config.sample_cap, attempt_cap=config.rejection_cap)
+        nonlocal scored
+        try:
+            estimate = estimate_conditional_fraction(
+                net, target, condition, stage_eps, stage_delta,
+                config.generator, root.derive(stream), prior=config.prior,
+                sample_cap=config.sample_cap,
+                attempt_cap=config.rejection_cap)
+        except BudgetExceededError as exc:
+            # Stream 2i + 1 is subproblem i's numerator, 2i + 2 its
+            # denominator.
+            role = "numerator" if stream % 2 else "denominator"
+            raise type(exc)(
+                f"subproblem {(stream - 1) // 2} {role}: {exc}",
+                phase=exc.phase, trials=scored + exc.trials,
+                cap=exc.cap) from exc
+        scored += estimate.trials
+        return estimate
 
     trace: GreedyTrace | None = None
     selected: tuple[str, ...] = ()
@@ -289,6 +309,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
         mu_s, weight_trials = estimate_distribution_over(
             net, selected, stage_eps, delta_w, config.prior, root.derive(0),
             sample_cap=config.sample_cap)
+        scored = weight_trials
         pairs = tuple(
             (fraction(sub.numerator_target, sub.instantiation, stage_eps,
                       delta_s, 2 * sub.index + 1),

@@ -39,6 +39,11 @@ _MASK64 = (1 << 64) - 1
 # as this stays a multiple of its chunk size, _MAX_RAW_BATCH.
 _MAX_CHUNK = 1 << 18
 _MAX_RAW_BATCH = 1 << 16
+# Widest unbound Markov blanket a Gibbs table spans (2^16 entries); the
+# children beyond it multiply in per row.
+_TABLE_BITS = 16
+# Most uniforms a Gibbs chunk draws at once for its sweeps.
+_FUSED_DRAW = 1 << 12
 _MAX_CATEGORY_NODES = 20
 _SWEEP_CEILING = 10 ** 6
 
@@ -82,6 +87,14 @@ class RandomSource:
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` doubles drawn uniformly from [0, 1)."""
         return self._gen.random(count)
+
+    def skip(self, count: int) -> None:
+        """Pass over the next ``count`` doubles without drawing them.
+
+        A double uses exactly one 64-bit PCG64 output, so ``skip(k)``
+        then ``uniforms(j)`` gives the last j of ``uniforms(k + j)``.
+        """
+        self._gen.bit_generator.advance(count)
 
 
 @dataclass(frozen=True)
@@ -145,30 +158,100 @@ def _plan(net: BeliefNetwork) -> tuple[tuple[int, tuple[int, ...],
     return tuple(steps)
 
 
-def _row_indices(state: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
-    idx = np.zeros(len(state), dtype=np.int64)
-    for col in cols:
-        idx = (idx << 1) | state[:, col]
+def _index(column, cols):
+    """Values of ``cols`` read as a binary number, first most significant.
+
+    ``column(c)`` gives column c's values; the result is 0 for no columns.
+    """
+    if len(cols) < 2:
+        return column(cols[0]) if cols else 0
+    idx = column(cols[0]).astype(np.uint8 if len(cols) <= 8 else np.intp)
+    for col in cols[1:]:
+        idx <<= 1
+        idx |= column(col)
     return idx
 
 
-def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
-                  clamp: dict[int, int] | None = None) -> np.ndarray:
-    """Forward-sample ``count`` assignments, holding clamped columns fixed.
+@lru_cache(maxsize=256)
+def _schedule(net: BeliefNetwork, keep: tuple[int, ...] | None,
+              condition: tuple[tuple[int, int], ...],
+              clamp: tuple[tuple[int, int], ...]) -> tuple[tuple, ...]:
+    """Steps of a forward pass that computes only what its caller reads.
 
-    Returns a (count, n) uint8 array with columns in declaration order.
+    The nodes computed are the ancestral closure of ``keep`` and the
+    condition's nodes; a clamped node cuts the closure at itself. In
+    topological order, a step is ``("skip", k)`` for a run of k unclamped
+    nodes nobody reads, ``("fix", col, value)`` for a clamped node that is
+    read, or ``("draw", col, parent_cols, rows, want)`` with ``want`` the
+    node's condition value (-1 for none).
     """
-    out = np.empty((count, net.n), dtype=np.uint8)
-    for col, parent_cols, rows in _plan(net):
-        if clamp is not None and col in clamp:
-            out[:, col] = clamp[col]
-            continue
-        if parent_cols:
-            p = rows[_row_indices(out, parent_cols)]
+    fixed = dict(clamp)
+    want = dict(condition)
+    needed = set(range(net.n) if keep is None else keep) | set(want)
+    for col, pcols, _ in reversed(_plan(net)):
+        if col in needed and col not in fixed:
+            needed.update(pcols)
+    steps: list[tuple] = []
+    for col, pcols, rows in _plan(net):
+        if col in fixed:
+            if col in needed:
+                steps.append(("fix", col, fixed[col]))
+        elif col in needed:
+            steps.append(("draw", col, pcols, rows, want.get(col, -1)))
+        elif steps and steps[-1][0] == "skip":
+            steps[-1] = ("skip", steps[-1][1] + 1)
         else:
-            p = rows[0]
-        out[:, col] = rng.uniforms(count) < p
-    return out
+            steps.append(("skip", 1))
+    return tuple(steps)
+
+
+def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
+                  keep: tuple[int, ...] | None = None,
+                  condition: tuple[tuple[int, int], ...] = (),
+                  clamp: tuple[tuple[int, int], ...] = ()
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Forward-sample ``count`` rows, computing only what the caller reads.
+
+    ``keep`` lists the columns returned (None: all, in declaration order);
+    ``condition`` and ``clamp`` hold (column, value) pairs. Every unclamped
+    node owns the next ``count`` uniforms of the stream, in topological
+    order, as in a full forward pass. A node outside the ancestral closure
+    of ``keep`` and the condition skips its block instead of drawing it;
+    after each condition node is drawn, the rows that disagree with it
+    are dropped, so later nodes are computed on survivors only. Clamped
+    nodes take their value and use no uniforms. The batch is held
+    column-major, one contiguous row of values per node.
+
+    Returns ``(rows, hits)``: the kept columns, one row each, of the
+    forward rows at positions ``hits`` that satisfy the condition;
+    ``hits`` is None when there is no condition and every row is kept.
+    """
+    batch = np.empty((net.n, count), dtype=np.uint8)
+    pos = None  # positions of the surviving rows once one is dropped
+    m = count
+    for step in _schedule(net, keep, condition, clamp):
+        if step[0] == "fix":
+            batch[step[1]] = step[2]
+            continue
+        if step[0] == "skip" or m == 0:
+            rng.skip(count * (step[1] if step[0] == "skip" else 1))
+            continue
+        _, col, pcols, rows, want = step
+        u = rng.uniforms(count)
+        if m < count:
+            u = u[pos]
+        p = rows[_index(lambda c: batch[c, :m], pcols)]
+        np.less(u, p, out=batch[col, :m].view(bool))
+        if want >= 0:
+            sel = np.flatnonzero(batch[col, :m] == want)
+            if len(sel) < m:
+                pos, m = sel if pos is None else pos[sel], len(sel)
+                batch[:, :m] = batch[:, sel]
+    if condition and pos is None:
+        pos = np.arange(count)
+    if keep is None:
+        return batch[:, :m], pos
+    return batch[list(keep), :m], pos
 
 
 def logic_sample_batch(net: BeliefNetwork, rng: RandomSource,
@@ -176,30 +259,31 @@ def logic_sample_batch(net: BeliefNetwork, rng: RandomSource,
     """``count`` joint samples as a (count, n) array, declaration order."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count!r}")
-    return _sample_batch(net, rng, count)
+    return np.ascontiguousarray(_sample_batch(net, rng, count)[0].T)
 
 
-def _bound_columns(net: BeliefNetwork,
-                   assignment: Assignment) -> tuple[np.ndarray, np.ndarray]:
-    cols = np.array([net.index(k) for k in assignment], dtype=np.int64)
-    vals = np.array([assignment[k] for k in assignment], dtype=np.uint8)
-    return cols, vals
+def _pairs(net: BeliefNetwork,
+           assignment: Assignment) -> tuple[tuple[int, int], ...]:
+    return tuple((net.index(k), int(v)) for k, v in assignment.items())
 
 
 class _RejectionStream:
     """Accepted-sample buffer over repeated forward batches.
 
-    More than ``attempt_cap`` rejected rows in a row raise, wherever the
-    run falls across batches; the error's ``trials`` counts the rows
-    already taken from the stream.
+    Rows are returned column-major, one row per ``keep`` column. More
+    than ``attempt_cap`` rejected rows in a row raise, wherever the run
+    falls across batches; the error's ``trials`` counts the rows already
+    taken from the stream.
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
-                 rng: RandomSource, attempt_cap: int) -> None:
+                 rng: RandomSource, attempt_cap: int,
+                 keep: tuple[int, ...]) -> None:
         self._net = net
         self._rng = rng
         self._cap = attempt_cap
-        self._cols, self._vals = _bound_columns(net, condition)
+        self._keep = keep
+        self._condition = _pairs(net, condition)
         self._parts: list[np.ndarray] = []
         self._count = 0
         self._taken = 0
@@ -209,11 +293,9 @@ class _RejectionStream:
     def _fill(self) -> None:
         m = self._batch
         self._batch = min(self._batch * 2, _MAX_RAW_BATCH)
-        raw = _sample_batch(self._net, self._rng, m)
-        if len(self._cols):
-            hits = np.flatnonzero(
-                np.all(raw[:, self._cols] == self._vals, axis=1))
-        else:
+        accepted, hits = _sample_batch(self._net, self._rng, m, self._keep,
+                                       self._condition)
+        if hits is None:
             hits = np.arange(m)
         if len(hits) == 0:
             self._since_accept += m
@@ -224,9 +306,8 @@ class _RejectionStream:
             if longest > self._cap:
                 self._fail()
             self._since_accept = m - 1 - int(hits[-1])
-            accepted = raw[hits]
             self._parts.append(accepted)
-            self._count += len(accepted)
+            self._count += len(hits)
         if self._since_accept > self._cap:
             self._fail()
 
@@ -239,23 +320,82 @@ class _RejectionStream:
         while self._count < count:
             self._fill()
         rows = self._parts[0] if len(self._parts) == 1 else np.concatenate(
-            self._parts)
-        taken, rest = rows[:count], rows[count:]
-        self._parts = [rest] if len(rest) else []
-        self._count = len(rest)
+            self._parts, axis=1)
+        taken, rest = rows[:, :count], rows[:, count:]
+        self._parts = [rest] if rest.shape[1] else []
+        self._count = rest.shape[1]
         self._taken += count
         return taken
 
 
+def _times_kids(w1, w0, kids, column):
+    """Multiply each child's factor into the weights of value 1 and 0.
+
+    ``column(c)`` gives column c's values; children are taken in order.
+    """
+    for crows, ccol, bit, others in kids:
+        base = 0
+        for ocol, shift in others:
+            base = base | (column(ocol).astype(np.int64) << shift)
+        on = crows[base + bit]
+        off = crows[base]
+        is_one = column(ccol) == 1
+        w1 = w1 * np.where(is_one, on, 1.0 - on)
+        w0 = w0 * np.where(is_one, off, 1.0 - off)
+    return w1, w0
+
+
+def _blanket_update(col: int, pcols: tuple[int, ...], rows: np.ndarray,
+                    kids: tuple, clamped: dict[int, int]) -> tuple:
+    """Pr[col = 1] tabulated over the node's unbound Markov blanket.
+
+    The table spans the unbound parents and then, in order, every child
+    (with the child's other parents) that still fits in _TABLE_BITS
+    bits; the children past the first that does not fit multiply in per
+    row. Entries come from the operations of a per-row evaluation in the
+    same order, so each equals what a row in that blanket state computes.
+    Returns (col, index columns, table of Pr[col = 1] or of the weights of
+    value 1 and 0, children left per row).
+    """
+    bits = [c for c in pcols if c not in clamped]
+    split = len(kids)
+    for j, (_, ccol, _, others) in enumerate(kids):
+        new = [c for c in (ccol, *(o for o, _ in others))
+               if c not in clamped and c not in bits]
+        if new and len(bits) + len(new) > _TABLE_BITS:
+            split = j
+            break
+        bits += new
+    size = 1 << len(bits)
+    grid = np.indices((2,) * len(bits), dtype=np.uint8).reshape(-1, size)
+    value = dict(zip(bits, grid))
+    value.update((c, np.uint8(v)) for c, v in clamped.items())
+    p1 = rows[_index(value.__getitem__, pcols)]
+    w1, w0 = _times_kids(p1, 1.0 - p1, kids[:split], value.__getitem__)
+    if split == len(kids):
+        table = np.full(size, w1 / (w1 + w0))
+    else:
+        table = np.full(size, w1), np.full(size, w0)
+    return col, tuple(bits), table, kids[split:]
+
+
 class _GibbsStream:
-    """Independent Gibbs chains, one per requested trial."""
+    """Independent Gibbs chains, one per requested trial.
+
+    Each chain starts from a clamped forward row; a sweep then redraws
+    every unbound node in topological order from its blanket table.
+    Rows are returned column-major, one row per ``keep`` column.
+    """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
-                 rng: RandomSource, sweeps: int) -> None:
+                 rng: RandomSource, sweeps: int,
+                 keep: tuple[int, ...]) -> None:
         self._net = net
         self._rng = rng
         self._sweeps = sweeps
-        self._clamp = {net.index(k): v for k, v in condition.items()}
+        self._keep = keep
+        self._clamp = _pairs(net, condition)
+        clamped = dict(self._clamp)
         plan = _plan(net)
         children: dict[int, list[tuple[np.ndarray, int, int, tuple]]] = {}
         for ccol, pcols, crows in plan:
@@ -266,31 +406,33 @@ class _GibbsStream:
                 children.setdefault(pcol, []).append(
                     (crows, ccol, bit, others))
         self._updates = [
-            (col, pcols, rows, tuple(children.get(col, ())))
-            for col, pcols, rows in plan if col not in self._clamp
+            _blanket_update(col, pcols, rows, tuple(children.get(col, ())),
+                            clamped)
+            for col, pcols, rows in plan if col not in clamped
         ]
 
     def _chunk(self, m: int) -> np.ndarray:
-        state = _sample_batch(self._net, self._rng, m, clamp=self._clamp)
-        for _ in range(self._sweeps):
-            for col, pcols, rows, kids in self._updates:
-                if pcols:
-                    p1 = rows[_row_indices(state, pcols)]
+        state, _ = _sample_batch(self._net, self._rng, m, clamp=self._clamp)
+        column = state.__getitem__
+        flags = [row.view(bool) for row in state]
+        updates = self._updates
+        # Each update reads the stream's next block of m uniforms, so a
+        # small chunk draws the blocks of several updates at once.
+        blocks = self._sweeps * len(updates)
+        per = max(1, _FUSED_DRAW // m)
+        for first in range(0, blocks, per):
+            u = self._rng.uniforms(min(per, blocks - first) * m)
+            for j in range(len(u) // m):
+                col, bits, table, tail = updates[(first + j) % len(updates)]
+                idx = _index(column, bits)
+                if tail:
+                    w1, w0 = _times_kids(table[0][idx], table[1][idx], tail,
+                                         column)
+                    p = w1 / (w1 + w0)
                 else:
-                    p1 = np.full(m, rows[0])
-                w1 = p1
-                w0 = 1.0 - p1
-                for crows, ccol, bit, others in kids:
-                    base = np.zeros(m, dtype=np.int64)
-                    for ocol, shift in others:
-                        base |= state[:, ocol].astype(np.int64) << shift
-                    on = crows[base + bit]
-                    off = crows[base]
-                    is_one = state[:, ccol] == 1
-                    w1 = w1 * np.where(is_one, on, 1.0 - on)
-                    w0 = w0 * np.where(is_one, off, 1.0 - off)
-                state[:, col] = self._rng.uniforms(m) < w1 / (w1 + w0)
-        return state
+                    p = table[idx]
+                np.less(u[j * m:(j + 1) * m], p, out=flags[col])
+        return state[list(self._keep)]
 
     def take(self, count: int) -> np.ndarray:
         parts = []
@@ -299,7 +441,7 @@ class _GibbsStream:
             m = min(left, _MAX_RAW_BATCH)
             parts.append(self._chunk(m))
             left -= m
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def default_burn_in_sweeps(net: BeliefNetwork, condition: Assignment) -> int:
@@ -310,16 +452,16 @@ def default_burn_in_sweeps(net: BeliefNetwork, condition: Assignment) -> int:
 
 def _make_stream(net: BeliefNetwork, condition: Assignment,
                  kind: TrialGeneratorKind, rng: RandomSource,
-                 attempt_cap: int):
+                 attempt_cap: int, keep: tuple[int, ...]):
     net.validate_assignment(condition)
     if len(condition) >= net.n:
         raise ValueError("condition must leave at least one node unbound")
     if kind.kind == "rejection":
-        return _RejectionStream(net, condition, rng, attempt_cap)
+        return _RejectionStream(net, condition, rng, attempt_cap, keep)
     sweeps = kind.burn_in_sweeps
     if sweeps is None:
         sweeps = default_burn_in_sweeps(net, condition)
-    return _GibbsStream(net, condition, rng, sweeps)
+    return _GibbsStream(net, condition, rng, sweeps, keep)
 
 
 def conditioned_sample_batch(net: BeliefNetwork, condition: Assignment,
@@ -330,7 +472,9 @@ def conditioned_sample_batch(net: BeliefNetwork, condition: Assignment,
     """``count`` conditioned trials as a (count, n) array."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count!r}")
-    return _make_stream(net, condition, kind, rng, attempt_cap).take(count)
+    stream = _make_stream(net, condition, kind, rng, attempt_cap,
+                          tuple(range(net.n)))
+    return np.ascontiguousarray(stream.take(count).T)
 
 
 def _check_risk_params(epsilon: float, delta: float) -> None:
@@ -396,9 +540,11 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
         sample_cap = 10 * worst_case_sample_bound(len(s), epsilon, delta,
                                                   phi_bound)
     cols = tuple(net.index(x) for x in s)
+    positions = range(len(cols))
     posterior, trials = _certify(
-        lambda m: _sample_batch(net, rng, m),
-        lambda rows: np.bincount(_row_indices(rows, cols), minlength=k),
+        lambda m: _sample_batch(net, rng, m, cols)[0],
+        lambda rows: np.bincount(_index(rows.__getitem__, positions),
+                                 minlength=k),
         k, epsilon, delta, prior, sample_cap, "distribution")
     return posterior.mu, trials
 
@@ -430,12 +576,14 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
     if sample_cap is None:
         sample_cap = 10 * worst_case_sample_bound(1, epsilon, delta,
                                                   phi_bound)
-    stream = _make_stream(net, condition, kind, rng, attempt_cap)
-    t_cols, t_vals = _bound_columns(net, target)
+    bound = _pairs(net, target)
+    t_vals = np.array([[v] for _, v in bound], dtype=np.uint8)
+    stream = _make_stream(net, condition, kind, rng, attempt_cap,
+                          tuple(c for c, _ in bound))
     posterior, trials = _certify(
         stream.take,
-        lambda rows: np.bincount(
-            np.all(rows[:, t_cols] == t_vals, axis=1), minlength=2),
+        lambda rows: np.bincount(np.all(rows == t_vals, axis=0),
+                                 minlength=2),
         2, epsilon, delta, prior, sample_cap, "fraction")
     return RasEstimate(posterior.mu[1], epsilon, delta, trials,
                        posterior.counts[1])

@@ -5,6 +5,7 @@ from condsim.dependence import satisfies_ras
 from condsim.errors import (
     LengthMismatchError,
     OverlappingSetsError,
+    RejectionBudgetExceededError,
     SampleBudgetExceededError,
     ZeroDenominatorError,
 )
@@ -324,6 +325,24 @@ def test_infer_selective_propagates_sample_budget(net_c):
         infer(net_c, {"C": 1}, {}, 0.2, 0.1, strategy="selective",
               config=InferConfig(sample_cap=2), seed=3)
     assert einfo.value.phase == "distribution"
+
+
+@pytest.mark.parametrize("config,error,phase,subproblem_trials", [
+    (InferConfig(rejection_cap=3), RejectionBudgetExceededError,
+     "rejection", 0),
+    (InferConfig(sample_cap=1 << 16), SampleBudgetExceededError,
+     "fraction", 1 << 16)])
+def test_infer_budget_error_counts_the_run_s_scored_trials(
+        net_c, config, error, phase, subproblem_trials):
+    for seed in range(3):
+        weight_trials = infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1,
+                              "selective", seed=seed).weight_trials
+        with pytest.raises(error) as einfo:
+            infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1, "selective", config,
+                  seed)
+        assert einfo.value.phase == phase
+        assert einfo.value.trials == weight_trials + subproblem_trials
+        assert str(einfo.value).startswith("subproblem 0 numerator: ")
 
 
 def test_infer_accepts_gibbs_generator(net_c):

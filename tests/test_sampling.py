@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,11 +13,12 @@ from condsim.errors import (
     UnknownNodeError,
 )
 from condsim.exact import exact_conditional, exact_distribution_over
-from condsim.network import parse_network
+from condsim.network import BeliefNetwork, Cpt, parse_network
 from condsim.sampling import (
     RandomSource,
     RasEstimate,
     TrialGeneratorKind,
+    _sample_batch,
     conditioned_sample_batch,
     default_burn_in_sweeps,
     estimate_conditional_fraction,
@@ -357,3 +359,101 @@ def test_fraction_is_deterministic_per_seed(net_c):
         b = estimate_conditional_fraction(
             net_c, {"A": 1}, {"C": 1}, 0.3, 0.2, kind, RandomSource(43))
         assert a == b
+
+
+def test_skip_then_draw_is_a_slice_of_one_draw():
+    for skipped, drawn in ((0, 5), (5, 3), (1000, 3), (3 * 65536 + 1, 17)):
+        whole = RandomSource(47).uniforms(skipped + drawn)
+        rng = RandomSource(47)
+        rng.skip(skipped)
+        assert np.array_equal(rng.uniforms(drawn), whole[skipped:])
+    rng = RandomSource(53)
+    head = rng.uniforms(5)
+    rng.skip(1000)
+    tail = rng.uniforms(3)
+    whole = RandomSource(53).uniforms(1008)
+    assert np.array_equal(head, whole[:5])
+    assert np.array_equal(tail, whole[1005:])
+
+
+def _forward_rows(net, rng, count, clamp):
+    """A full forward batch, one block of uniforms per unclamped node."""
+    rows = np.zeros((count, net.n), dtype=np.uint8)
+    for name in net.topo_order:
+        col = net.index(name)
+        if col in clamp:
+            rows[:, col] = clamp[col]
+            continue
+        cpt = net.cpt(name)
+        idx = np.zeros(count, dtype=np.int64)
+        for parent in cpt.parents:
+            idx = 2 * idx + rows[:, net.index(parent)]
+        rows[:, col] = rng.uniforms(count) < np.asarray(cpt.rows)[idx]
+    return rows
+
+
+def test_pruned_batch_matches_a_filtered_full_batch():
+    # Skipping barren nodes and dropping rejected rows early must leave
+    # every drawn value, every hit position and the stream's position as
+    # a full forward batch filtered afterwards would.
+    gen = np.random.Generator(np.random.PCG64(59))
+    for case in range(60):
+        net = random_network(gen, int(gen.integers(2, 13)),
+                             max_parents=int(gen.integers(1, 4)))
+        order = [int(c) for c in gen.permutation(net.n)]
+        n_keep = int(gen.integers(1, net.n + 1))
+        n_bound = int(gen.integers(0, min(4, net.n - n_keep) + 1))
+        keep = tuple(order[:n_keep])
+        bound = tuple((c, int(gen.integers(0, 2)))
+                      for c in order[n_keep:n_keep + n_bound])
+        clamp = bound if case % 4 == 3 else ()
+        condition = () if clamp else bound
+        count = int(gen.integers(1, 2000))
+        rng, ref = RandomSource(case), RandomSource(case)
+        rows, hits = _sample_batch(net, rng, count, keep, condition, clamp)
+        full = _forward_rows(net, ref, count, dict(clamp))
+        ok = np.ones(count, dtype=bool)
+        for col, value in condition:
+            ok &= full[:, col] == value
+        if condition:
+            assert np.array_equal(hits, np.flatnonzero(ok))
+        else:
+            assert hits is None
+        assert np.array_equal(rows, full[ok][:, keep].T)
+        assert np.array_equal(rng.uniforms(4), ref.uniforms(4))
+
+
+def _naive_bayes(children: int):
+    gen = np.random.Generator(np.random.PCG64(61))
+    names = ("R",) + tuple(f"K{i}" for i in range(children))
+    cpts = [Cpt((), (0.37,))] + [
+        Cpt(("R",), tuple(float(p) for p in gen.uniform(0.05, 0.95, 2)))
+        for _ in range(children)]
+    return BeliefNetwork("naive_bayes", names, tuple(cpts))
+
+
+def _row_digest(rows):
+    return hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case,digest", [
+    ("wide-blanket",
+     "0a28677620feb0e5e9a6603586b656ff2abf5c2d5ed0bd423a31e9081ae66495"),
+    ("clamped-blankets",
+     "501644635aceca3e24ea5a2fce3d19317600cf14d4d031b3f7f339931345a8c8")])
+def test_gibbs_rows_are_pinned(case, digest):
+    # Recorded with the per-row Gibbs kernel at version 0.1.0. The root
+    # of the first net has 27 unbound children, more than one blanket
+    # table spans; the second clamps nodes inside other nodes' blankets.
+    if case == "wide-blanket":
+        net = _naive_bayes(30)
+        condition = {"K0": 1, "K5": 0, "K29": 1}
+    else:
+        net = random_network(np.random.Generator(np.random.PCG64(67)), 10,
+                             max_parents=3)
+        condition = {"N3": 1, "N5": 0, "N6": 1}
+    rows = conditioned_sample_batch(net, condition,
+                                    TrialGeneratorKind.gibbs(3),
+                                    RandomSource(71), 700)
+    assert rows.shape == (700, net.n)
+    assert _row_digest(rows) == digest

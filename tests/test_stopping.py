@@ -176,6 +176,19 @@ def test_incomplete_beta_against_scipy_grid():
             float(special.betainc(a, b, x)), abs=1e-10)
 
 
+@pytest.mark.parametrize("epsilon", [5e-4, 3e-4])
+def test_incomplete_beta_converges_near_the_mean_of_large_shapes(epsilon):
+    # The stopping rule's tail points for counts (430587, 617989), where a
+    # fixed cap of 300 continued-fraction terms used to give up.
+    a, b = 430587.0, 617989.0
+    mu = a / (a + b)
+    for x in (mu / (1.0 + epsilon), mu * (1.0 + epsilon)):
+        assert regularized_incomplete_beta(a, b, x) == pytest.approx(
+            float(special.betainc(a, b, x)), abs=1e-8)
+    post = DirichletPosterior((430587, 617989), PriorChoice.UNBIASED)
+    assert 0.0 < failure_probability_bound(post, epsilon) <= 1.0
+
+
 def test_incomplete_beta_guards():
     with pytest.raises(NonPositiveShapeError):
         regularized_incomplete_beta(0.0, 1.0, 0.5)
