@@ -11,8 +11,9 @@ a simulation-difficulty term and a weight-estimation term.
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from math import inf
 
-from .errors import NonPositivePhiMinError, OverlappingSetsError, UnknownNodeError
+from .errors import OverlappingSetsError, UnknownNodeError
 from .network import Assignment, BeliefNetwork
 
 
@@ -138,7 +139,8 @@ def predicted_cost(net: BeliefNetwork, evidence: Assignment,
 
     subproblem_term = 2^|S| * D^4 with D the dependence value after
     binding evidence and the set; weight_term = 2^|S| divided by the
-    analytic lower bound on the rarest instantiation probability.
+    analytic lower bound on the rarest instantiation probability, or
+    infinity when that bound underflows to 0.
     """
     overlap = set(evidence) & set(conditioning)
     if overlap:
@@ -147,11 +149,8 @@ def predicted_cost(net: BeliefNetwork, evidence: Assignment,
     d = dependence_value(net, evidence, conditioning).value
     scale = float(1 << len(conditioning))
     phi_bound = phi_min_lower_bound(net, conditioning)
-    if phi_bound <= 0.0:
-        raise NonPositivePhiMinError(
-            f"instantiation bound collapsed to {phi_bound}")
     return CostEstimate(subproblem_term=scale * d ** 4,
-                        weight_term=scale / phi_bound,
+                        weight_term=scale / phi_bound if phi_bound else inf,
                         phi_min_bound=phi_bound)
 
 

@@ -81,7 +81,7 @@ class NonPositiveShapeError(CondsimError):
 
 
 class NonPositivePhiMinError(CondsimError):
-    """A probability lower bound must be strictly positive."""
+    """A probability lower bound is not positive, or too small to use."""
 
 
 class BudgetExceededError(CondsimError):

@@ -117,7 +117,7 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
     addition would push |S| past max_s. Nodes in ``exclude`` never enter
     S, so query nodes can be kept out of the conditioning set.
     """
-    if exponent < 1.0:
+    if not exponent >= 1.0:
         raise ValueError(f"exponent must be at least 1, got {exponent!r}")
     if max_s < 0:
         raise ValueError(f"max_s must be nonnegative, got {max_s!r}")

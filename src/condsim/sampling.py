@@ -18,9 +18,11 @@ import numpy as np
 from .dependence import dependence_value, phi_min_lower_bound
 from .errors import (
     NetworkTooLargeError,
+    NonPositivePhiMinError,
     OverlappingSetsError,
     RejectionBudgetExceededError,
     SampleBudgetExceededError,
+    UnknownNodeError,
 )
 from .network import Assignment, BeliefNetwork
 from .stopping import (
@@ -36,11 +38,11 @@ _GENERATOR_KINDS = ("rejection", "gibbs")
 _MASK64 = (1 << 64) - 1
 # Rows per draw between checkpoints. A rejection stream returns the same
 # rows however a count is split into draws; a Gibbs stream does as long
-# as this stays a multiple of its chunk size, _MAX_RAW_BATCH.
+# as this stays a multiple of its batch size, _MAX_RAW_BATCH.
 _MAX_CHUNK = 1 << 18
 _MAX_RAW_BATCH = 1 << 16
-# Widest unbound Markov blanket a Gibbs table spans (2^16 entries); the
-# children beyond it multiply in per row.
+# Widest unbound Markov blanket a Gibbs table spans (2^16 entries); a
+# wider blanket is evaluated on the rows.
 _TABLE_BITS = 16
 # Most uniforms a Gibbs chunk draws at once for its sweeps.
 _FUSED_DRAW = 1 << 12
@@ -267,181 +269,147 @@ def _pairs(net: BeliefNetwork,
     return tuple((net.index(k), int(v)) for k, v in assignment.items())
 
 
-class _RejectionStream:
-    """Accepted-sample buffer over repeated forward batches.
+class _Stream:
+    """Conditioned trials, buffered across the batches that make them.
 
-    Rows are returned column-major, one row per ``keep`` column. More
-    than ``attempt_cap`` rejected rows in a row raise, wherever the run
-    falls across batches; the error's ``trials`` counts the rows already
-    taken from the stream.
+    Rows are returned column-major, one row per ``keep`` column. A
+    subclass's ``_next(want)`` makes the stream's next batch, given that
+    ``want`` more rows are needed.
+    """
+
+    def __init__(self, net: BeliefNetwork, condition: Assignment,
+                 rng: RandomSource, keep: tuple[int, ...]) -> None:
+        self._net = net
+        self._condition = _pairs(net, condition)
+        self._rng = rng
+        self._keep = keep
+        self._rest = np.empty((len(keep), 0), dtype=np.uint8)
+        self._taken = 0
+
+    def take(self, count: int) -> np.ndarray:
+        """The stream's next ``count`` rows."""
+        parts, have = [self._rest], self._rest.shape[1]
+        while have < count:
+            parts.append(self._next(count - have))
+            have += parts[-1].shape[1]
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        self._rest = rows[:, count:]
+        self._taken += count
+        return rows[:, :count]
+
+
+class _RejectionStream(_Stream):
+    """Accepted rows of repeated forward batches.
+
+    More than ``attempt_cap`` rejected rows in a row raise, wherever the
+    run falls across batches; the error's ``trials`` counts the rows
+    already taken from the stream.
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
                  rng: RandomSource, attempt_cap: int,
                  keep: tuple[int, ...]) -> None:
-        self._net = net
-        self._rng = rng
+        super().__init__(net, condition, rng, keep)
         self._cap = attempt_cap
-        self._keep = keep
-        self._condition = _pairs(net, condition)
-        self._parts: list[np.ndarray] = []
-        self._count = 0
-        self._taken = 0
         self._batch = 256
         self._since_accept = 0
 
-    def _fill(self) -> None:
+    def _next(self, want: int) -> np.ndarray:
         m = self._batch
-        self._batch = min(self._batch * 2, _MAX_RAW_BATCH)
+        self._batch = min(m * 2, _MAX_RAW_BATCH)
         accepted, hits = _sample_batch(self._net, self._rng, m, self._keep,
                                        self._condition)
-        if hits is None:
-            hits = np.arange(m)
-        if len(hits) == 0:
-            self._since_accept += m
-        else:
-            longest = self._since_accept + int(hits[0])
-            if len(hits) > 1:
-                longest = max(longest, int(np.diff(hits).max()) - 1)
-            if longest > self._cap:
-                self._fail()
-            self._since_accept = m - 1 - int(hits[-1])
-            self._parts.append(accepted)
-            self._count += len(hits)
-        if self._since_accept > self._cap:
-            self._fail()
-
-    def _fail(self) -> None:
-        raise RejectionBudgetExceededError(
-            f"no accepted trial within {self._cap} attempts",
-            phase="rejection", trials=self._taken, cap=self._cap)
-
-    def take(self, count: int) -> np.ndarray:
-        while self._count < count:
-            self._fill()
-        rows = self._parts[0] if len(self._parts) == 1 else np.concatenate(
-            self._parts, axis=1)
-        taken, rest = rows[:, :count], rows[:, count:]
-        self._parts = [rest] if rest.shape[1] else []
-        self._count = rest.shape[1]
-        self._taken += count
-        return taken
-
-
-def _times_kids(w1, w0, kids, column):
-    """Multiply each child's factor into the weights of value 1 and 0.
-
-    ``column(c)`` gives column c's values; children are taken in order.
-    """
-    for crows, ccol, bit, others in kids:
-        base = 0
-        for ocol, shift in others:
-            base = base | (column(ocol).astype(np.int64) << shift)
-        on = crows[base + bit]
-        off = crows[base]
-        is_one = column(ccol) == 1
-        w1 = w1 * np.where(is_one, on, 1.0 - on)
-        w0 = w0 * np.where(is_one, off, 1.0 - off)
-    return w1, w0
+        if hits is not None:
+            # Lengths of the runs of rejected rows before, between and
+            # after the hits, the first continuing the previous batch's.
+            runs = np.diff(np.concatenate(
+                ([-1 - self._since_accept], hits, [m]))) - 1
+            if runs.max() > self._cap:
+                raise RejectionBudgetExceededError(
+                    f"no accepted trial within {self._cap} attempts",
+                    phase="rejection", trials=self._taken, cap=self._cap)
+            self._since_accept = int(runs[-1])
+        return accepted
 
 
 def _blanket_update(col: int, pcols: tuple[int, ...], rows: np.ndarray,
-                    kids: tuple, clamped: dict[int, int]) -> tuple:
-    """Pr[col = 1] tabulated over the node's unbound Markov blanket.
+                    kids: tuple, clamped: dict[int, int]):
+    """Pr[col = 1] given the other nodes, as a function of ``column``.
 
-    The table spans the unbound parents and then, in order, every child
-    (with the child's other parents) that still fits in _TABLE_BITS
-    bits; the children past the first that does not fit multiply in per
-    row. Entries come from the operations of a per-row evaluation in the
-    same order, so each equals what a row in that blanket state computes.
-    Returns (col, index columns, table of Pr[col = 1] or of the weights of
-    value 1 and 0, children left per row).
+    ``column(c)`` gives column c's values and ``kids`` are the _plan
+    steps of col's children. The evaluation reads col's CPT entry, then
+    multiplies in each child's factor in order, indexing the child's
+    table with col read once as 1 and once as 0. When the node's unbound
+    Markov blanket spans at most _TABLE_BITS nodes, the evaluation runs
+    once on the grid of its states and the update looks the rows up in
+    that table; otherwise it runs on the rows.
     """
-    bits = [c for c in pcols if c not in clamped]
-    split = len(kids)
-    for j, (_, ccol, _, others) in enumerate(kids):
-        new = [c for c in (ccol, *(o for o, _ in others))
-               if c not in clamped and c not in bits]
-        if new and len(bits) + len(new) > _TABLE_BITS:
-            split = j
-            break
-        bits += new
+    def pr_one(column):
+        def reading(value):
+            return lambda c: value if c == col else column(c)
+        w1 = rows[_index(column, pcols)]
+        w0 = 1.0 - w1
+        for ccol, cpcols, crows in kids:
+            on = crows[_index(reading(np.uint8(1)), cpcols)]
+            off = crows[_index(reading(np.uint8(0)), cpcols)]
+            is_one = column(ccol) == 1
+            w1 = w1 * np.where(is_one, on, 1.0 - on)
+            w0 = w0 * np.where(is_one, off, 1.0 - off)
+        return w1 / (w1 + w0)
+
+    blanket = (*pcols, *(c for ccol, cpcols, _ in kids
+                         for c in (ccol, *cpcols)))
+    bits = tuple(dict.fromkeys(c for c in blanket
+                               if c != col and c not in clamped))
+    if len(bits) > _TABLE_BITS:
+        return pr_one
     size = 1 << len(bits)
     grid = np.indices((2,) * len(bits), dtype=np.uint8).reshape(-1, size)
     value = dict(zip(bits, grid))
     value.update((c, np.uint8(v)) for c, v in clamped.items())
-    p1 = rows[_index(value.__getitem__, pcols)]
-    w1, w0 = _times_kids(p1, 1.0 - p1, kids[:split], value.__getitem__)
-    if split == len(kids):
-        table = np.full(size, w1 / (w1 + w0))
-    else:
-        table = np.full(size, w1), np.full(size, w0)
-    return col, tuple(bits), table, kids[split:]
+    table = np.full(size, pr_one(value.__getitem__))
+    return lambda column: table[_index(column, bits)]
 
 
-class _GibbsStream:
-    """Independent Gibbs chains, one per requested trial.
+class _GibbsStream(_Stream):
+    """Independent Gibbs chains, one per row.
 
     Each chain starts from a clamped forward row; a sweep then redraws
-    every unbound node in topological order from its blanket table.
-    Rows are returned column-major, one row per ``keep`` column.
+    every unbound node in topological order from its blanket update. A
+    batch holds at most _MAX_RAW_BATCH chains.
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
                  rng: RandomSource, sweeps: int,
                  keep: tuple[int, ...]) -> None:
-        self._net = net
-        self._rng = rng
+        super().__init__(net, condition, rng, keep)
         self._sweeps = sweeps
-        self._keep = keep
-        self._clamp = _pairs(net, condition)
-        clamped = dict(self._clamp)
+        clamped = dict(self._condition)
         plan = _plan(net)
-        children: dict[int, list[tuple[np.ndarray, int, int, tuple]]] = {}
-        for ccol, pcols, crows in plan:
-            for pos, pcol in enumerate(pcols):
-                bit = 1 << (len(pcols) - 1 - pos)
-                others = tuple((c, len(pcols) - 1 - j)
-                               for j, c in enumerate(pcols) if j != pos)
-                children.setdefault(pcol, []).append(
-                    (crows, ccol, bit, others))
         self._updates = [
-            _blanket_update(col, pcols, rows, tuple(children.get(col, ())),
-                            clamped)
+            (col, _blanket_update(col, pcols, rows,
+                                  tuple(s for s in plan if col in s[1]),
+                                  clamped))
             for col, pcols, rows in plan if col not in clamped
         ]
 
-    def _chunk(self, m: int) -> np.ndarray:
-        state, _ = _sample_batch(self._net, self._rng, m, clamp=self._clamp)
+    def _next(self, want: int) -> np.ndarray:
+        m = min(want, _MAX_RAW_BATCH)
+        state, _ = _sample_batch(self._net, self._rng, m,
+                                 clamp=self._condition)
         column = state.__getitem__
         flags = [row.view(bool) for row in state]
         updates = self._updates
         # Each update reads the stream's next block of m uniforms, so a
-        # small chunk draws the blocks of several updates at once.
+        # small batch draws the blocks of several updates at once.
         blocks = self._sweeps * len(updates)
         per = max(1, _FUSED_DRAW // m)
         for first in range(0, blocks, per):
             u = self._rng.uniforms(min(per, blocks - first) * m)
             for j in range(len(u) // m):
-                col, bits, table, tail = updates[(first + j) % len(updates)]
-                idx = _index(column, bits)
-                if tail:
-                    w1, w0 = _times_kids(table[0][idx], table[1][idx], tail,
-                                         column)
-                    p = w1 / (w1 + w0)
-                else:
-                    p = table[idx]
-                np.less(u[j * m:(j + 1) * m], p, out=flags[col])
+                col, update = updates[(first + j) % len(updates)]
+                np.less(u[j * m:(j + 1) * m], update(column), out=flags[col])
         return state[list(self._keep)]
-
-    def take(self, count: int) -> np.ndarray:
-        parts = []
-        left = count
-        while left > 0:
-            m = min(left, _MAX_RAW_BATCH)
-            parts.append(self._chunk(m))
-            left -= m
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def default_burn_in_sweeps(net: BeliefNetwork, condition: Assignment) -> int:
@@ -478,23 +446,35 @@ def conditioned_sample_batch(net: BeliefNetwork, condition: Assignment,
 
 
 def _check_risk_params(epsilon: float, delta: float) -> None:
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
 
 
-def _certify(draw, classify, k: int, epsilon: float, delta: float,
-             prior: PriorChoice, sample_cap: int, phase: str
+def _certify(draw, classify, s_size: int, net: BeliefNetwork,
+             nodes: tuple[str, ...], epsilon: float, delta: float,
+             prior: PriorChoice, sample_cap: int | None, phase: str
              ) -> tuple[DirichletPosterior, int]:
     """Count classified rows until the stopping rule certifies them.
 
     ``draw(m)`` returns the next ``m`` rows of a stream and
-    ``classify(rows)`` their length-``k`` category counts. The rule is
-    evaluated at checkpoints that double from ``k`` trials; a checkpoint
-    past ``sample_cap`` raises. Returns the certified posterior and the
-    trial count.
+    ``classify(rows)`` their counts in k = 2^s_size categories. The rule
+    is evaluated at checkpoints that double from k trials; a checkpoint
+    past ``sample_cap`` raises. A None cap is ten times the worst-case
+    bound, with phi_min bounded over ``nodes``; when that bound cannot be
+    sized (phi_min underflows), nothing is drawn and the error says to
+    set a cap. Returns the certified posterior and the trial count.
     """
+    if sample_cap is None:
+        try:
+            sample_cap = 10 * worst_case_sample_bound(
+                s_size, epsilon, delta, phi_min_lower_bound(net, nodes))
+        except NonPositivePhiMinError as exc:
+            raise SampleBudgetExceededError(
+                f"default sample cap cannot be sized ({exc}); set one with "
+                f"sample_cap (--sample-cap)", phase=phase) from exc
+    k = 1 << s_size
     counts = np.zeros(k, dtype=np.int64)
     trials = 0
     checkpoint = k
@@ -534,18 +514,15 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
         raise NetworkTooLargeError(
             f"{len(s)} nodes span too many categories "
             f"(limit {_MAX_CATEGORY_NODES})")
-    phi_bound = phi_min_lower_bound(net, s)
-    k = 1 << len(s)
-    if sample_cap is None:
-        sample_cap = 10 * worst_case_sample_bound(len(s), epsilon, delta,
-                                                  phi_bound)
+    if len(set(s)) != len(s):
+        raise UnknownNodeError(f"repeated node in {list(s)}")
     cols = tuple(net.index(x) for x in s)
     positions = range(len(cols))
     posterior, trials = _certify(
         lambda m: _sample_batch(net, rng, m, cols)[0],
         lambda rows: np.bincount(_index(rows.__getitem__, positions),
-                                 minlength=k),
-        k, epsilon, delta, prior, sample_cap, "distribution")
+                                 minlength=1 << len(s)),
+        len(s), net, s, epsilon, delta, prior, sample_cap, "distribution")
     return posterior.mu, trials
 
 
@@ -572,10 +549,6 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
             f"target and condition both bind: {', '.join(shared)}")
     if not target:
         return RasEstimate(1.0, epsilon, delta, 0, 0)
-    phi_bound = phi_min_lower_bound(net, tuple(target))
-    if sample_cap is None:
-        sample_cap = 10 * worst_case_sample_bound(1, epsilon, delta,
-                                                  phi_bound)
     bound = _pairs(net, target)
     t_vals = np.array([[v] for _, v in bound], dtype=np.uint8)
     stream = _make_stream(net, condition, kind, rng, attempt_cap,
@@ -584,6 +557,6 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
         stream.take,
         lambda rows: np.bincount(np.all(rows == t_vals, axis=0),
                                  minlength=2),
-        2, epsilon, delta, prior, sample_cap, "fraction")
+        1, net, tuple(target), epsilon, delta, prior, sample_cap, "fraction")
     return RasEstimate(posterior.mu[1], epsilon, delta, trials,
                        posterior.counts[1])

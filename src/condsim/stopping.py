@@ -211,7 +211,7 @@ def failure_probability_bound(posterior: DirichletPosterior, epsilon: float,
     provably exceeds that threshold; the returned partial sum is then only
     guaranteed to be on the correct side of the threshold.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     n = posterior.n
     if n < 1:
@@ -245,7 +245,7 @@ def should_stop(posterior: DirichletPosterior, epsilon: float,
     Requires every category observed at least once (raw counts, not
     pseudocounts) and the failure bound to be at most delta.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     if min(posterior.counts) < 1:
         return False
@@ -259,18 +259,24 @@ def worst_case_sample_bound(s_size: int, epsilon: float, delta: float,
     """Trial count that always suffices for the stopping rule.
 
     ceil((2^s_size / (epsilon^2 * phi_min)) * ln(2 / delta)), where
-    phi_min lower-bounds the smallest category probability.
+    phi_min lower-bounds the smallest category probability. A phi_min so
+    small that the bound is not a finite float counts as nonpositive.
     """
     if s_size < 0:
         raise ValueError(f"s_size must be nonnegative, got {s_size!r}")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    if phi_min <= 0.0:
+    if not phi_min > 0.0:
         raise NonPositivePhiMinError(
             f"phi_min must be positive, got {phi_min!r}")
     if phi_min > 1.0:
         raise ValueError(f"phi_min must not exceed 1, got {phi_min!r}")
-    scale = (1 << s_size) / (epsilon * epsilon * phi_min)
-    return max(0, math.ceil(scale * math.log(2.0 / delta)))
+    scale = epsilon * epsilon * phi_min
+    bound = ((1 << s_size) / scale * math.log(2.0 / delta) if scale
+             else math.inf)
+    if not bound < math.inf:
+        raise NonPositivePhiMinError(
+            f"phi_min {phi_min!r} is too small for a finite bound")
+    return max(0, math.ceil(bound))

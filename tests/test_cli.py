@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -257,3 +258,89 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, [])
     assert code == 2
     assert "usage" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "--query", "B=1", "--epsilon", "nan", "--delta", "0.1"],
+    ["infer", "--query", "B=1", "--epsilon", "0.2", "--delta", "nan"],
+    ["infer", "--query", "B=1", "--epsilon", "0.2", "--delta", "0.1",
+     "--greedy-exponent", "nan"],
+    ["analyze", "--greedy-exponent", "nan"],
+], ids=["epsilon", "delta", "infer-greedy-exponent",
+        "analyze-greedy-exponent"])
+def test_nan_parameter_is_a_usage_error(capsys, net_a_path, argv):
+    code, _, err = run_cli(capsys,
+                           argv[:1] + ["--network", net_a_path] + argv[1:])
+    assert code == 2
+    assert "must" in err and "nan" in err
+
+
+_TINY_PAIR = "network tiny\nnode A\nprior A : {p}\nnode B\nprior B : {p}\n"
+_TINY_TRIPLE = """\
+network tiny
+node A
+prior A : 1e-120
+node B
+prior B : 1e-120
+node C
+prior C : 1e-120
+node D
+parents D : A B C
+cpt D : 0.01 0.99 0.99 0.01 0.99 0.01 0.01 0.99
+"""
+_TINY_ROW = """\
+network tiny
+node A
+prior A : 0.999
+node B
+parents B : A
+cpt B : 1e-320 0.5
+"""
+
+
+def _write(tmp_path, source):
+    path = tmp_path / "tiny.bnet"
+    path.write_text(source, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("source,query,strategy", [
+    (_TINY_PAIR.format(p="1e-160"), "A=1,B=1", "direct"),
+    (_TINY_PAIR.format(p="1e-200"), "A=1,B=1", "direct"),
+    (_TINY_TRIPLE, "D=1", "auto"),
+    (_TINY_ROW, "B=1", "direct"),
+], ids=["bound-overflows", "phi-underflows", "weight-phi-underflows",
+        "row-overflows"])
+def test_unsizable_default_cap_is_a_budget_error(capsys, tmp_path, source,
+                                                 query, strategy):
+    # phi_min is too small to size the default sample cap: the run stops
+    # before any trial, with a partial report that names --sample-cap.
+    code, report, err = run_json(
+        capsys, ["infer", "--network", _write(tmp_path, source),
+                 "--query", query, "--strategy", strategy,
+                 "--epsilon", "0.2", "--delta", "0.1"])
+    assert code == 5
+    assert report["error"]["kind"] == "SampleBudgetExceededError"
+    assert report["error"]["trials"] == 0
+    assert "--sample-cap" in report["error"]["message"]
+    assert "--sample-cap" in err
+
+
+def test_analyze_reports_an_infinite_weight_term(capsys, tmp_path):
+    code, report, _ = run_json(
+        capsys, ["analyze", "--network", _write(tmp_path, _TINY_TRIPLE)])
+    assert code == 0
+    assert report["selected_s"] == ["A", "B", "C"]
+    assert report["cost_after"]["phi_min_bound"] == 0.0
+    assert report["cost_after"]["weight_term"] == math.inf
+
+
+def test_explicit_sample_cap_answers_when_the_default_cannot_be_sized(
+        capsys, tmp_path):
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", _write(tmp_path, _TINY_ROW),
+                 "--query", "B=1", "--strategy", "direct",
+                 "--epsilon", "0.2", "--delta", "0.1",
+                 "--sample-cap", "100000"])
+    assert code == 0
+    assert report["result"]["estimate"] == pytest.approx(0.4995, rel=0.2)

@@ -8,6 +8,7 @@ from condsim import (
     exact_distribution_over,
     node_bounds,
     node_lambda,
+    parse_network,
     phi_min_lower_bound,
     predicted_cost,
     satisfies_ras,
@@ -92,6 +93,12 @@ def test_predicted_cost_reference_values(net_c):
     assert empty.weight_term == 1.0
     one = predicted_cost(arcless_network(1), {}, [])
     assert (one.subproblem_term, one.weight_term) == (1.0, 1.0)
+    # The weight term of a set whose phi_min bound underflows is infinite.
+    tiny = parse_network("network tiny\nnode A\nprior A : 1e-200\n"
+                         "node B\nprior B : 1e-200\n")
+    cost = predicted_cost(tiny, {}, ["A", "B"])
+    assert (cost.subproblem_term, cost.weight_term) == (4.0, math.inf)
+    assert cost.phi_min_bound == 0.0
 
 
 def test_predicted_cost_rejects_overlap(net_a):

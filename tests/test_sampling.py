@@ -200,6 +200,9 @@ def test_conditioned_trial_respects_condition(net_a):
 
 def test_conditioned_batch_consistency_postcondition(net_c):
     for kind in (TrialGeneratorKind.rejection(), TrialGeneratorKind.gibbs(4)):
+        none = conditioned_sample_batch(net_c, {"C": 1}, kind,
+                                        RandomSource(6), 0)
+        assert none.shape == (0, 3)
         rows = conditioned_sample_batch(net_c, {"C": 1}, kind,
                                         RandomSource(6), 500)
         assert rows.shape == (500, 3)
@@ -440,14 +443,24 @@ def _row_digest(rows):
     ("wide-blanket",
      "0a28677620feb0e5e9a6603586b656ff2abf5c2d5ed0bd423a31e9081ae66495"),
     ("clamped-blankets",
-     "501644635aceca3e24ea5a2fce3d19317600cf14d4d031b3f7f339931345a8c8")])
+     "501644635aceca3e24ea5a2fce3d19317600cf14d4d031b3f7f339931345a8c8"),
+    ("16-node-blanket",
+     "d74ae72c37cd81d0ddd3a206e47797e7a5f49dea6c1b923c81a8d54dffa34329"),
+    ("17-node-blanket",
+     "7f02e52327a932af04a36b603688892ec353a2966255e65fa026b805d64717ef")])
 def test_gibbs_rows_are_pinned(case, digest):
-    # Recorded with the per-row Gibbs kernel at version 0.1.0. The root
-    # of the first net has 27 unbound children, more than one blanket
-    # table spans; the second clamps nodes inside other nodes' blankets.
+    # Recorded at version 0.1.0: the first two with the per-row Gibbs
+    # kernel, the last two with blanket tables spanning up to 16 nodes.
+    # The root of the first net has 27 unbound children, more than one
+    # blanket table spans; the second clamps nodes inside other nodes'
+    # blankets. The root's unbound blanket in the last two has 16 nodes,
+    # the most a table spans, and 17, one more.
     if case == "wide-blanket":
         net = _naive_bayes(30)
         condition = {"K0": 1, "K5": 0, "K29": 1}
+    elif case.endswith("-node-blanket"):
+        net = _naive_bayes(int(case.split("-")[0]) + 1)
+        condition = {"K0": 1}
     else:
         net = random_network(np.random.Generator(np.random.PCG64(67)), 10,
                              max_parents=3)

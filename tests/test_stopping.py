@@ -227,9 +227,10 @@ def test_failure_bound_guards():
     with pytest.raises(EmptyPosteriorError):
         failure_probability_bound(
             DirichletPosterior((0, 0), PriorChoice.UNBIASED), 0.5)
-    with pytest.raises(ValueError):
-        failure_probability_bound(
-            DirichletPosterior((1, 1), PriorChoice.UNBIASED), 0.0)
+    for epsilon in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            failure_probability_bound(
+                DirichletPosterior((1, 1), PriorChoice.UNBIASED), epsilon)
 
 
 def test_failure_bound_non_increasing_in_n_at_fixed_mean():
@@ -306,3 +307,10 @@ def test_worst_case_sample_bound_guards():
         worst_case_sample_bound(1, 0.0, 0.1, 0.5)
     with pytest.raises(ValueError):
         worst_case_sample_bound(1, 0.2, 0.0, 0.5)
+    for epsilon, delta in ((math.nan, 0.1), (0.2, math.nan)):
+        with pytest.raises(ValueError):
+            worst_case_sample_bound(1, epsilon, delta, 0.5)
+    # A NaN phi_min, and ones too small for a finite bound.
+    for phi_min in (math.nan, 1e-320, 5e-324):
+        with pytest.raises(NonPositivePhiMinError):
+            worst_case_sample_bound(1, 0.2, 0.1, phi_min)
