@@ -10,13 +10,10 @@ __version__ = "0.1.0"
 from .errors import (
     BnetSyntaxError,
     BudgetExceededError,
-    CategoryOutOfRangeError,
     CondsimError,
     CycleDetectedError,
     DuplicateNodeError,
     EmptyPosteriorError,
-    IncompleteAssignmentError,
-    InvalidSimplexPointError,
     LengthMismatchError,
     MissingParentBindingError,
     NetworkFormatError,
@@ -28,7 +25,6 @@ from .errors import (
     RejectionBudgetExceededError,
     SampleBudgetExceededError,
     UndeclaredParentError,
-    UndefinedDensityError,
     UnknownNodeError,
     WrongRowCountError,
     ZeroDenominatorError,
@@ -37,7 +33,6 @@ from .network import (
     BeliefNetwork,
     Cpt,
     conditional_row,
-    joint_probability,
     parse_network,
     serialize_network,
 )
@@ -61,9 +56,6 @@ from .stopping import (
     DirichletPosterior,
     PriorChoice,
     failure_probability_bound,
-    log_density,
-    mean_and_variance,
-    posterior_update,
     regularized_incomplete_beta,
     should_stop,
     worst_case_sample_bound,

@@ -8,6 +8,7 @@ reproduces its estimate bit for bit.
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .exact import exact_conditional
 from .dependence import satisfies_ras
-from .network import BeliefNetwork, parse_network
+from .network import parse_network
 from .reformulate import (
     DEFAULT_SEED,
     InferConfig,
@@ -77,22 +78,30 @@ def _result_dict(result: InferenceResult) -> dict:
     return out
 
 
-def _load_network(path: str) -> tuple[BeliefNetwork, str]:
-    source = Path(path).read_text(encoding="utf-8")
-    return parse_network(source), source
+def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
+    """Write the report to stdout; a failed write is a runtime failure."""
+    text = json.dumps(report, indent=2) if as_json else "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        _discard_stdout()
+        raise CondsimError(f"cannot write report: {exc}") from exc
 
 
-def _emit(report: dict, as_json: bool, lines: list[str],
-          file=None) -> None:
-    file = sys.stdout if file is None else file
-    if as_json:
-        print(json.dumps(report, indent=2), file=file)
-    else:
-        print("\n".join(lines), file=file)
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at
+    interpreter exit cannot fail a second time and print a traceback."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor behind it
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    net, _ = _load_network(args.network)
+def cmd_analyze(args: argparse.Namespace, source: str) -> int:
+    net = parse_network(source)
     evidence = parse_assignment_text(args.evidence)
     started = time.perf_counter()
     dep = dependence_value(net, evidence)
@@ -153,8 +162,8 @@ def _infer_config(cfg: Mapping) -> InferConfig:
         rejection_cap=cfg["rejection_cap"])
 
 
-def cmd_infer(args: argparse.Namespace) -> int:
-    net, source = _load_network(args.network)
+def cmd_infer(args: argparse.Namespace, source: str) -> int:
+    net = parse_network(source)
     query = parse_assignment_text(args.query)
     evidence = parse_assignment_text(args.evidence)
     report = {
@@ -292,14 +301,15 @@ def main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        return cmd_infer(args)
-    except NetworkFormatError as exc:
-        print(f"condsim: parse error: {exc}", file=sys.stderr)
-        return 3
+        source = Path(args.network).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"condsim: cannot read network: {exc}", file=sys.stderr)
+        return 3
+    command = cmd_analyze if args.command == "analyze" else cmd_infer
+    try:
+        return command(args, source)
+    except NetworkFormatError as exc:
+        print(f"condsim: parse error: {exc}", file=sys.stderr)
         return 3
     except (UnknownNodeError, OverlappingSetsError, ValueError) as exc:
         print(f"condsim: {exc}", file=sys.stderr)

@@ -138,18 +138,23 @@ def predicted_cost(net: BeliefNetwork, evidence: Assignment,
     """Two-term cost prediction for conditioning the given node set.
 
     subproblem_term = 2^|S| * D^4 with D the dependence value after
-    binding evidence and the set; weight_term = 2^|S| divided by the
-    analytic lower bound on the rarest instantiation probability, or
-    infinity when that bound underflows to 0.
+    binding evidence and the set, or infinity when D^4 overflows;
+    weight_term = 2^|S| divided by the analytic lower bound on the
+    rarest instantiation probability, or infinity when that bound
+    underflows to 0.
     """
     overlap = set(evidence) & set(conditioning)
     if overlap:
         raise OverlappingSetsError(
             f"conditioning set overlaps evidence on {sorted(overlap)}")
     d = dependence_value(net, evidence, conditioning).value
+    try:
+        d4 = d ** 4
+    except OverflowError:  # float ** raises where * would give inf
+        d4 = inf
     scale = float(1 << len(conditioning))
     phi_bound = phi_min_lower_bound(net, conditioning)
-    return CostEstimate(subproblem_term=scale * d ** 4,
+    return CostEstimate(subproblem_term=scale * d4,
                         weight_term=scale / phi_bound if phi_bound else inf,
                         phi_min_bound=phi_bound)
 

@@ -48,10 +48,6 @@ class UnknownNodeError(CondsimError):
     """An assignment or node list refers to a node the network lacks."""
 
 
-class IncompleteAssignmentError(CondsimError):
-    """A full assignment was required but some node is unbound."""
-
-
 class MissingParentBindingError(CondsimError):
     """A parent value needed for a table lookup is unbound."""
 
@@ -60,20 +56,8 @@ class NetworkTooLargeError(CondsimError):
     """The exact oracle was asked to enumerate an oversized network."""
 
 
-class CategoryOutOfRangeError(CondsimError):
-    """A category index is outside the posterior's range."""
-
-
 class EmptyPosteriorError(CondsimError):
     """The requested statistic needs at least one effective observation."""
-
-
-class InvalidSimplexPointError(CondsimError):
-    """A density argument is not a point on the probability simplex."""
-
-
-class UndefinedDensityError(CondsimError):
-    """The Dirichlet density is undefined for the posterior parameters."""
 
 
 class NonPositiveShapeError(CondsimError):

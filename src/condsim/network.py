@@ -1,4 +1,4 @@
-"""Binary belief networks: data model, text format, joint evaluation.
+"""Binary belief networks: data model, text format, table lookups.
 
 A network is a DAG of binary nodes. Every node stores one table row per
 parent configuration, and each row holds Pr[node = 1 | parents]. The joint
@@ -26,7 +26,6 @@ from .errors import (
     BnetSyntaxError,
     CycleDetectedError,
     DuplicateNodeError,
-    IncompleteAssignmentError,
     MissingParentBindingError,
     NetworkFormatError,
     ProbabilityOutOfRangeError,
@@ -313,21 +312,3 @@ def conditional_row(net: BeliefNetwork, node: str, node_value: int,
             f"{', '.join(extras)}")
     p_one = row.rows[row.row_index(parent_assignment)]
     return p_one if node_value == 1 else 1.0 - p_one
-
-
-def joint_probability(net: BeliefNetwork, full: Assignment) -> float:
-    """Joint probability of a full assignment (every node bound)."""
-    if len(full) != net.n:
-        for node in net.nodes:
-            if node not in full:
-                raise IncompleteAssignmentError(f"node {node!r} is unbound")
-        net.validate_assignment(full)  # surplus keys: raises UnknownNode
-    product = 1.0
-    for node, cpt in zip(net.nodes, net.cpts):
-        value = full.get(node)
-        if value is None:
-            raise IncompleteAssignmentError(f"node {node!r} is unbound")
-        _check_value(value, node)
-        p_one = cpt.rows[cpt.row_index(full)]
-        product *= p_one if value == 1 else 1.0 - p_one
-    return product

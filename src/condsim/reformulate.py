@@ -9,6 +9,7 @@ caller's epsilon and delta.
 """
 
 from dataclasses import dataclass
+from math import inf
 
 from .dependence import (
     CostEstimate,
@@ -114,7 +115,7 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
     lambda^exponent / 2^|u'| wins (declaration order breaks ties). The
     search stops when estimating the weights would cost at least as much
     as the subproblems, when no candidate is eligible, or when the next
-    addition would push |S| past max_s. Nodes in ``exclude`` never enter
+    addition would push |S| past max_s or make the weight term infinite. Nodes in ``exclude`` never enter
     S, so query nodes can be kept out of the conditioning set.
     """
     if not exponent >= 1.0:
@@ -156,6 +157,9 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
             reason = "size cap reached"
             break
         after = predicted_cost(net, evidence, tuple(selected) + unbound)
+        if after.weight_term == inf:
+            reason = "weight term infinite"
+            break
         steps.append(GreedyStep(name, unbound, lam, best[0][0],
                                 cost_now, after))
         selected.extend(unbound)

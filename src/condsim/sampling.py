@@ -8,14 +8,13 @@ trial categories into a Dirichlet posterior and stop at the first
 geometric checkpoint the stopping rule certifies.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from collections.abc import Sequence
 
 import numpy as np
 
-from .dependence import dependence_value, phi_min_lower_bound
+from .dependence import phi_min_lower_bound
 from .errors import (
     NetworkTooLargeError,
     NonPositivePhiMinError,
@@ -47,7 +46,6 @@ _TABLE_BITS = 16
 # Most uniforms a Gibbs chunk draws at once for its sweeps.
 _FUSED_DRAW = 1 << 12
 _MAX_CATEGORY_NODES = 20
-_SWEEP_CEILING = 10 ** 6
 
 
 def mix_seed(seed: int, stream: int) -> int:
@@ -103,9 +101,8 @@ class RandomSource:
 class TrialGeneratorKind:
     """Which conditioned-trial generator to run.
 
-    ``burn_in_sweeps`` applies to the gibbs kind only; None means choose
-    at call time from the condition's dependence value, as
-    ceil(min(D^4, 1e6)).
+    ``burn_in_sweeps`` is the gibbs kind's sweep count per trial, at
+    least 1; the rejection kind takes None.
     """
 
     kind: str
@@ -116,16 +113,17 @@ class TrialGeneratorKind:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind == "rejection" and self.burn_in_sweeps is not None:
             raise ValueError("rejection takes no burn-in")
-        if (self.kind == "gibbs" and self.burn_in_sweeps is not None
-                and self.burn_in_sweeps < 1):
-            raise ValueError("burn_in_sweeps must be at least 1")
+        if self.kind == "gibbs" and (self.burn_in_sweeps is None
+                                     or self.burn_in_sweeps < 1):
+            raise ValueError("gibbs needs burn_in_sweeps (--burn-in-sweeps) "
+                             f"of at least 1, got {self.burn_in_sweeps!r}")
 
     @classmethod
     def rejection(cls) -> "TrialGeneratorKind":
         return cls("rejection")
 
     @classmethod
-    def gibbs(cls, burn_in_sweeps: int | None = None) -> "TrialGeneratorKind":
+    def gibbs(cls, burn_in_sweeps: int) -> "TrialGeneratorKind":
         return cls("gibbs", burn_in_sweeps)
 
 
@@ -412,12 +410,6 @@ class _GibbsStream(_Stream):
         return state[list(self._keep)]
 
 
-def default_burn_in_sweeps(net: BeliefNetwork, condition: Assignment) -> int:
-    """Sweep count used when a gibbs kind does not fix one."""
-    d = dependence_value(net, condition).value
-    return max(1, math.ceil(min(d ** 4, float(_SWEEP_CEILING))))
-
-
 def _make_stream(net: BeliefNetwork, condition: Assignment,
                  kind: TrialGeneratorKind, rng: RandomSource,
                  attempt_cap: int, keep: tuple[int, ...]):
@@ -426,10 +418,7 @@ def _make_stream(net: BeliefNetwork, condition: Assignment,
         raise ValueError("condition must leave at least one node unbound")
     if kind.kind == "rejection":
         return _RejectionStream(net, condition, rng, attempt_cap, keep)
-    sweeps = kind.burn_in_sweeps
-    if sweeps is None:
-        sweeps = default_burn_in_sweeps(net, condition)
-    return _GibbsStream(net, condition, rng, sweeps, keep)
+    return _GibbsStream(net, condition, rng, kind.burn_in_sweeps, keep)
 
 
 def conditioned_sample_batch(net: BeliefNetwork, condition: Assignment,
@@ -538,7 +527,9 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
 
     Conditioned trials are scored consistent or inconsistent with
     ``target``; the two-category stopping rule certifies the consistent
-    fraction. The empty target needs no trials and estimates 1.
+    fraction. The empty target needs no trials and estimates 1. The
+    default sample cap bounds phi_min over target and condition together:
+    Pr[target | condition] >= Pr[target, condition] >= that bound.
     """
     _check_risk_params(epsilon, delta)
     net.validate_assignment(target)
@@ -557,6 +548,7 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
         stream.take,
         lambda rows: np.bincount(np.all(rows == t_vals, axis=0),
                                  minlength=2),
-        1, net, tuple(target), epsilon, delta, prior, sample_cap, "fraction")
+        1, net, (*target, *condition), epsilon, delta, prior, sample_cap,
+        "fraction")
     return RasEstimate(posterior.mu[1], epsilon, delta, trials,
                        posterior.counts[1])

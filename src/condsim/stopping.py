@@ -10,19 +10,13 @@ an estimate once that bound drops to the requested failure probability.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from collections.abc import Sequence
 
 from .errors import (
-    CategoryOutOfRangeError,
     CondsimError,
     EmptyPosteriorError,
-    InvalidSimplexPointError,
     NonPositivePhiMinError,
     NonPositiveShapeError,
-    UndefinedDensityError,
 )
-
-_SIMPLEX_TOL = 1e-9
 
 
 class PriorChoice(Enum):
@@ -74,60 +68,6 @@ class DirichletPosterior:
         if n < 1:
             return (0.0,) * self.k
         return tuple((c + self.prior.pseudocount) / n for c in self.counts)
-
-
-def posterior_update(posterior: DirichletPosterior,
-                     category: int) -> DirichletPosterior:
-    """New posterior with one more observation of ``category``."""
-    if not 0 <= category < posterior.k:
-        raise CategoryOutOfRangeError(
-            f"category {category} outside 0..{posterior.k - 1}")
-    counts = list(posterior.counts)
-    counts[category] += 1
-    return DirichletPosterior(tuple(counts), posterior.prior)
-
-
-def mean_and_variance(posterior: DirichletPosterior,
-                      category: int) -> tuple[float, float]:
-    """Posterior mean and variance of one category's probability.
-
-    Variance is mu * (1 - mu) / (n + 1) for effective sample size n.
-    """
-    if not 0 <= category < posterior.k:
-        raise CategoryOutOfRangeError(
-            f"category {category} outside 0..{posterior.k - 1}")
-    n = posterior.n
-    if n < 1:
-        raise EmptyPosteriorError("posterior holds no observations")
-    mu = posterior.alpha(category) / n
-    return mu, mu * (1.0 - mu) / (n + 1.0)
-
-
-def log_density(posterior: DirichletPosterior,
-                phi: Sequence[float]) -> float:
-    """Log of the Dirichlet posterior density at a simplex point.
-
-    Defined only when every category parameter (count plus pseudocount)
-    is at least 1.
-    """
-    if len(phi) != posterior.k:
-        raise InvalidSimplexPointError(
-            f"point has {len(phi)} entries, posterior has {posterior.k}")
-    if any(p <= 0.0 for p in phi):
-        raise InvalidSimplexPointError("simplex entries must be positive")
-    if abs(math.fsum(phi) - 1.0) > _SIMPLEX_TOL:
-        raise InvalidSimplexPointError(
-            f"entries sum to {math.fsum(phi)!r}, not 1")
-    alphas = [posterior.alpha(i) for i in range(posterior.k)]
-    if any(a < 1 for a in alphas):
-        raise UndefinedDensityError(
-            "density undefined while a category parameter is below 1")
-    n = posterior.n
-    value = math.lgamma(n)
-    for a, p in zip(alphas, phi):
-        value -= math.lgamma(a)
-        value += (a - 1.0) * math.log(p)
-    return value
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:

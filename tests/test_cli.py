@@ -5,8 +5,11 @@ from dataclasses import fields
 import pytest
 
 from condsim import cli
+from condsim.errors import SampleBudgetExceededError
 from condsim.network import parse_network
 from condsim.reformulate import InferConfig, InferenceResult, infer
+from condsim.sampling import RandomSource, estimate_distribution_over
+from condsim.stopping import PriorChoice
 
 from helpers import NET_C_SOURCE
 
@@ -248,6 +251,34 @@ def test_nonpositive_burn_in_is_a_usage_error(capsys, net_a_path):
     assert code == 2
 
 
+def test_gibbs_without_burn_in_is_a_usage_error(capsys, net_a_path):
+    code, _, err = run_cli(
+        capsys, ["infer", "--network", net_a_path, "--query", "B=1",
+                 "--epsilon", "0.2", "--delta", "0.1",
+                 "--generator", "gibbs"])
+    assert code == 2
+    assert "--burn-in-sweeps" in err
+
+
+def test_failed_report_write_is_a_runtime_failure(capsys, monkeypatch,
+                                                  net_a_path):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    code = cli.main(["infer", "--network", net_a_path, "--query", "B=1",
+                     "--strategy", "direct", "--epsilon", "0.2",
+                     "--delta", "0.1", "--exact", "--report", "json"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "cannot write report" in err
+    assert "cannot read network" not in err
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])
     assert code == 0
@@ -307,9 +338,9 @@ def _write(tmp_path, source):
 @pytest.mark.parametrize("source,query,strategy", [
     (_TINY_PAIR.format(p="1e-160"), "A=1,B=1", "direct"),
     (_TINY_PAIR.format(p="1e-200"), "A=1,B=1", "direct"),
-    (_TINY_TRIPLE, "D=1", "auto"),
+    (_TINY_TRIPLE.replace("1e-120", "1e-102"), "D=1", "auto"),
     (_TINY_ROW, "B=1", "direct"),
-], ids=["bound-overflows", "phi-underflows", "weight-phi-underflows",
+], ids=["bound-overflows", "phi-underflows", "weight-bound-overflows",
         "row-overflows"])
 def test_unsizable_default_cap_is_a_budget_error(capsys, tmp_path, source,
                                                  query, strategy):
@@ -326,13 +357,64 @@ def test_unsizable_default_cap_is_a_budget_error(capsys, tmp_path, source,
     assert "--sample-cap" in err
 
 
+def test_unsizable_weight_cap_is_a_budget_error():
+    # The three priors' product underflows, so the weight phase's default
+    # cap cannot be sized.
+    with pytest.raises(SampleBudgetExceededError) as einfo:
+        estimate_distribution_over(
+            parse_network(_TINY_TRIPLE), ("A", "B", "C"), 0.2, 0.1,
+            PriorChoice.UNBIASED, RandomSource(1))
+    assert einfo.value.phase == "distribution"
+    assert einfo.value.trials == 0
+    assert "--sample-cap" in str(einfo.value)
+
+
 def test_analyze_reports_an_infinite_weight_term(capsys, tmp_path):
+    # Conditioning on A, B and C would make the weight term infinite, so
+    # greedy stops before that step.
     code, report, _ = run_json(
         capsys, ["analyze", "--network", _write(tmp_path, _TINY_TRIPLE)])
     assert code == 0
-    assert report["selected_s"] == ["A", "B", "C"]
-    assert report["cost_after"]["phi_min_bound"] == 0.0
-    assert report["cost_after"]["weight_term"] == math.inf
+    assert report["selected_s"] == []
+    assert report["greedy_trace"]["stop_reason"] == "weight term infinite"
+    assert report["cost_after"]["weight_term"] == 1.0
+
+
+def test_auto_answers_when_the_weight_term_is_infinite(capsys, tmp_path):
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", _write(tmp_path, _TINY_TRIPLE),
+                 "--query", "D=1", "--epsilon", "0.2", "--delta", "0.1",
+                 "--exact"])
+    assert code == 0
+    assert report["result"]["strategy_used"] == "direct"
+    assert report["exact"]["satisfies_ras"]
+
+
+_STEEP = """\
+network steep
+node A
+prior A : 0.5
+node B
+parents B : A
+cpt B : 1e-40 0.5
+"""
+
+
+def test_overflowing_subproblem_term_is_reported_as_infinite(capsys,
+                                                             tmp_path):
+    path = _write(tmp_path, _STEEP)
+    code, report, _ = run_json(capsys, ["analyze", "--network", path])
+    assert code == 0
+    assert report["cost_before"]["subproblem_term"] == math.inf
+    query = ["infer", "--network", path, "--query", "B=1",
+             "--epsilon", "0.2", "--delta", "0.1"]
+    code, report, _ = run_json(capsys, query + ["--strategy", "direct"])
+    assert code == 0
+    assert report["cost_before"]["subproblem_term"] == math.inf
+    # Auto conditions on A, whose A=0 numerator (probability 1e-40)
+    # rejection cannot certify: the sample cap ends the run.
+    code, _, _ = run_json(capsys, query + ["--sample-cap", "100000"])
+    assert code == 5
 
 
 def test_explicit_sample_cap_answers_when_the_default_cannot_be_sized(

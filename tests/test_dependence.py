@@ -99,6 +99,12 @@ def test_predicted_cost_reference_values(net_c):
     cost = predicted_cost(tiny, {}, ["A", "B"])
     assert (cost.subproblem_term, cost.weight_term) == (4.0, math.inf)
     assert cost.phi_min_bound == 0.0
+    # D = 2.5e79, so D^4 overflows a float: the subproblem term is
+    # infinite, and conditioning on A brings it back to 2.
+    steep = parse_network("network steep\nnode A\nprior A : 0.5\nnode B\n"
+                          "parents B : A\ncpt B : 1e-40 0.5\n")
+    assert predicted_cost(steep, {}, []).subproblem_term == math.inf
+    assert predicted_cost(steep, {}, ["A"]).subproblem_term == 2.0
 
 
 def test_predicted_cost_rejects_overlap(net_a):

@@ -9,13 +9,11 @@ from condsim import (
     parse_network,
     serialize_network,
     conditional_row,
-    joint_probability,
 )
 from condsim.errors import (
     BnetSyntaxError,
     CycleDetectedError,
     DuplicateNodeError,
-    IncompleteAssignmentError,
     MissingParentBindingError,
     ProbabilityOutOfRangeError,
     UndeclaredParentError,
@@ -23,7 +21,7 @@ from condsim.errors import (
     WrongRowCountError,
 )
 
-from helpers import NET_A_SOURCE, random_network
+from helpers import NET_A_SOURCE, brute_marginal, random_network
 
 
 def test_parse_reference_network(net_a):
@@ -32,6 +30,8 @@ def test_parse_reference_network(net_a):
     assert net_a.parents("B") == ("A",)
     assert net_a.cpt("A").rows == (0.3,)
     assert net_a.cpt("B").rows == (0.2, 0.9)
+    with pytest.raises(UnknownNodeError):
+        net_a.validate_assignment({"A": 1, "B": 0, "X": 1})
 
 
 def test_parse_preserves_declaration_order(net_c):
@@ -108,25 +108,6 @@ def test_serialize_round_trip_random_networks():
         assert parse_network(serialize_network(net)) == net
 
 
-def test_joint_probability_reference_values(net_a):
-    assert joint_probability(net_a, {"A": 1, "B": 1}) == pytest.approx(
-        0.27, abs=1e-15)
-    assert joint_probability(net_a, {"A": 0, "B": 0}) == pytest.approx(
-        0.56, abs=1e-15)
-    one = BeliefNetwork("one", ("Z",), (Cpt((), (0.5,)),))
-    assert joint_probability(one, {"Z": 1}) == 0.5
-
-
-def test_joint_probability_requires_full_assignment(net_a):
-    with pytest.raises(IncompleteAssignmentError):
-        joint_probability(net_a, {"A": 1})
-
-
-def test_joint_probability_unknown_node(net_a):
-    with pytest.raises(UnknownNodeError):
-        joint_probability(net_a, {"A": 1, "B": 0, "X": 1})
-
-
 def test_conditional_row_reference_values(net_a):
     assert conditional_row(net_a, "B", 1, {"A": 1}) == 0.9
     assert conditional_row(net_a, "B", 0, {"A": 1}) == pytest.approx(0.1)
@@ -149,13 +130,17 @@ def test_cpt_row_indexing_is_msb_first():
     assert conditional_row(net, "C", 1, {"A": 1, "B": 0}) == 0.3
 
 
-def test_joint_sums_to_one_and_stays_positive():
+def test_joint_sums_to_one_and_stays_positive(net_a):
+    assert brute_marginal(net_a, {"A": 1, "B": 1}) == pytest.approx(
+        0.27, abs=1e-15)
+    assert brute_marginal(net_a, {"A": 0, "B": 0}) == pytest.approx(
+        0.56, abs=1e-15)
     gen = np.random.Generator(np.random.PCG64(17))
     for _ in range(25):
         net = random_network(gen, int(gen.integers(2, 10)))
         total = 0.0
         for values in itertools.product((0, 1), repeat=net.n):
-            p = joint_probability(net, dict(zip(net.nodes, values)))
+            p = brute_marginal(net, dict(zip(net.nodes, values)))
             assert p > 0.0
             total += p
         assert total == pytest.approx(1.0, abs=1e-9)

@@ -299,6 +299,18 @@ def test_infer_direct_certifies_at_stated_risk(net_a):
     assert covered >= 190
 
 
+def test_default_cap_covers_a_target_rarer_than_its_own_bound():
+    # Pr[A=1 | B=1] = 0.001996 lies far below phi_min over A alone (0.5);
+    # the default cap is sized over A and B, whose bound is 0.0005.
+    net = parse_network("network rare\nnode A\nprior A : 0.5\nnode B\n"
+                        "parents B : A\ncpt B : 0.5 0.001\n")
+    phi = exact_conditional(net, {"A": 1}, {"B": 1})
+    for seed in range(3):
+        result = infer(net, {"A": 1}, {"B": 1}, 0.2, 0.1, "direct",
+                       seed=seed)
+        assert satisfies_ras(phi, result.estimate, 0.2)
+
+
 def test_infer_selective_certifies_at_stated_risk(net_c):
     epsilon, delta = 0.2, 0.1
     phi = 0.5

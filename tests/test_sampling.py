@@ -20,7 +20,6 @@ from condsim.sampling import (
     TrialGeneratorKind,
     _sample_batch,
     conditioned_sample_batch,
-    default_burn_in_sweeps,
     estimate_conditional_fraction,
     estimate_distribution_over,
     logic_sample_batch,
@@ -63,14 +62,14 @@ def test_derived_streams_differ_by_index():
 
 def test_generator_kind_validation():
     assert TrialGeneratorKind.rejection().kind == "rejection"
-    assert TrialGeneratorKind.gibbs().burn_in_sweeps is None
     assert TrialGeneratorKind.gibbs(5).burn_in_sweeps == 5
     with pytest.raises(ValueError):
         TrialGeneratorKind("annealed")
     with pytest.raises(ValueError):
         TrialGeneratorKind("rejection", burn_in_sweeps=3)
-    with pytest.raises(ValueError):
-        TrialGeneratorKind.gibbs(0)
+    for sweeps in (0, None):
+        with pytest.raises(ValueError, match="--burn-in-sweeps"):
+            TrialGeneratorKind("gibbs", sweeps)
 
 
 def test_logic_sample_returns_full_binary_assignment(net_c):
@@ -237,17 +236,6 @@ def test_gibbs_matches_exact_conditional(net_a):
         20_000)
     frac = rows[:, net_a.index("A")].mean()
     assert abs(frac - 27 / 41) < 0.03
-
-
-def test_default_burn_in_sweeps_reference_value(net_a):
-    # conditioned dependence value is 20.25; 20.25^4 rounds up to 168152
-    assert default_burn_in_sweeps(net_a, {"B": 1}) == 168152
-
-
-def test_default_burn_in_sweeps_is_capped():
-    gen = np.random.Generator(np.random.PCG64(89))
-    net = random_network(gen, 8, lo=0.01, hi=0.99)
-    assert default_burn_in_sweeps(net, {}) <= 1_000_000
 
 
 def test_conditioned_trial_needs_an_unbound_node(net_a):

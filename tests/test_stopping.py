@@ -5,37 +5,24 @@ import pytest
 from scipy import integrate, special
 
 from condsim.errors import (
-    CategoryOutOfRangeError,
     EmptyPosteriorError,
-    InvalidSimplexPointError,
     NonPositivePhiMinError,
     NonPositiveShapeError,
-    UndefinedDensityError,
 )
 from condsim.stopping import (
     DirichletPosterior,
     PriorChoice,
     failure_probability_bound,
-    log_density,
-    mean_and_variance,
-    posterior_update,
     regularized_incomplete_beta,
     should_stop,
     worst_case_sample_bound,
 )
 
 
-def test_posterior_update_unbiased():
-    post = DirichletPosterior((0, 0), PriorChoice.UNBIASED)
-    post = posterior_update(post, 0)
-    for _ in range(3):
-        post = posterior_update(post, 1)
-    assert post.counts == (1, 3)
+def test_posterior_uniform_prior_adds_pseudocounts():
+    post = DirichletPosterior((1, 3), PriorChoice.UNBIASED)
     assert post.n == 4
     assert post.mu == pytest.approx((0.25, 0.75))
-
-
-def test_posterior_uniform_prior_adds_pseudocounts():
     post = DirichletPosterior((1, 3), PriorChoice.UNIFORM)
     assert post.n == 6
     assert post.mu == pytest.approx((1 / 3, 2 / 3))
@@ -47,102 +34,11 @@ def test_empty_unbiased_posterior_mu_is_zero_by_convention():
     assert post.mu == (0.0, 0.0)
 
 
-def test_posterior_update_rejects_bad_category():
-    post = DirichletPosterior((0, 0), PriorChoice.UNBIASED)
-    with pytest.raises(CategoryOutOfRangeError):
-        posterior_update(post, 2)
-    with pytest.raises(CategoryOutOfRangeError):
-        posterior_update(post, -1)
-
-
 def test_posterior_validation():
     with pytest.raises(ValueError):
         DirichletPosterior((3,), PriorChoice.UNBIASED)
     with pytest.raises(ValueError):
         DirichletPosterior((-1, 2), PriorChoice.UNBIASED)
-
-
-def test_mean_and_variance_reference_value():
-    post = DirichletPosterior((1, 3), PriorChoice.UNBIASED)
-    mean, var = mean_and_variance(post, 0)
-    assert mean == pytest.approx(0.25)
-    assert var == pytest.approx(0.25 * 0.75 / 5)
-
-
-def test_mean_and_variance_formula_on_random_posteriors():
-    gen = np.random.Generator(np.random.PCG64(59))
-    for _ in range(50):
-        counts = tuple(int(c) for c in gen.integers(1, 40, size=3))
-        prior = PriorChoice.UNIFORM if gen.random() < 0.5 \
-            else PriorChoice.UNBIASED
-        post = DirichletPosterior(counts, prior)
-        i = int(gen.integers(0, 3))
-        mean, var = mean_and_variance(post, i)
-        assert mean == pytest.approx(post.mu[i])
-        assert var == pytest.approx(mean * (1 - mean) / (post.n + 1))
-
-
-def test_mean_and_variance_degenerate_mass_has_zero_variance():
-    post = DirichletPosterior((0, 4), PriorChoice.UNBIASED)
-    assert mean_and_variance(post, 0) == (0.0, 0.0)
-    assert mean_and_variance(post, 1)[1] == 0.0
-
-
-def test_mean_and_variance_requires_observations():
-    with pytest.raises(EmptyPosteriorError):
-        mean_and_variance(DirichletPosterior((0, 0), PriorChoice.UNBIASED),
-                          0)
-
-
-def test_log_density_reference_values():
-    flat = DirichletPosterior((0, 0), PriorChoice.UNIFORM)
-    assert log_density(flat, (0.3, 0.7)) == pytest.approx(0.0, abs=1e-12)
-    beta22 = DirichletPosterior((2, 2), PriorChoice.UNBIASED)
-    assert log_density(beta22, (0.5, 0.5)) == pytest.approx(math.log(1.5))
-    tri = DirichletPosterior((0, 0, 0), PriorChoice.UNIFORM)
-    assert log_density(tri, (0.2, 0.3, 0.5)) == pytest.approx(math.log(2.0))
-
-
-def test_log_density_rejects_bad_points():
-    post = DirichletPosterior((2, 2), PriorChoice.UNBIASED)
-    with pytest.raises(InvalidSimplexPointError):
-        log_density(post, (0.5, 0.6))
-    with pytest.raises(InvalidSimplexPointError):
-        log_density(post, (1.0, 0.0))
-    with pytest.raises(InvalidSimplexPointError):
-        log_density(post, (0.2, 0.3, 0.5))
-
-
-def test_log_density_undefined_below_unit_pseudocounts():
-    with pytest.raises(UndefinedDensityError):
-        log_density(DirichletPosterior((0, 3), PriorChoice.UNBIASED),
-                    (0.3, 0.7))
-
-
-def test_log_density_matches_scipy_dirichlet():
-    from scipy.stats import dirichlet
-
-    gen = np.random.Generator(np.random.PCG64(61))
-    for _ in range(20):
-        counts = tuple(int(c) for c in gen.integers(1, 30, size=3))
-        post = DirichletPosterior(counts, PriorChoice.UNIFORM)
-        raw = gen.uniform(0.05, 1.0, size=3)
-        phi = tuple(float(x) for x in raw / raw.sum())
-        alpha = [c + 1 for c in counts]
-        assert log_density(post, phi) == pytest.approx(
-            dirichlet.logpdf(phi, alpha), abs=1e-9)
-
-
-@pytest.mark.parametrize("counts,prior", [
-    ((0, 0), PriorChoice.UNIFORM),        # Beta(1, 1)
-    ((1, 5), PriorChoice.UNIFORM),        # Beta(2, 6)
-])
-def test_log_density_integrates_to_one(counts, prior):
-    post = DirichletPosterior(counts, prior)
-    total, err = integrate.quad(
-        lambda x: math.exp(log_density(post, (x, 1.0 - x))),
-        1e-12, 1 - 1e-12, limit=200)
-    assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_incomplete_beta_uniform_cdf_is_identity():
