@@ -11,7 +11,6 @@ from .errors import (
     BnetSyntaxError,
     BudgetExceededError,
     CondsimError,
-    CycleDetectedError,
     DuplicateNodeError,
     EmptyPosteriorError,
     LengthMismatchError,

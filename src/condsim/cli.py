@@ -21,8 +21,10 @@ from .errors import (
     BudgetExceededError,
     CondsimError,
     NetworkFormatError,
+    NetworkTooLargeError,
     OverlappingSetsError,
     UnknownNodeError,
+    ZeroDenominatorError,
 )
 from .exact import exact_conditional
 from .dependence import satisfies_ras
@@ -187,6 +189,14 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
         "seed": args.seed,
     }
     config = _infer_config(report["config"])
+    oracle = None
+    if args.exact:
+        # Before sampling, so that an oracle that cannot run is a usage
+        # error and not a failure after the answer.
+        try:
+            oracle = exact_conditional(net, query, evidence)
+        except (NetworkTooLargeError, ZeroDenominatorError) as exc:
+            raise ValueError(f"--exact: {exc}") from exc
     started = time.perf_counter()
     try:
         result = infer(net, query, evidence, args.epsilon, args.delta,
@@ -221,7 +231,6 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
              f"after {result.dependence_after:.6g}",
              f"  clamped: {'yes' if result.clamped else 'no'}"]
     if args.exact:
-        oracle = exact_conditional(net, query, evidence)
         verdict = satisfies_ras(oracle, result.estimate, args.epsilon)
         report["exact"] = {"oracle": oracle, "satisfies_ras": verdict}
         lines.append(f"  oracle {oracle!r}  within interval: "

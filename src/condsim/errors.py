@@ -40,10 +40,6 @@ class ProbabilityOutOfRangeError(NetworkFormatError):
     """A probability entry is not strictly between 0 and 1."""
 
 
-class CycleDetectedError(NetworkFormatError):
-    """The parent relation contains a directed cycle."""
-
-
 class UnknownNodeError(CondsimError):
     """An assignment or node list refers to a node the network lacks."""
 

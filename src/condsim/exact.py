@@ -15,6 +15,7 @@ from .errors import (
     NetworkTooLargeError,
     OverlappingSetsError,
     UnknownNodeError,
+    ZeroDenominatorError,
 )
 from .network import Assignment, BeliefNetwork
 
@@ -102,9 +103,9 @@ def exact_conditional(net: BeliefNetwork, target: Assignment,
                       evidence: Assignment) -> float:
     """Exact Pr[target | evidence].
 
-    ``target`` and ``evidence`` must bind disjoint node sets. Conditional
-    probabilities are always defined because table entries are strictly
-    inside (0, 1), so Pr[evidence] > 0.
+    ``target`` and ``evidence`` must bind disjoint node sets. Table
+    entries are strictly inside (0, 1), so Pr[evidence] > 0, but its
+    float value can underflow to 0; that raises ZeroDenominatorError.
     """
     _guard(net)
     overlap = set(target) & set(evidence)
@@ -112,7 +113,10 @@ def exact_conditional(net: BeliefNetwork, target: Assignment,
         raise OverlappingSetsError(
             f"target and evidence both bind {sorted(overlap)}")
     merged = {**target, **evidence}
-    return exact_marginal(net, merged) / exact_marginal(net, evidence)
+    denominator = exact_marginal(net, evidence)
+    if denominator == 0.0:
+        raise ZeroDenominatorError("Pr[evidence] underflows to 0")
+    return exact_marginal(net, merged) / denominator
 
 
 def exact_distribution_over(net: BeliefNetwork,

@@ -1,9 +1,9 @@
 """Binary belief networks: data model, text format, table lookups.
 
-A network is a DAG of binary nodes. Every node stores one table row per
-parent configuration, and each row holds Pr[node = 1 | parents]. The joint
-probability of a full assignment is the product of one table lookup per
-node.
+A network is a DAG of binary nodes, each declared after its parents.
+Every node stores one table row per parent configuration, and each row
+holds Pr[node = 1 | parents]. The joint probability of a full assignment
+is the product of one table lookup per node.
 
 Text format (``.bnet``), one directive per line, ``#`` starts a comment:
 
@@ -20,11 +20,9 @@ strictly between 0 and 1.
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-import heapq
 
 from .errors import (
     BnetSyntaxError,
-    CycleDetectedError,
     DuplicateNodeError,
     MissingParentBindingError,
     NetworkFormatError,
@@ -85,49 +83,19 @@ def _check_value(value: int, node: str) -> int:
     return int(value)
 
 
-def _topological_order(nodes: tuple[str, ...],
-                       cpts: tuple[Cpt, ...]) -> tuple[int, ...]:
-    """Kahn's algorithm with declaration-order tie breaking.
-
-    When the declaration order is already topological (as the parser
-    guarantees) the result equals it.
-    """
-    index = {name: i for i, name in enumerate(nodes)}
-    children: list[list[int]] = [[] for _ in nodes]
-    indegree = [0] * len(nodes)
-    for i, cpt in enumerate(cpts):
-        for parent in cpt.parents:
-            children[index[parent]].append(i)
-            indegree[i] += 1
-    ready = [i for i, d in enumerate(indegree) if d == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for child in children[i]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, child)
-    if len(order) != len(nodes):
-        stuck = [nodes[i] for i, d in enumerate(indegree) if d > 0]
-        raise CycleDetectedError(f"cycle through {', '.join(stuck)}")
-    return tuple(order)
-
-
 @dataclass(frozen=True)
 class BeliefNetwork:
     """Immutable network: node names in declaration order plus their tables.
 
-    A topological order is computed and cached at construction; building a
-    cyclic network raises :class:`CycleDetectedError`.
+    Declaration order is the sampling order, so every parent is declared
+    before its child, as in the text format; a parent declared later (or
+    not at all) raises :class:`UndeclaredParentError`.
     """
 
     name: str
     nodes: tuple[str, ...]
     cpts: tuple[Cpt, ...]
     _index: dict = field(init=False, compare=False, repr=False)
-    _topo: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.cpts):
@@ -136,20 +104,18 @@ class BeliefNetwork:
         if not self.nodes:
             raise NetworkFormatError("a network needs at least one node")
         index: dict[str, int] = {}
-        for i, node in enumerate(self.nodes):
+        for i, (node, cpt) in enumerate(zip(self.nodes, self.cpts)):
             if not node or node.split() != [node]:
                 raise NetworkFormatError(f"bad node identifier {node!r}")
             if node in index:
                 raise DuplicateNodeError(f"node {node!r} declared twice")
-            index[node] = i
-        for node, cpt in zip(self.nodes, self.cpts):
             for parent in cpt.parents:
                 if parent not in index:
                     raise UndeclaredParentError(
-                        f"node {node!r} lists unknown parent {parent!r}")
+                        f"parent {parent!r} of node {node!r} is not "
+                        "declared yet")
+            index[node] = i
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_topo",
-                           _topological_order(self.nodes, self.cpts))
 
     @property
     def n(self) -> int:
@@ -166,11 +132,6 @@ class BeliefNetwork:
 
     def parents(self, node: str) -> tuple[str, ...]:
         return self.cpt(node).parents
-
-    @property
-    def topo_order(self) -> tuple[str, ...]:
-        """Node names in the cached topological order."""
-        return tuple(self.nodes[i] for i in self._topo)
 
     def validate_assignment(self, assignment: Assignment) -> None:
         """Check that every bound node exists and every value is 0 or 1."""

@@ -51,6 +51,14 @@ class InferConfig:
     sample_cap: int | None = None
     rejection_cap: int = DEFAULT_REJECTION_CAP
 
+    def __post_init__(self) -> None:
+        if self.sample_cap is not None and self.sample_cap < 1:
+            raise ValueError("sample_cap (--sample-cap) must be at least 1, "
+                             f"got {self.sample_cap!r}")
+        if self.rejection_cap < 0:
+            raise ValueError("rejection_cap (--rejection-cap) must be "
+                             f"nonnegative, got {self.rejection_cap!r}")
+
 
 @dataclass(frozen=True)
 class GreedyStep:

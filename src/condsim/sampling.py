@@ -1,11 +1,11 @@
 """Trial generation and scoring for randomized approximation.
 
 Logic sampling draws full assignments from the factored joint by walking
-nodes in topological order. Conditioned trials come from either rejection
-(exact, cost inverse in the condition probability) or Gibbs sweeps over
-the unbound nodes (approximate, fixed cost per trial). Estimators feed
-trial categories into a Dirichlet posterior and stop at the first
-geometric checkpoint the stopping rule certifies.
+nodes in declaration order, parents first. Conditioned trials come from
+either rejection (exact, cost inverse in the condition probability) or
+Gibbs sweeps over the unbound nodes (approximate, fixed cost per trial).
+Estimators feed trial categories into a Dirichlet posterior and stop at
+the first geometric checkpoint the stopping rule certifies.
 """
 
 from dataclasses import dataclass
@@ -148,13 +148,12 @@ class RasEstimate:
 @lru_cache(maxsize=64)
 def _plan(net: BeliefNetwork) -> tuple[tuple[int, tuple[int, ...],
                                              np.ndarray], ...]:
-    """Per node in topological order: column, parent columns, CPT rows."""
+    """Per node in declaration order: column, parent columns, CPT rows."""
     steps = []
-    for name in net.topo_order:
-        cpt = net.cpt(name)
+    for col, cpt in enumerate(net.cpts):
         cols = tuple(net.index(p) for p in cpt.parents)
         rows = np.asarray(cpt.rows, dtype=np.float64)
-        steps.append((net.index(name), cols, rows))
+        steps.append((col, cols, rows))
     return tuple(steps)
 
 
@@ -180,7 +179,7 @@ def _schedule(net: BeliefNetwork, keep: tuple[int, ...] | None,
 
     The nodes computed are the ancestral closure of ``keep`` and the
     condition's nodes; a clamped node cuts the closure at itself. In
-    topological order, a step is ``("skip", k)`` for a run of k unclamped
+    declaration order, a step is ``("skip", k)`` for a run of k unclamped
     nodes nobody reads, ``("fix", col, value)`` for a clamped node that is
     read, or ``("draw", col, parent_cols, rows, want)`` with ``want`` the
     node's condition value (-1 for none).
@@ -214,7 +213,7 @@ def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
 
     ``keep`` lists the columns returned (None: all, in declaration order);
     ``condition`` and ``clamp`` hold (column, value) pairs. Every unclamped
-    node owns the next ``count`` uniforms of the stream, in topological
+    node owns the next ``count`` uniforms of the stream, in declaration
     order, as in a full forward pass. A node outside the ancestral closure
     of ``keep`` and the condition skips its block instead of drawing it;
     after each condition node is drawn, the rows that disagree with it
@@ -373,7 +372,7 @@ class _GibbsStream(_Stream):
     """Independent Gibbs chains, one per row.
 
     Each chain starts from a clamped forward row; a sweep then redraws
-    every unbound node in topological order from its blanket update. A
+    every unbound node in declaration order from its blanket update. A
     batch holds at most _MAX_RAW_BATCH chains.
     """
 
@@ -435,8 +434,9 @@ def conditioned_sample_batch(net: BeliefNetwork, condition: Assignment,
 
 
 def _check_risk_params(epsilon: float, delta: float) -> None:
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(
+            f"epsilon must be positive and finite, got {epsilon!r}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
 

@@ -199,8 +199,9 @@ def worst_case_sample_bound(s_size: int, epsilon: float, delta: float,
     """Trial count that always suffices for the stopping rule.
 
     ceil((2^s_size / (epsilon^2 * phi_min)) * ln(2 / delta)), where
-    phi_min lower-bounds the smallest category probability. A phi_min so
-    small that the bound is not a finite float counts as nonpositive.
+    phi_min lower-bounds the smallest category probability. A bound that
+    is not a finite float (epsilon, delta or phi_min too small) counts as
+    a nonpositive phi_min, and the error names all three.
     """
     if s_size < 0:
         raise ValueError(f"s_size must be nonnegative, got {s_size!r}")
@@ -218,5 +219,6 @@ def worst_case_sample_bound(s_size: int, epsilon: float, delta: float,
              else math.inf)
     if not bound < math.inf:
         raise NonPositivePhiMinError(
-            f"phi_min {phi_min!r} is too small for a finite bound")
+            f"no finite bound for epsilon {epsilon!r}, delta {delta!r} and "
+            f"phi_min {phi_min!r}")
     return max(0, math.ceil(bound))

@@ -6,6 +6,7 @@ import pytest
 
 from condsim import cli
 from condsim.errors import SampleBudgetExceededError
+from condsim.exact import MAX_NODES
 from condsim.network import parse_network
 from condsim.reformulate import InferConfig, InferenceResult, infer
 from condsim.sampling import RandomSource, estimate_distribution_over
@@ -304,6 +305,66 @@ def test_nan_parameter_is_a_usage_error(capsys, net_a_path, argv):
                            argv[:1] + ["--network", net_a_path] + argv[1:])
     assert code == 2
     assert "must" in err and "nan" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "inf"],
+    ["--sample-cap", "0"],
+    ["--sample-cap", "-5"],
+    ["--rejection-cap", "-1"],
+], ids=["infinite-epsilon", "zero-sample-cap", "negative-sample-cap",
+        "negative-rejection-cap"])
+def test_out_of_range_parameter_is_a_usage_error(capsys, net_c_path, flags):
+    # Each of these used to reach sampling and exit 5 with a cap of 0 or
+    # less; it is refused before the first trial.
+    code, out, err = run_cli(
+        capsys, ["infer", "--network", net_c_path, "--query", "A=1",
+                 "--evidence", "C=1", "--epsilon", "0.2", "--delta", "0.1",
+                 "--strategy", "direct", *flags])
+    assert code == 2
+    assert out == ""
+    assert "must" in err and flags[1] in err
+
+
+@pytest.mark.parametrize("epsilon,delta", [("1e-300", "0.1"),
+                                           ("0.2", "1e-320")])
+def test_unsizable_cap_names_every_risk_parameter(capsys, net_c_path,
+                                                  epsilon, delta):
+    # phi_min is 0.1 here: the tiny epsilon or delta is what leaves the
+    # worst-case bound without a finite value, and the message says so.
+    code, report, err = run_json(
+        capsys, ["infer", "--network", net_c_path, "--query", "A=1",
+                 "--evidence", "C=1", "--epsilon", epsilon,
+                 "--delta", delta, "--strategy", "direct"])
+    assert code == 5
+    assert report["error"]["trials"] == 0
+    assert (f"epsilon {float(epsilon)!r}, delta {float(delta)!r} and "
+            "phi_min 0.0999") in err
+
+
+def _priors(n, p):
+    return "network priors\n" + "".join(
+        f"node N{i}\nprior N{i} : {p}\n" for i in range(n))
+
+
+@pytest.mark.parametrize("report", ["text", "json"])
+@pytest.mark.parametrize("source,evidence,message", [
+    (_priors(30, 0.5), "", f"n = 30 > {MAX_NODES} nodes"),
+    (_priors(3, 5e-324), "N1=1,N2=1", "Pr[evidence] underflows to 0"),
+], ids=["too-many-nodes", "evidence-underflows"])
+def test_exact_oracle_that_cannot_run_is_a_usage_error(
+        capsys, tmp_path, source, evidence, message, report):
+    # Gibbs answers both queries; the oracle cannot, and that is known
+    # before any sampling.
+    code, out, err = run_cli(
+        capsys, ["infer", "--network", _write(tmp_path, source),
+                 "--query", "N0=1", "--evidence", evidence,
+                 "--epsilon", "0.2", "--delta", "0.1",
+                 "--generator", "gibbs", "--burn-in-sweeps", "1",
+                 "--exact", "--report", report])
+    assert code == 2
+    assert out == ""
+    assert "--exact" in err and message in err
 
 
 _TINY_PAIR = "network tiny\nnode A\nprior A : {p}\nnode B\nprior B : {p}\n"

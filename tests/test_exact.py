@@ -6,7 +6,12 @@ from condsim import (
     exact_distribution_over,
     exact_marginal,
 )
-from condsim.errors import NetworkTooLargeError, OverlappingSetsError
+from condsim.errors import (
+    NetworkTooLargeError,
+    OverlappingSetsError,
+    ZeroDenominatorError,
+)
+from condsim.network import parse_network
 
 from helpers import arcless_network, brute_marginal, random_network
 
@@ -30,6 +35,15 @@ def test_conditional_reference_values(net_a, net_c):
 def test_conditional_rejects_overlap(net_a):
     with pytest.raises(OverlappingSetsError):
         exact_conditional(net_a, {"A": 1}, {"A": 0, "B": 1})
+
+
+def test_conditional_with_underflowing_evidence_raises():
+    # Pr[A=1, B=1] = 1e-600 is 0 in floating point; Pr[A=1] is not.
+    net = parse_network("network x\nnode A\nprior A : 1e-300\n"
+                        "node B\nprior B : 1e-300\nnode C\nprior C : 0.5\n")
+    with pytest.raises(ZeroDenominatorError, match="underflows"):
+        exact_conditional(net, {"C": 1}, {"A": 1, "B": 1})
+    assert exact_conditional(net, {"C": 1}, {"A": 1}) == pytest.approx(0.5)
 
 
 def test_distribution_reference_values(net_a, net_c):

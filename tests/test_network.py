@@ -12,9 +12,9 @@ from condsim import (
 )
 from condsim.errors import (
     BnetSyntaxError,
-    CycleDetectedError,
     DuplicateNodeError,
     MissingParentBindingError,
+    NetworkFormatError,
     ProbabilityOutOfRangeError,
     UndeclaredParentError,
     UnknownNodeError,
@@ -70,16 +70,74 @@ def test_parse_forward_parent_reference():
         parse_network(source)
 
 
-def test_parse_syntax_error_reports_line():
-    source = "network x\nnode A\nprior A : 0.3\nbogus line\n"
-    with pytest.raises(BnetSyntaxError, match="line 4"):
+_PRIOR_A = "network x\nnode A\nprior A : 0.5\n"
+
+
+@pytest.mark.parametrize("source,line", [
+    (_PRIOR_A + "bogus line\n", 4),
+    ("node A\nprior A : 0.3\n", 1),
+    ("network x\nnode A B\n", 2),
+    ("network x\nnode A\nnode B\nprior B : 0.5\n", 3),
+    ("network x\nnode A\n\n", 3),
+    ("network x\nprior A : 0.3\n", 2),
+    ("network x\nnode A\nprior B : 0.3\n", 3),
+    ("network x\nnode A\nprior A = 0.3\n", 3),
+    (_PRIOR_A + "node B\nparents B : A\nparents B : A\n", 6),
+    (_PRIOR_A + "node B\nparents B : A A\n", 5),
+    ("network x\nnode A\nprior A : 0,3\n", 3),
+    ("network x\nnode A\nprior A : 0.3 0.4\n", 3),
+    ("", 1),
+    ("# nothing but a comment\n", 1),
+], ids=["unknown-directive", "missing-header", "node-arity",
+        "unfinished-node", "unfinished-node-at-eof", "outside-node-block",
+        "other-node", "missing-colon", "duplicate-parents-line",
+        "repeated-parent", "bad-literal", "prior-with-two-values",
+        "empty-source", "comment-only-source"])
+def test_parse_syntax_error_reports_line(source, line):
+    with pytest.raises(BnetSyntaxError, match=f"^line {line}: ") as einfo:
         parse_network(source)
+    assert type(einfo.value) is BnetSyntaxError
+    assert einfo.value.line == line
 
 
 def test_direct_construction_detects_cycle():
-    with pytest.raises(CycleDetectedError):
+    with pytest.raises(UndeclaredParentError):
         BeliefNetwork("cyc", ("A", "B"),
                       (Cpt(("B",), (0.2, 0.8)), Cpt(("A",), (0.3, 0.7))))
+
+
+_PRIOR = Cpt((), (0.5,))
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: Cpt(("A", "A"), (0.1, 0.2, 0.3, 0.4)), NetworkFormatError,
+     "repeated parent"),
+    (lambda: BeliefNetwork("x", ("A", "B"), (_PRIOR,)), NetworkFormatError,
+     "2 nodes but 1 tables"),
+    (lambda: BeliefNetwork("x", (), ()), NetworkFormatError,
+     "at least one node"),
+    (lambda: BeliefNetwork("x", ("A B",), (_PRIOR,)), NetworkFormatError,
+     "bad node identifier"),
+    (lambda: BeliefNetwork("x", ("",), (_PRIOR,)), NetworkFormatError,
+     "bad node identifier"),
+    (lambda: BeliefNetwork("x", ("A", "A"), (_PRIOR, _PRIOR)),
+     DuplicateNodeError, "node 'A' declared twice"),
+    (lambda: BeliefNetwork("x", ("B",), (Cpt(("Z",), (0.1, 0.2)),)),
+     UndeclaredParentError, "parent 'Z' of node 'B' is not declared yet"),
+    # Acyclic, but B is declared before its parent A: the parser rejects
+    # the text serialize_network would write, so construction must too.
+    (lambda: BeliefNetwork("x", ("B", "A"),
+                           (Cpt(("A",), (0.2, 0.9)), _PRIOR)),
+     UndeclaredParentError, "parent 'A' of node 'B' is not declared yet"),
+    (lambda: BeliefNetwork("x", ("A",), (_PRIOR,)).validate_assignment(
+        {"A": 2}), ValueError, "expected 0 or 1"),
+], ids=["cpt-repeated-parent", "count-mismatch", "empty-network",
+        "spaced-identifier", "empty-identifier", "duplicate-node",
+        "unknown-parent", "parent-declared-later", "value-out-of-range"])
+def test_constructors_reject_malformed_input(build, error, message):
+    with pytest.raises(error, match=message) as einfo:
+        build()
+    assert type(einfo.value) is error
 
 
 def test_serialize_round_trip(net_a, net_c):

@@ -370,7 +370,7 @@ def test_skip_then_draw_is_a_slice_of_one_draw():
 def _forward_rows(net, rng, count, clamp):
     """A full forward batch, one block of uniforms per unclamped node."""
     rows = np.zeros((count, net.n), dtype=np.uint8)
-    for name in net.topo_order:
+    for name in net.nodes:
         col = net.index(name)
         if col in clamp:
             rows[:, col] = clamp[col]
