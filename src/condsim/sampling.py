@@ -35,10 +35,10 @@ DEFAULT_REJECTION_CAP = 10 ** 7
 _GENERATOR_KINDS = ("rejection", "gibbs")
 
 _MASK64 = (1 << 64) - 1
-# Rows per draw between checkpoints. A rejection stream returns the same
-# rows however a count is split into draws; a Gibbs stream does as long
-# as this stays a multiple of its batch size, _MAX_RAW_BATCH.
+# Most rows classified per draw between checkpoints.
 _MAX_CHUNK = 1 << 18
+# A conditioned stream's batches double from the first to the last size.
+_FIRST_RAW_BATCH = 1 << 8
 _MAX_RAW_BATCH = 1 << 16
 # Widest unbound Markov blanket a Gibbs table spans (2^16 entries); a
 # wider blanket is evaluated on the rows.
@@ -87,14 +87,6 @@ class RandomSource:
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` doubles drawn uniformly from [0, 1)."""
         return self._gen.random(count)
-
-    def skip(self, count: int) -> None:
-        """Pass over the next ``count`` doubles without drawing them.
-
-        A double uses exactly one 64-bit PCG64 output, so ``skip(k)``
-        then ``uniforms(j)`` gives the last j of ``uniforms(k + j)``.
-        """
-        self._gen.bit_generator.advance(count)
 
 
 @dataclass(frozen=True)
@@ -175,33 +167,37 @@ def _index(column, cols):
 def _schedule(net: BeliefNetwork, keep: tuple[int, ...] | None,
               condition: tuple[tuple[int, int], ...],
               clamp: tuple[tuple[int, int], ...]) -> tuple[tuple, ...]:
-    """Steps of a forward pass that computes only what its caller reads.
+    """The walk of a forward pass that computes only what its caller reads.
 
     The nodes computed are the ancestral closure of ``keep`` and the
-    condition's nodes; a clamped node cuts the closure at itself. In
-    declaration order, a step is ``("skip", k)`` for a run of k unclamped
-    nodes nobody reads, ``("fix", col, value)`` for a clamped node that is
-    read, or ``("draw", col, parent_cols, rows, want)`` with ``want`` the
-    node's condition value (-1 for none).
+    condition's nodes; a clamped node cuts the closure at itself. Clamped
+    nodes come first. Then each condition node, in declaration order,
+    comes right after its ancestors not yet walked, so that rows are
+    rejected after as few draws as possible; the other nodes follow in
+    declaration order. Each node has a slot, its place in the walk.
+
+    Returns ``(fixes, draws, out)``: ``fixes`` holds (col, value) for the
+    clamped slots, ``draws`` holds (col, parent_slots, rows, want) for
+    the rest, with ``want`` the node's condition value (-1 for none), and
+    ``out`` the slots of the columns returned.
     """
+    plan = _plan(net)
     fixed = dict(clamp)
     want = dict(condition)
-    needed = set(range(net.n) if keep is None else keep) | set(want)
-    for col, pcols, _ in reversed(_plan(net)):
-        if col in needed and col not in fixed:
-            needed.update(pcols)
-    steps: list[tuple] = []
-    for col, pcols, rows in _plan(net):
-        if col in fixed:
-            if col in needed:
-                steps.append(("fix", col, fixed[col]))
-        elif col in needed:
-            steps.append(("draw", col, pcols, rows, want.get(col, -1)))
-        elif steps and steps[-1][0] == "skip":
-            steps[-1] = ("skip", steps[-1][1] + 1)
-        else:
-            steps.append(("skip", 1))
-    return tuple(steps)
+    kept = range(net.n) if keep is None else keep
+    order: dict[int, None] = {}  # an ordered set
+    for group in (*([c] for c in sorted(want)), kept):
+        needed = set(group)
+        for col, pcols, _ in reversed(plan):
+            if col in needed and col not in fixed:
+                needed.update(pcols)
+        order.update(dict.fromkeys(sorted(needed - order.keys())))
+    walk = sorted(order, key=lambda c: c not in fixed)
+    slot = {c: i for i, c in enumerate(walk)}
+    fixes = tuple((c, fixed[c]) for c in walk if c in fixed)
+    draws = tuple((c, tuple(slot[p] for p in plan[c][1]), plan[c][2],
+                   want.get(c, -1)) for c in walk[len(fixes):])
+    return fixes, draws, tuple(slot[c] for c in kept)
 
 
 def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
@@ -212,45 +208,39 @@ def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
     """Forward-sample ``count`` rows, computing only what the caller reads.
 
     ``keep`` lists the columns returned (None: all, in declaration order);
-    ``condition`` and ``clamp`` hold (column, value) pairs. Every unclamped
-    node owns the next ``count`` uniforms of the stream, in declaration
-    order, as in a full forward pass. A node outside the ancestral closure
-    of ``keep`` and the condition skips its block instead of drawing it;
-    after each condition node is drawn, the rows that disagree with it
-    are dropped, so later nodes are computed on survivors only. Clamped
-    nodes take their value and use no uniforms. The batch is held
-    column-major, one contiguous row of values per node.
+    ``condition`` and ``clamp`` hold (column, value) pairs. The nodes are
+    drawn in the order of ``_schedule``, each from the next uniforms of
+    the stream, one per row still alive: after each condition node is
+    drawn, the rows that disagree with it are dropped, so later nodes
+    are drawn for survivors only. Nodes outside the ancestral closure of
+    ``keep`` and the condition draw nothing; clamped nodes take their
+    value. The batch is held one contiguous row of values per node, in
+    walk order, so dropping rows moves only the nodes already drawn.
 
     Returns ``(rows, hits)``: the kept columns, one row each, of the
     forward rows at positions ``hits`` that satisfy the condition;
     ``hits`` is None when there is no condition and every row is kept.
     """
-    batch = np.empty((net.n, count), dtype=np.uint8)
+    fixes, draws, out = _schedule(net, keep, condition, clamp)
+    first = len(fixes)
+    batch = np.empty((first + len(draws), count), dtype=np.uint8)
+    for i, (_, value) in enumerate(fixes):
+        batch[i] = value
     pos = None  # positions of the surviving rows once one is dropped
     m = count
-    for step in _schedule(net, keep, condition, clamp):
-        if step[0] == "fix":
-            batch[step[1]] = step[2]
-            continue
-        if step[0] == "skip" or m == 0:
-            rng.skip(count * (step[1] if step[0] == "skip" else 1))
-            continue
-        _, col, pcols, rows, want = step
-        u = rng.uniforms(count)
-        if m < count:
-            u = u[pos]
-        p = rows[_index(lambda c: batch[c, :m], pcols)]
-        np.less(u, p, out=batch[col, :m].view(bool))
+    for i, (_, pslots, rows, want) in enumerate(draws, first):
+        if m == 0:
+            break
+        p = rows[_index(lambda s: batch[s, :m], pslots)]
+        np.less(rng.uniforms(m), p, out=batch[i, :m].view(bool))
         if want >= 0:
-            sel = np.flatnonzero(batch[col, :m] == want)
+            sel = np.flatnonzero(batch[i, :m] == want)
             if len(sel) < m:
                 pos, m = sel if pos is None else pos[sel], len(sel)
-                batch[:, :m] = batch[:, sel]
+                batch[first:i + 1, :m] = batch[first:i + 1, sel]
     if condition and pos is None:
         pos = np.arange(count)
-    if keep is None:
-        return batch[:, :m], pos
-    return batch[list(keep), :m], pos
+    return batch[list(out), :m], pos
 
 
 def logic_sample_batch(net: BeliefNetwork, rng: RandomSource,
@@ -270,8 +260,10 @@ class _Stream:
     """Conditioned trials, buffered across the batches that make them.
 
     Rows are returned column-major, one row per ``keep`` column. A
-    subclass's ``_next(want)`` makes the stream's next batch, given that
-    ``want`` more rows are needed.
+    subclass's ``_next(m)`` makes the stream's next batch from ``m`` raw
+    rows or chains. Batch sizes double from _FIRST_RAW_BATCH up to
+    _MAX_RAW_BATCH whatever is asked for, so the stream returns the same
+    rows however a count is split into takes.
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
@@ -282,12 +274,15 @@ class _Stream:
         self._keep = keep
         self._rest = np.empty((len(keep), 0), dtype=np.uint8)
         self._taken = 0
+        self._batch = _FIRST_RAW_BATCH
 
     def take(self, count: int) -> np.ndarray:
         """The stream's next ``count`` rows."""
         parts, have = [self._rest], self._rest.shape[1]
         while have < count:
-            parts.append(self._next(count - have))
+            m = self._batch
+            self._batch = min(m * 2, _MAX_RAW_BATCH)
+            parts.append(self._next(m))
             have += parts[-1].shape[1]
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         self._rest = rows[:, count:]
@@ -308,12 +303,9 @@ class _RejectionStream(_Stream):
                  keep: tuple[int, ...]) -> None:
         super().__init__(net, condition, rng, keep)
         self._cap = attempt_cap
-        self._batch = 256
         self._since_accept = 0
 
-    def _next(self, want: int) -> np.ndarray:
-        m = self._batch
-        self._batch = min(m * 2, _MAX_RAW_BATCH)
+    def _next(self, m: int) -> np.ndarray:
         accepted, hits = _sample_batch(self._net, self._rng, m, self._keep,
                                        self._condition)
         if hits is not None:
@@ -334,25 +326,28 @@ def _blanket_update(col: int, pcols: tuple[int, ...], rows: np.ndarray,
     """Pr[col = 1] given the other nodes, as a function of ``column``.
 
     ``column(c)`` gives column c's values and ``kids`` are the _plan
-    steps of col's children. The evaluation reads col's CPT entry, then
-    multiplies in each child's factor in order, indexing the child's
-    table with col read once as 1 and once as 0. When the node's unbound
-    Markov blanket spans at most _TABLE_BITS nodes, the evaluation runs
-    once on the grid of its states and the update looks the rows up in
-    that table; otherwise it runs on the rows.
+    steps of col's children. The evaluation reads the log-odds of col's
+    CPT entry, then adds in each child's log factor ratio, indexing the
+    child's tables with col read once as 1 and once as 0. A sum of logs
+    cannot underflow where the product of the factors would. When the
+    node's unbound Markov blanket spans at most _TABLE_BITS nodes, the
+    evaluation runs once on the grid of its states and the update looks
+    the rows up in that table; otherwise it runs on the rows.
     """
+    own = np.log(rows) - np.log1p(-rows)
+    logs = [(ccol, cpcols, np.log(crows), np.log1p(-crows))
+            for ccol, cpcols, crows in kids]
+
     def pr_one(column):
         def reading(value):
             return lambda c: value if c == col else column(c)
-        w1 = rows[_index(column, pcols)]
-        w0 = 1.0 - w1
-        for ccol, cpcols, crows in kids:
-            on = crows[_index(reading(np.uint8(1)), cpcols)]
-            off = crows[_index(reading(np.uint8(0)), cpcols)]
-            is_one = column(ccol) == 1
-            w1 = w1 * np.where(is_one, on, 1.0 - on)
-            w0 = w0 * np.where(is_one, off, 1.0 - off)
-        return w1 / (w1 + w0)
+        odds = own[_index(column, pcols)]
+        for ccol, cpcols, on, off in logs:
+            one = _index(reading(np.uint8(1)), cpcols)
+            zero = _index(reading(np.uint8(0)), cpcols)
+            odds = odds + np.where(column(ccol) == 1, on[one] - on[zero],
+                                   off[one] - off[zero])
+        return np.exp(-np.logaddexp(0.0, -odds))
 
     blanket = (*pcols, *(c for ccol, cpcols, _ in kids
                          for c in (ccol, *cpcols)))
@@ -372,8 +367,7 @@ class _GibbsStream(_Stream):
     """Independent Gibbs chains, one per row.
 
     Each chain starts from a clamped forward row; a sweep then redraws
-    every unbound node in declaration order from its blanket update. A
-    batch holds at most _MAX_RAW_BATCH chains.
+    every unbound node in declaration order from its blanket update.
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
@@ -390,8 +384,7 @@ class _GibbsStream(_Stream):
             for col, pcols, rows in plan if col not in clamped
         ]
 
-    def _next(self, want: int) -> np.ndarray:
-        m = min(want, _MAX_RAW_BATCH)
+    def _next(self, m: int) -> np.ndarray:
         state, _ = _sample_batch(self._net, self._rng, m,
                                  clamp=self._condition)
         column = state.__getitem__

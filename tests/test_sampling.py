@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from condsim.errors import (
 from condsim.exact import exact_conditional, exact_distribution_over
 from condsim.network import BeliefNetwork, Cpt, parse_network
 from condsim.sampling import (
+    DEFAULT_REJECTION_CAP,
     RandomSource,
     RasEstimate,
     TrialGeneratorKind,
+    _make_stream,
     _sample_batch,
+    _schedule,
     conditioned_sample_batch,
     estimate_conditional_fraction,
     estimate_distribution_over,
@@ -238,6 +242,21 @@ def test_gibbs_matches_exact_conditional(net_a):
     assert abs(frac - 27 / 41) < 0.03
 
 
+def test_gibbs_survives_blanket_weights_that_underflow():
+    # As products, both weights of A's blanket update underflow to 0:
+    # Pr[A=1, B=1, C=1] is about 5e-324 / 4 and Pr[A=0, B=1, C=1] is
+    # 1e-640, so Pr[A=1 | B=1, C=1] is about 1.
+    net = BeliefNetwork("underflow", ("A", "B", "C"), (
+        Cpt((), (5e-324,)), Cpt(("A",), (1e-320, 0.5)),
+        Cpt(("A",), (1e-320, 0.5))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = conditioned_sample_batch(net, {"B": 1, "C": 1},
+                                        TrialGeneratorKind.gibbs(4),
+                                        RandomSource(1), 1000)
+    assert rows[:, net.index("A")].sum() >= 990
+
+
 def test_conditioned_trial_needs_an_unbound_node(net_a):
     with pytest.raises(ValueError):
         conditioned_sample_batch(net_a, {"A": 0, "B": 1},
@@ -352,43 +371,56 @@ def test_fraction_is_deterministic_per_seed(net_c):
         assert a == b
 
 
-def test_skip_then_draw_is_a_slice_of_one_draw():
-    for skipped, drawn in ((0, 5), (5, 3), (1000, 3), (3 * 65536 + 1, 17)):
-        whole = RandomSource(47).uniforms(skipped + drawn)
-        rng = RandomSource(47)
-        rng.skip(skipped)
-        assert np.array_equal(rng.uniforms(drawn), whole[skipped:])
-    rng = RandomSource(53)
-    head = rng.uniforms(5)
-    rng.skip(1000)
-    tail = rng.uniforms(3)
-    whole = RandomSource(53).uniforms(1008)
-    assert np.array_equal(head, whole[:5])
-    assert np.array_equal(tail, whole[1005:])
+def _walk_order(net, keep, condition, clamp):
+    """The forward walk's node order, stated on the graph.
+
+    Each condition node, in declaration order, follows its ancestors not
+    yet walked; then the rest of the ancestral closure of ``keep``, in
+    declaration order. Ancestors are followed through unclamped nodes.
+    """
+    def closure(cols):
+        found, todo = set(cols), list(cols)
+        while todo:
+            col = todo.pop()
+            if col in clamp:
+                continue
+            for parent in net.parents(net.nodes[col]):
+                if net.index(parent) not in found:
+                    found.add(net.index(parent))
+                    todo.append(net.index(parent))
+        return found
+
+    order = []
+    for col in sorted(c for c, _ in condition):
+        order += sorted(closure([col]) - set(order))
+    return order + sorted(closure(keep) - set(order))
 
 
-def _forward_rows(net, rng, count, clamp):
-    """A full forward batch, one block of uniforms per unclamped node."""
+def _survivor_rows(net, rng, count, keep, condition, clamp):
+    """A forward batch in walk order that draws for live rows only."""
     rows = np.zeros((count, net.n), dtype=np.uint8)
-    for name in net.nodes:
-        col = net.index(name)
+    alive = np.arange(count)
+    want = dict(condition)
+    for col in _walk_order(net, keep, condition, clamp):
         if col in clamp:
             rows[:, col] = clamp[col]
             continue
-        cpt = net.cpt(name)
-        idx = np.zeros(count, dtype=np.int64)
+        cpt = net.cpt(net.nodes[col])
+        idx = np.zeros(len(alive), dtype=np.int64)
         for parent in cpt.parents:
-            idx = 2 * idx + rows[:, net.index(parent)]
-        rows[:, col] = rng.uniforms(count) < np.asarray(cpt.rows)[idx]
-    return rows
+            idx = 2 * idx + rows[alive, net.index(parent)]
+        if len(alive):
+            u = rng.uniforms(len(alive))
+            rows[alive, col] = u < np.asarray(cpt.rows)[idx]
+        if col in want:
+            alive = alive[rows[alive, col] == want[col]]
+    return rows, alive
 
 
-def test_pruned_batch_matches_a_filtered_full_batch():
-    # Skipping barren nodes and dropping rejected rows early must leave
-    # every drawn value, every hit position and the stream's position as
-    # a full forward batch filtered afterwards would.
-    gen = np.random.Generator(np.random.PCG64(59))
-    for case in range(60):
+def _pruned_cases(seed, cases):
+    """Random (net, keep, condition, clamp, count) sampling requests."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    for case in range(cases):
         net = random_network(gen, int(gen.integers(2, 13)),
                              max_parents=int(gen.integers(1, 4)))
         order = [int(c) for c in gen.permutation(net.n)]
@@ -399,19 +431,113 @@ def test_pruned_batch_matches_a_filtered_full_batch():
                       for c in order[n_keep:n_keep + n_bound])
         clamp = bound if case % 4 == 3 else ()
         condition = () if clamp else bound
-        count = int(gen.integers(1, 2000))
+        yield net, keep, condition, clamp, int(gen.integers(1, 2000))
+
+
+def test_pruned_batch_matches_a_filtered_full_batch():
+    # Drawing only for live rows, in walk order, must leave every drawn
+    # value, every hit position and the stream's position as the
+    # reference walk, which filters its rows after each condition node.
+    for case, (net, keep, condition, clamp, count) in enumerate(
+            _pruned_cases(59, 60)):
         rng, ref = RandomSource(case), RandomSource(case)
         rows, hits = _sample_batch(net, rng, count, keep, condition, clamp)
-        full = _forward_rows(net, ref, count, dict(clamp))
-        ok = np.ones(count, dtype=bool)
-        for col, value in condition:
-            ok &= full[:, col] == value
+        full, alive = _survivor_rows(net, ref, count, keep, condition,
+                                     dict(clamp))
         if condition:
-            assert np.array_equal(hits, np.flatnonzero(ok))
+            assert np.array_equal(hits, alive)
         else:
             assert hits is None
-        assert np.array_equal(rows, full[ok][:, keep].T)
+        assert np.array_equal(rows, full[alive][:, keep].T)
         assert np.array_equal(rng.uniforms(4), ref.uniforms(4))
+
+
+def _ancestors(net, col):
+    parents = [net.index(p) for p in net.parents(net.nodes[col])]
+    return set(parents).union(*(_ancestors(net, p) for p in parents))
+
+
+def test_schedule_walks_evidence_ancestors_first():
+    for net, keep, condition, clamp, _ in _pruned_cases(73, 200):
+        fixes, draws, out = _schedule(net, keep, condition, clamp)
+        walk = [c for c, _ in fixes] + [d[0] for d in draws]
+        assert [c for c, _ in fixes] == sorted(
+            c for c, _ in clamp if c in walk)
+        assert [walk[s] for s in out] == list(keep)
+        for i, (col, pslots, _, want) in enumerate(draws, len(fixes)):
+            assert pslots == tuple(walk.index(net.index(p))
+                                   for p in net.parents(net.nodes[col]))
+            assert all(s < i for s in pslots)
+            assert want == dict(condition).get(col, -1)
+        drawn = [d[0] for d in draws]
+        if not condition:
+            assert drawn == sorted(drawn)
+        for i, col in enumerate(drawn):
+            if col not in dict(condition):
+                continue
+            earlier = [c for c in drawn[:i] if c in dict(condition)]
+            reach = _ancestors(net, col).union(
+                *({c} | _ancestors(net, c) for c in earlier))
+            assert set(drawn[:i]) <= reach
+
+
+class _CountingSource(RandomSource):
+    """A random source that records the size of every draw."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.sizes = []
+
+    def uniforms(self, count):
+        self.sizes.append(count)
+        return super().uniforms(count)
+
+
+def test_rejected_rows_draw_no_more_uniforms(net_c):
+    a, b, c = (net_c.index(x) for x in "ABC")
+    # B is walked after A and rejects; C then draws for B's survivors.
+    rng = _CountingSource(79)
+    _, hits = _sample_batch(net_c, rng, 1000, (c,), ((b, 1),))
+    assert rng.sizes == [1000, 1000, len(hits)]
+    # The evidence A comes first; B and C draw for A's survivors only.
+    rng = _CountingSource(79)
+    _, hits = _sample_batch(net_c, rng, 1000, (c,), ((a, 0),))
+    assert rng.sizes == [1000, len(hits), len(hits)]
+    for case, (net, keep, condition, clamp, count) in enumerate(
+            _pruned_cases(83, 60)):
+        rng = _CountingSource(case)
+        _, hits = _sample_batch(net, rng, count, keep, condition, clamp)
+        _, draws, _ = _schedule(net, keep, condition, clamp)
+        assert len(rng.sizes) <= len(draws)
+        assert rng.sizes[0] == count
+        for j in range(1, len(rng.sizes)):
+            # Only a condition step can drop rows.
+            if draws[j - 1][3] < 0:
+                assert rng.sizes[j] == rng.sizes[j - 1]
+            else:
+                assert 0 < rng.sizes[j] <= rng.sizes[j - 1]
+        if condition and len(rng.sizes) == len(draws):
+            assert len(hits) <= rng.sizes[-1]
+            if draws[-1][3] < 0:
+                assert len(hits) == rng.sizes[-1]
+
+
+@pytest.mark.parametrize("kind", [TrialGeneratorKind.rejection(),
+                                  TrialGeneratorKind.gibbs(1)],
+                         ids=["rejection", "gibbs"])
+def test_streams_ignore_how_takes_are_split(net_c, kind):
+    keep = tuple(range(net_c.n))
+
+    def stream():
+        return _make_stream(net_c, {"C": 1}, kind, RandomSource(89),
+                            DEFAULT_REJECTION_CAP, keep)
+
+    for a, b in ((1, 300), (255, 2), (256, 256), (300, 400), (511, 600)):
+        split = stream()
+        head = split.take(a)
+        tail = split.take(b)
+        whole = stream().take(a + b)
+        assert np.array_equal(np.concatenate([head, tail], axis=1), whole)
 
 
 def _naive_bayes(children: int):
@@ -428,17 +554,25 @@ def _row_digest(rows):
 
 
 @pytest.mark.parametrize("case,digest", [
-    ("wide-blanket",
-     "0a28677620feb0e5e9a6603586b656ff2abf5c2d5ed0bd423a31e9081ae66495"),
-    ("clamped-blankets",
-     "501644635aceca3e24ea5a2fce3d19317600cf14d4d031b3f7f339931345a8c8"),
-    ("16-node-blanket",
-     "d74ae72c37cd81d0ddd3a206e47797e7a5f49dea6c1b923c81a8d54dffa34329"),
-    ("17-node-blanket",
-     "7f02e52327a932af04a36b603688892ec353a2966255e65fa026b805d64717ef")])
+    pytest.param(
+        "wide-blanket",
+        "dce63a71bcb7ea401e6ac3e28446b01b882194281718f116a74c128b991b8c98",
+        id="wide-blanket"),
+    pytest.param(
+        "clamped-blankets",
+        "ff1901e8cf7a91818cc4edc16c011142611008bf20e51ec8c24a6aeac5ad9bf8",
+        id="clamped-blankets"),
+    pytest.param(
+        "16-node-blanket",
+        "34b7e8a6e89ad9273e25cd6583725b44c29b2d6102fefea853415baed54b3135",
+        id="16-node-blanket"),
+    pytest.param(
+        "17-node-blanket",
+        "842703ffac3ad9c368a98feaccea883f7da9ce27d7a2ca39ec7451f2e01c41a6",
+        id="17-node-blanket")])
 def test_gibbs_rows_are_pinned(case, digest):
-    # Recorded at version 0.1.0: the first two with the per-row Gibbs
-    # kernel, the last two with blanket tables spanning up to 16 nodes.
+    # Recorded at version 0.2.0. A change that fails this changes a random
+    # stream, so it bumps the version and says so in CHANGES.md.
     # The root of the first net has 27 unbound children, more than one
     # blanket table spans; the second clamps nodes inside other nodes'
     # blankets. The root's unbound blanket in the last two has 16 nodes,
