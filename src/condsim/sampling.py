@@ -35,16 +35,16 @@ DEFAULT_REJECTION_CAP = 10 ** 7
 _GENERATOR_KINDS = ("rejection", "gibbs")
 
 _MASK64 = (1 << 64) - 1
-# Most rows classified per draw between checkpoints.
+# Most rows one take returns, which bounds a take's memory; at 2^16 two
+# mixed-small passes took 8x to 34x the minor page faults of 2^18.
 _MAX_CHUNK = 1 << 18
-# A conditioned stream's batches double from the first to the last size.
+# A stream's next batch makes as many rows or chains as it has made so
+# far, within these sizes, so that batches end on the checkpoints.
 _FIRST_RAW_BATCH = 1 << 8
 _MAX_RAW_BATCH = 1 << 16
 # Widest unbound Markov blanket a Gibbs table spans (2^16 entries); a
 # wider blanket is evaluated on the rows.
 _TABLE_BITS = 16
-# Most uniforms a Gibbs chunk draws at once for its sweeps.
-_FUSED_DRAW = 1 << 12
 _MAX_CATEGORY_NODES = 20
 
 
@@ -257,13 +257,15 @@ def _pairs(net: BeliefNetwork,
 
 
 class _Stream:
-    """Conditioned trials, buffered across the batches that make them.
+    """Trials of one estimate, buffered across the batches that make them.
 
     Rows are returned column-major, one row per ``keep`` column. A
     subclass's ``_next(m)`` makes the stream's next batch from ``m`` raw
-    rows or chains. Batch sizes double from _FIRST_RAW_BATCH up to
-    _MAX_RAW_BATCH whatever is asked for, so the stream returns the same
-    rows however a count is split into takes.
+    rows or chains. Each batch makes as many as the stream has made so
+    far, from _FIRST_RAW_BATCH up to _MAX_RAW_BATCH, whatever is asked
+    for: the stream returns the same rows however a count is split into
+    takes, and a stream that keeps every raw row (logic sampling, Gibbs)
+    ends a batch on each power-of-two checkpoint from _FIRST_RAW_BATCH on.
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
@@ -274,14 +276,14 @@ class _Stream:
         self._keep = keep
         self._rest = np.empty((len(keep), 0), dtype=np.uint8)
         self._taken = 0
-        self._batch = _FIRST_RAW_BATCH
+        self._made = 0
 
     def take(self, count: int) -> np.ndarray:
         """The stream's next ``count`` rows."""
         parts, have = [self._rest], self._rest.shape[1]
         while have < count:
-            m = self._batch
-            self._batch = min(m * 2, _MAX_RAW_BATCH)
+            m = min(max(self._made, _FIRST_RAW_BATCH), _MAX_RAW_BATCH)
+            self._made += m
             parts.append(self._next(m))
             have += parts[-1].shape[1]
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
@@ -295,7 +297,8 @@ class _RejectionStream(_Stream):
 
     More than ``attempt_cap`` rejected rows in a row raise, wherever the
     run falls across batches; the error's ``trials`` counts the rows
-    already taken from the stream.
+    already taken from the stream. With an empty condition the stream is
+    logic sampling: no row is rejected and the cap never applies.
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
@@ -389,16 +392,9 @@ class _GibbsStream(_Stream):
                                  clamp=self._condition)
         column = state.__getitem__
         flags = [row.view(bool) for row in state]
-        updates = self._updates
-        # Each update reads the stream's next block of m uniforms, so a
-        # small batch draws the blocks of several updates at once.
-        blocks = self._sweeps * len(updates)
-        per = max(1, _FUSED_DRAW // m)
-        for first in range(0, blocks, per):
-            u = self._rng.uniforms(min(per, blocks - first) * m)
-            for j in range(len(u) // m):
-                col, update = updates[(first + j) % len(updates)]
-                np.less(u[j * m:(j + 1) * m], update(column), out=flags[col])
+        for _ in range(self._sweeps):
+            for col, update in self._updates:
+                np.less(self._rng.uniforms(m), update(column), out=flags[col])
         return state[list(self._keep)]
 
 
@@ -440,7 +436,7 @@ def _certify(draw, classify, s_size: int, net: BeliefNetwork,
              ) -> tuple[DirichletPosterior, int]:
     """Count classified rows until the stopping rule certifies them.
 
-    ``draw(m)`` returns the next ``m`` rows of a stream and
+    ``draw(m)`` is a _Stream's ``take``, the next ``m`` rows, and
     ``classify(rows)`` their counts in k = 2^s_size categories. The rule
     is evaluated at checkpoints that double from k trials; a checkpoint
     past ``sample_cap`` raises. A None cap is ten times the worst-case
@@ -501,7 +497,7 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
     cols = tuple(net.index(x) for x in s)
     positions = range(len(cols))
     posterior, trials = _certify(
-        lambda m: _sample_batch(net, rng, m, cols)[0],
+        _RejectionStream(net, {}, rng, DEFAULT_REJECTION_CAP, cols).take,
         lambda rows: np.bincount(_index(rows.__getitem__, positions),
                                  minlength=1 << len(s)),
         len(s), net, s, epsilon, delta, prior, sample_cap, "distribution")

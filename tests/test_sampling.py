@@ -20,6 +20,8 @@ from condsim.sampling import (
     RandomSource,
     RasEstimate,
     TrialGeneratorKind,
+    _GibbsStream,
+    _RejectionStream,
     _make_stream,
     _sample_batch,
     _schedule,
@@ -522,14 +524,17 @@ def test_rejected_rows_draw_no_more_uniforms(net_c):
                 assert len(hits) == rng.sizes[-1]
 
 
-@pytest.mark.parametrize("kind", [TrialGeneratorKind.rejection(),
-                                  TrialGeneratorKind.gibbs(1)],
-                         ids=["rejection", "gibbs"])
-def test_streams_ignore_how_takes_are_split(net_c, kind):
+@pytest.mark.parametrize("condition,kind", [
+    ({"C": 1}, TrialGeneratorKind.rejection()),
+    ({"C": 1}, TrialGeneratorKind.gibbs(1)),
+    ({}, TrialGeneratorKind.rejection())],
+    ids=["rejection", "gibbs", "weights"])
+def test_streams_ignore_how_takes_are_split(net_c, condition, kind):
+    # With no condition, rejection is the weight phase's logic sampling.
     keep = tuple(range(net_c.n))
 
     def stream():
-        return _make_stream(net_c, {"C": 1}, kind, RandomSource(89),
+        return _make_stream(net_c, condition, kind, RandomSource(89),
                             DEFAULT_REJECTION_CAP, keep)
 
     for a, b in ((1, 300), (255, 2), (256, 256), (300, 400), (511, 600)):
@@ -538,6 +543,30 @@ def test_streams_ignore_how_takes_are_split(net_c, kind):
         tail = split.take(b)
         whole = stream().take(a + b)
         assert np.array_equal(np.concatenate([head, tail], axis=1), whole)
+
+
+def test_streams_make_only_what_the_checkpoints_score(net_c, monkeypatch):
+    made = []
+    for cls in (_GibbsStream, _RejectionStream):
+        def counted(self, m, _next=cls._next):
+            made.append(m)
+            return _next(self, m)
+        monkeypatch.setattr(cls, "_next", counted)
+    for seed in range(3):
+        made.clear()
+        est = estimate_conditional_fraction(
+            net_c, {"A": 1}, {"C": 1}, 0.1, 0.1, TrialGeneratorKind.gibbs(1),
+            RandomSource(seed))
+        assert est.trials >= 512
+        assert sum(made) == est.trials
+    # The smaller epsilon certifies past _MAX_RAW_BATCH and _MAX_CHUNK.
+    for epsilon in (0.2, 0.01):
+        made.clear()
+        _, trials = estimate_distribution_over(
+            net_c, ("A", "B"), epsilon, 0.1, PriorChoice.UNBIASED,
+            RandomSource(5))
+        assert trials >= 256
+        assert sum(made) == trials
 
 
 def _naive_bayes(children: int):
@@ -556,22 +585,22 @@ def _row_digest(rows):
 @pytest.mark.parametrize("case,digest", [
     pytest.param(
         "wide-blanket",
-        "dce63a71bcb7ea401e6ac3e28446b01b882194281718f116a74c128b991b8c98",
+        "b60d9d3b22172cabc4e32e4b64af496b010e7a541b8b6e856ad6cc6c99de6c56",
         id="wide-blanket"),
     pytest.param(
         "clamped-blankets",
-        "ff1901e8cf7a91818cc4edc16c011142611008bf20e51ec8c24a6aeac5ad9bf8",
+        "f81b03cd52d2abb1b71156eb680d44dfd09f62e3c8a4a223d045f8db6a8dd635",
         id="clamped-blankets"),
     pytest.param(
         "16-node-blanket",
-        "34b7e8a6e89ad9273e25cd6583725b44c29b2d6102fefea853415baed54b3135",
+        "ba1ffff67dbaee8943eded4354509db4cef2329daf57f84b2dca5c7999a0af87",
         id="16-node-blanket"),
     pytest.param(
         "17-node-blanket",
-        "842703ffac3ad9c368a98feaccea883f7da9ce27d7a2ca39ec7451f2e01c41a6",
+        "d68e4081740d5b573bc65fc8b93e6776ec05fb93085c07d989aa8efebb33a591",
         id="17-node-blanket")])
 def test_gibbs_rows_are_pinned(case, digest):
-    # Recorded at version 0.2.0. A change that fails this changes a random
+    # Recorded at version 0.3.0. A change that fails this changes a random
     # stream, so it bumps the version and says so in CHANGES.md.
     # The root of the first net has 27 unbound children, more than one
     # blanket table spans; the second clamps nodes inside other nodes'
