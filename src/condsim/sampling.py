@@ -2,8 +2,9 @@
 
 Logic sampling draws full assignments from the factored joint by walking
 nodes in declaration order, parents first. Conditioned trials come from
-either rejection (exact, cost inverse in the condition probability) or
-Gibbs sweeps over the unbound nodes (approximate, fixed cost per trial).
+either rejection (exact, cost inverse in the probability of the condition
+nodes not clamped) or Gibbs sweeps over the unbound nodes (approximate,
+fixed cost per trial).
 Estimators feed trial categories into a Dirichlet posterior and stop at
 the first geometric checkpoint the stopping rule certifies.
 """
@@ -295,10 +296,14 @@ class _Stream:
 class _RejectionStream(_Stream):
     """Accepted rows of repeated forward batches.
 
-    More than ``attempt_cap`` rejected rows in a row raise, wherever the
-    run falls across batches; the error's ``trials`` counts the rows
-    already taken from the stream. With an empty condition the stream is
-    logic sampling: no row is rejected and the cap never applies.
+    A condition node whose parents are all clamped is clamped too: its
+    factor is the same on every row, so the accepted rows keep their law,
+    and only the other condition nodes are rejected on. More than
+    ``attempt_cap`` rejected rows in a row raise, wherever the run falls
+    across batches; the error's ``trials`` counts the rows already taken
+    from the stream. With no condition left to reject on, no row is
+    rejected and the cap never applies (logic sampling, when the
+    condition is empty).
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
@@ -307,10 +312,16 @@ class _RejectionStream(_Stream):
         super().__init__(net, condition, rng, keep)
         self._cap = attempt_cap
         self._since_accept = 0
+        rejected, clamped = dict(self._condition), {}
+        for col, pcols, _ in _plan(net):
+            if col in rejected and all(p in clamped for p in pcols):
+                clamped[col] = rejected.pop(col)
+        self._rejected = tuple(rejected.items())
+        self._clamped = tuple(clamped.items())
 
     def _next(self, m: int) -> np.ndarray:
         accepted, hits = _sample_batch(self._net, self._rng, m, self._keep,
-                                       self._condition)
+                                       self._rejected, self._clamped)
         if hits is not None:
             # Lengths of the runs of rejected rows before, between and
             # after the hits, the first continuing the previous batch's.

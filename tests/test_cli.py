@@ -1,10 +1,12 @@
 import json
 import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from condsim import cli
+from condsim import __version__, cli
 from condsim.errors import SampleBudgetExceededError
 from condsim.exact import MAX_NODES
 from condsim.network import parse_network
@@ -284,6 +286,29 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])
     assert code == 0
     assert out.startswith("condsim")
+
+
+def test_version_matches_pyproject():
+    # A regex, since tomllib is missing on Python 3.10.
+    text = (Path(__file__).resolve().parents[1]
+            / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match and match.group(1) == __version__
+
+
+def test_extreme_root_evidence_is_clamped(capsys, tmp_path):
+    # Rejection on A=1 would need about 1e300 rows; A is a root, so it is
+    # clamped and the run answers.
+    path = tmp_path / "extreme.bnet"
+    path.write_text("network extreme\nnode A\nprior A : 1e-300\nnode B\n"
+                    "parents B : A\ncpt B : 0.3 0.6\n", encoding="utf-8")
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", str(path), "--query", "B=1",
+                 "--evidence", "A=1", "--epsilon", "0.2", "--delta", "0.1",
+                 "--exact"])
+    assert code == 0
+    assert report["exact"]["oracle"] == pytest.approx(0.6)
+    assert report["exact"]["satisfies_ras"] is True
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -121,6 +121,10 @@ def _run(argv):
               ("--epsilon", "0.1", "--delta", "0.05", "--sample-cap", "100000",
                "--generator", "gibbs", "--burn-in-sweeps", "1", "--exact"),
               "text"))
+@example(Case("network extreme\nnode A\nprior A : 1e-300\nnode B\n"
+              "parents B : A\ncpt B : 0.3 0.6\n",
+              "B=1", "A=1",
+              ("--epsilon", "0.2", "--delta", "0.1", "--exact"), "json"))
 def test_cli_ends_in_an_answer_or_a_reported_error(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("fuzz") / "net.bnet"
     path.write_text(case.source, encoding="utf-8")

@@ -382,13 +382,17 @@ _CAP_100 = InferConfig(sample_cap=100)
      ({"A": 1}, {"C": 1}, 0.05, "direct", _CAP_100, 14,
       ("fraction", 64, 100)),
      ({"C": 1}, {"A": 1}, 0.2, "selective", _CAP_100, 14,
-      ("distribution", 64, 100))],
+      ("distribution", 64, 100)),
+     ({"C": 1}, {"A": 1}, 0.2, "direct", None, 15,
+      (0.73828125, 256, (1.0,)))],
     ids=["rejection", "selective", "gibbs-past-2^18", "rejection-past-2^18",
-         "cap-fraction", "cap-distribution"])
+         "cap-fraction", "cap-distribution", "clamped-condition"])
 def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
                                    config, seed, pinned):
-    # Recorded at version 0.3.0. A change that fails this changes a random
-    # stream, so it bumps the version and says so in CHANGES.md.
+    # Recorded at version 0.4.0; all but clamped-condition, whose root
+    # evidence A is clamped, are unchanged since 0.3.0. A change that
+    # fails this changes a random stream, so it bumps the version and
+    # says so in CHANGES.md.
     try:
         result = infer(net_c, query, evidence, epsilon, 0.1, strategy,
                        config, seed)

@@ -326,17 +326,31 @@ def test_fraction_budget_error_carries_partial_state(net_a):
 
 
 def test_rejection_attempt_cap_raises_with_phase():
+    # B is a child, so the condition B=1 (probability 1e-6) is rejected on.
     net = parse_network(
         "network rare\n"
-        "node A\nprior A : 0.000001\n"
-        "node B\nparents B : A\ncpt B : 0.4 0.6\n")
+        "node A\nprior A : 0.5\n"
+        "node B\nparents B : A\ncpt B : 0.000001 0.000001\n")
     with pytest.raises(RejectionBudgetExceededError) as einfo:
         estimate_conditional_fraction(
-            net, {"B": 1}, {"A": 1}, 0.2, 0.1,
+            net, {"A": 1}, {"B": 1}, 0.2, 0.1,
             TrialGeneratorKind.rejection(), RandomSource(37),
             attempt_cap=100)
     assert einfo.value.phase == "rejection"
     assert einfo.value.cap == 100
+
+
+def test_rare_root_condition_is_clamped_not_rejected():
+    # A is a root, so the condition A=1 (probability 1e-6) is clamped and
+    # no row is rejected, however small the attempt cap.
+    net = parse_network(
+        "network rare\n"
+        "node A\nprior A : 0.000001\n"
+        "node B\nparents B : A\ncpt B : 0.4 0.6\n")
+    est = estimate_conditional_fraction(
+        net, {"B": 1}, {"A": 1}, 0.2, 0.1, TrialGeneratorKind.rejection(),
+        RandomSource(37), attempt_cap=100)
+    assert satisfies_ras(0.6, est.value, 0.2)
 
 
 def test_rejection_cap_counts_runs_inside_a_batch(net_c):
@@ -522,6 +536,76 @@ def test_rejected_rows_draw_no_more_uniforms(net_c):
             assert len(hits) <= rng.sizes[-1]
             if draws[-1][3] < 0:
                 assert len(hits) == rng.sizes[-1]
+
+
+def _mixed_conditions(seed, cases):
+    """Random nets with conditions that have closed and unclosed nodes.
+
+    A condition node is closed when all its ancestors are condition
+    nodes too. Yields ``(net, condition, closed)``.
+    """
+    gen = np.random.Generator(np.random.PCG64(seed))
+    found = 0
+    while found < cases:
+        net = random_network(gen, int(gen.integers(4, 9)), max_parents=2,
+                             lo=0.2, hi=0.8)
+        picks = gen.choice(net.n, size=int(gen.integers(2, 4)),
+                           replace=False)
+        condition = {net.nodes[c]: int(gen.integers(0, 2)) for c in picks}
+        closed = {name: value for name, value in condition.items()
+                  if all(net.nodes[a] in condition
+                         for a in _ancestors(net, net.index(name)))}
+        if 0 < len(closed) < len(condition):
+            found += 1
+            yield net, condition, closed
+
+
+def test_rejection_with_clamped_conditions_matches_exact_conditional():
+    count = 20_000
+    for case, (net, condition, closed) in enumerate(
+            _mixed_conditions(97, 8)):
+        rows = conditioned_sample_batch(net, condition,
+                                        TrialGeneratorKind.rejection(),
+                                        RandomSource(case), count)
+        for name, value in condition.items():
+            assert np.all(rows[:, net.index(name)] == value)
+        for name in net.nodes:
+            if name in condition:
+                continue
+            phi = exact_conditional(net, {name: 1}, condition)
+            se = math.sqrt(phi * (1 - phi) / count)
+            frac = rows[:, net.index(name)].mean()
+            assert abs(frac - phi) < 5 * se, (case, name, frac, phi)
+
+
+def test_clamped_condition_nodes_draw_no_uniforms(monkeypatch):
+    calls = []
+
+    def counted(self, m, _next=_RejectionStream._next):
+        before = len(self._rng.sizes)
+        accepted = _next(self, m)
+        calls.append((len(self._rng.sizes) - before, accepted.shape[1]))
+        return accepted
+
+    monkeypatch.setattr(_RejectionStream, "_next", counted)
+    for case, (net, condition, closed) in enumerate(
+            _mixed_conditions(101, 8)):
+        drawn = net.n - len(closed)
+        # A closed condition rejects no row: one batch of 256 rows draws
+        # one uniform per row for each node outside the condition.
+        rng = _CountingSource(case)
+        conditioned_sample_batch(net, closed, TrialGeneratorKind.rejection(),
+                                 rng, 256)
+        assert rng.sizes == [256] * drawn
+        # With unclosed nodes too, the closed ones still draw nothing: a
+        # batch draws once per other node, fewer times if it runs out of
+        # rows before the last.
+        calls.clear()
+        conditioned_sample_batch(net, condition,
+                                 TrialGeneratorKind.rejection(),
+                                 _CountingSource(case), 256)
+        for draws, accepted in calls:
+            assert draws == drawn if accepted else draws <= drawn
 
 
 @pytest.mark.parametrize("condition,kind", [
