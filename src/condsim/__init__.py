@@ -5,7 +5,7 @@ and estimate conditional probabilities to a requested relative error with
 a certified failure probability.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (
     BnetSyntaxError,
@@ -31,6 +31,7 @@ from .errors import (
 from .network import (
     BeliefNetwork,
     Cpt,
+    ancestral_network,
     conditional_row,
     parse_network,
     serialize_network,

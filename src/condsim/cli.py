@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exact import exact_conditional
 from .dependence import satisfies_ras
-from .network import parse_network
+from .network import ancestral_network, parse_network
 from .reformulate import (
     DEFAULT_SEED,
     InferConfig,
@@ -103,12 +103,19 @@ def _discard_stdout() -> None:
 
 
 def cmd_analyze(args: argparse.Namespace, source: str) -> int:
-    net = parse_network(source)
+    full = parse_network(source)
+    query = parse_assignment_text(args.query)
     evidence = parse_assignment_text(args.evidence)
+    shared = sorted(set(query) & set(evidence))
+    if shared:
+        raise OverlappingSetsError(
+            f"query and evidence both bind: {', '.join(shared)}")
+    # With a query, price the network and S that infer would use.
+    net = ancestral_network(full, (*query, *evidence)) if query else full
     started = time.perf_counter()
     dep = dependence_value(net, evidence)
     selected, trace = greedy_select(net, evidence, args.greedy_exponent,
-                                    args.max_s)
+                                    args.max_s, exclude=tuple(query))
     cost_before = predicted_cost(net, evidence, ())
     cost_after = predicted_cost(net, evidence, selected)
     dep_after = dependence_value(net, evidence, conditioning=selected)
@@ -118,7 +125,9 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
         "version": __version__,
         "command": "analyze",
         "network_name": net.name,
+        "query": dict(query),
         "evidence": dict(evidence),
+        "nodes_kept": net.n,
         "per_node": {name: {"lo": bounds.lo, "hi": bounds.hi,
                             "lambda": lam}
                      for name, (bounds, lam) in dep.per_node.items()},
@@ -130,7 +139,7 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
         "cost_after": asdict(cost_after),
         "elapsed_ms": elapsed_ms,
     }
-    lines = [f"network {net.name} ({net.n} nodes)",
+    lines = [f"network {net.name} ({full.n} nodes, {net.n} kept)",
              f"evidence: {_format_assignment(evidence) or '(none)'}",
              "node  lo        hi        lambda"]
     for name, (bounds, lam) in dep.per_node.items():
@@ -215,10 +224,11 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
         return 5
     report["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
     report["result"] = _result_dict(result)
-    report["cost_before"] = asdict(predicted_cost(net, evidence, ()))
+    kept = ancestral_network(net, (*query, *evidence))
+    report["cost_before"] = asdict(predicted_cost(kept, evidence, ()))
     report["cost_after"] = asdict(
-        predicted_cost(net, evidence, result.selected_s))
-    lines = [f"network {net.name} ({net.n} nodes)",
+        predicted_cost(kept, evidence, result.selected_s))
+    lines = [f"network {net.name} ({net.n} nodes, {kept.n} kept)",
              f"Pr[{_format_assignment(query)} | "
              f"{_format_assignment(evidence) or 'nothing'}] "
              f"~ {result.estimate!r}",
@@ -273,6 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="report dependence diagnostics and the greedy conditioning set")
     analyze.add_argument("--evidence", default="",
                          help="comma-separated Name=0|1 bindings")
+    analyze.add_argument("--query", default="", help="price only what "
+                         "infer reads: the query and evidence's ancestors")
 
     run = sub.add_parser(
         "infer", parents=[shared],

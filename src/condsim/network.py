@@ -18,7 +18,7 @@ the first listed parent as the most significant bit. All probabilities are
 strictly between 0 and 1.
 """
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -138,6 +138,21 @@ class BeliefNetwork:
         for node, value in assignment.items():
             self.index(node)
             _check_value(value, node)
+
+
+def ancestral_network(net: BeliefNetwork,
+                      nodes: Iterable[str]) -> BeliefNetwork:
+    """The sub-network of ``nodes`` and their ancestors, in declaration
+    order (``net`` itself when that is every node). The nodes left out
+    are barren: no marginal over ``nodes`` depends on them."""
+    needed = {net.index(node) for node in nodes}
+    for i in range(net.n - 1, -1, -1):
+        if i in needed:
+            needed.update(net.index(p) for p in net.cpts[i].parents)
+    if len(needed) == net.n:
+        return net
+    nodes, cpts = zip(*((net.nodes[i], net.cpts[i]) for i in sorted(needed)))
+    return BeliefNetwork(net.name, nodes, cpts)
 
 
 def parse_network(text: str) -> BeliefNetwork:

@@ -23,7 +23,7 @@ from .errors import (
     OverlappingSetsError,
     ZeroDenominatorError,
 )
-from .network import Assignment, BeliefNetwork
+from .network import Assignment, BeliefNetwork, ancestral_network
 from .sampling import (
     DEFAULT_REJECTION_CAP,
     RandomSource,
@@ -106,6 +106,7 @@ class InferenceResult:
     clamped: bool
     dependence_before: float
     dependence_after: float
+    nodes_kept: int
     trials_total: int
     seed: int
     greedy_trace: "GreedyTrace | None"
@@ -262,7 +263,8 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     contributes certified numerator and denominator fractions, and the
     weighted sums meet in a clamped ratio. Auto picks selective exactly
     when the greedy set is nonempty. Equal arguments and seed reproduce
-    the result bit for bit.
+    the result bit for bit. All of it runs on the ancestral closure of
+    the query and evidence (``nodes_kept`` nodes); the rest is barren.
 
     A :class:`BudgetExceededError` from a subproblem estimate is raised
     again with the trials the whole run had scored, its message naming
@@ -282,6 +284,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     if shared:
         raise OverlappingSetsError(
             f"query and evidence both bind: {', '.join(shared)}")
+    net = ancestral_network(net, (*query, *evidence))
     root = RandomSource(seed)
     dependence_before = dependence_value(net, evidence).value
 
@@ -346,7 +349,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
         subproblem_estimates=pairs, numerator=numerator,
         denominator=denominator, clamped=clamped,
         dependence_before=dependence_before,
-        dependence_after=dependence_after,
+        dependence_after=dependence_after, nodes_kept=net.n,
         trials_total=weight_trials + sum(num.trials + den.trials
                                          for num, den in pairs),
         seed=seed, greedy_trace=trace)

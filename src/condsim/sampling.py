@@ -404,8 +404,10 @@ class _GibbsStream(_Stream):
         column = state.__getitem__
         flags = [row.view(bool) for row in state]
         for _ in range(self._sweeps):
-            for col, update in self._updates:
-                np.less(self._rng.uniforms(m), update(column), out=flags[col])
+            # One draw per sweep: PCG64 yields the doubles of k draws of m.
+            draws = self._rng.uniforms(len(self._updates) * m)
+            for u, (col, update) in zip(draws.reshape(-1, m), self._updates):
+                np.less(u, update(column), out=flags[col])
         return state[list(self._keep)]
 
 

@@ -36,6 +36,25 @@ parents C : B
 cpt C : 0.2 0.8
 """
 
+# Pr[Q | E] reads only Q and E. X, Y and Z are barren for it, yet their
+# strong links dominate the whole network's dependence value.
+BARREN_SOURCE = """\
+network barren
+node Q
+prior Q : 0.3
+node E
+parents E : Q
+cpt E : 0.2 0.7
+node X
+prior X : 0.5
+node Y
+parents Y : X
+cpt Y : 0.01 0.99
+node Z
+parents Z : Y
+cpt Z : 0.01 0.99
+"""
+
 
 def brute_marginal(net: BeliefNetwork, partial: dict) -> float:
     """Marginal by raw enumeration over completions, CPT lookups only."""

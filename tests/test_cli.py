@@ -14,7 +14,7 @@ from condsim.reformulate import InferConfig, InferenceResult, infer
 from condsim.sampling import RandomSource, estimate_distribution_over
 from condsim.stopping import PriorChoice
 
-from helpers import NET_C_SOURCE
+from helpers import BARREN_SOURCE, NET_C_SOURCE
 
 
 def run_cli(capsys, argv):
@@ -80,6 +80,40 @@ def test_analyze_with_evidence(capsys, net_a_path):
     assert report["dependence_value"] == pytest.approx(20.25)
 
 
+def test_analyze_query_prices_the_ancestral_closure(capsys, tmp_path):
+    path = _write(tmp_path, BARREN_SOURCE)
+    argv = ["analyze", "--network", path, "--evidence", "E=1"]
+    code, whole, _ = run_json(capsys, argv)
+    assert code == 0
+    assert whole["nodes_kept"] == 5
+    assert set(whole["selected_s"]) & {"X", "Y", "Z"}
+    code, report, _ = run_json(capsys, argv + ["--query", "Q=1"])
+    assert code == 0
+    assert report["query"] == {"Q": 1}
+    assert report["nodes_kept"] == 2
+    assert list(report["per_node"]) == ["Q", "E"]
+    assert report["dependence_value"] == pytest.approx(3.5 ** 2)
+    assert report["selected_s"] == []
+    code, out, _ = run_cli(capsys, argv + ["--query", "Q=1"])
+    assert code == 0
+    assert "network barren (5 nodes, 2 kept)" in out
+    assert "dependence value D = 12.25" in out
+
+
+def test_infer_prices_the_network_it_ran_on(capsys, tmp_path):
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", _write(tmp_path, BARREN_SOURCE),
+                 "--query", "Q=1", "--evidence", "E=1",
+                 "--epsilon", "0.2", "--delta", "0.1"])
+    assert code == 0
+    result = report["result"]
+    assert result["nodes_kept"] == 2
+    assert result["dependence_before"] == pytest.approx(3.5 ** 2)
+    assert report["cost_before"]["subproblem_term"] == pytest.approx(
+        result["dependence_before"] ** 4)
+    assert report["cost_after"] == report["cost_before"]
+
+
 def test_missing_network_file_is_a_read_error(capsys):
     code, _, err = run_cli(capsys,
                            ["analyze", "--network", "/no/such/file.bnet"])
@@ -130,6 +164,11 @@ def test_overlapping_query_and_evidence_is_a_usage_error(capsys,
                  "--evidence", "B=0",
                  "--epsilon", "0.2", "--delta", "0.1"])
     assert code == 2
+    code, _, err = run_cli(
+        capsys, ["analyze", "--network", net_a_path, "--query", "B=1",
+                 "--evidence", "B=0"])
+    assert code == 2
+    assert "both bind: B" in err
 
 
 def test_infer_exact_verdict(capsys, net_a_path):

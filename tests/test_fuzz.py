@@ -133,6 +133,8 @@ def test_cli_ends_in_an_answer_or_a_reported_error(tmp_path_factory, case):
          "--evidence", case.evidence, "--report", case.report, *case.flags],
         ["analyze", "--network", str(path), "--evidence", case.evidence,
          "--report", case.report],
+        ["analyze", "--network", str(path), "--query", case.query,
+         "--evidence", case.evidence, "--report", case.report],
     )
     for argv in runs:
         code, err = _run(argv)

@@ -6,6 +6,7 @@ import pytest
 from condsim import (
     BeliefNetwork,
     Cpt,
+    ancestral_network,
     parse_network,
     serialize_network,
     conditional_row,
@@ -164,6 +165,40 @@ def test_serialize_round_trip_random_networks():
     for _ in range(10):
         net = random_network(gen, int(gen.integers(2, 8)))
         assert parse_network(serialize_network(net)) == net
+
+
+def test_ancestral_network_reference_values(net_c):
+    assert ancestral_network(net_c, ["A"]).nodes == ("A",)
+    sub = ancestral_network(net_c, ["B", "A"])
+    assert sub.nodes == ("A", "B")
+    assert sub.cpts == net_c.cpts[:2]
+    assert ancestral_network(net_c, ["C"]) is net_c
+    with pytest.raises(UnknownNodeError):
+        ancestral_network(net_c, ["Q"])
+
+
+def test_ancestral_network_keeps_the_marginals_of_its_nodes():
+    gen = np.random.Generator(np.random.PCG64(23))
+    for _ in range(20):
+        net = random_network(gen, int(gen.integers(2, 9)))
+        named = [str(x) for x in gen.choice(net.nodes, size=2,
+                                             replace=False)]
+        sub = ancestral_network(net, named)
+        # Declaration order, closed under parents, and nothing more.
+        assert sub.nodes == tuple(x for x in net.nodes if x in sub.nodes)
+        assert all(set(sub.parents(x)) <= set(sub.nodes)
+                   for x in sub.nodes)
+        assert all(any(x == v or x in _ancestors(net, v) for v in named)
+                   for x in sub.nodes)
+        for values in itertools.product((0, 1), repeat=2):
+            partial = dict(zip(named, values))
+            assert brute_marginal(sub, partial) == pytest.approx(
+                brute_marginal(net, partial), rel=1e-12)
+
+
+def _ancestors(net, node):
+    parents = set(net.parents(node))
+    return parents.union(*(_ancestors(net, p) for p in parents))
 
 
 def test_conditional_row_reference_values(net_a):

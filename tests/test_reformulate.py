@@ -1,7 +1,9 @@
+from math import inf
+
 import numpy as np
 import pytest
 
-from condsim.dependence import satisfies_ras
+from condsim.dependence import dependence_value, satisfies_ras
 from condsim.errors import (
     LengthMismatchError,
     OverlappingSetsError,
@@ -11,7 +13,7 @@ from condsim.errors import (
 )
 from condsim.exact import exact_conditional, exact_distribution_over, \
     exact_marginal
-from condsim.network import parse_network
+from condsim.network import BeliefNetwork, Cpt, parse_network
 from condsim.reformulate import (
     DEFAULT_SEED,
     InferConfig,
@@ -29,7 +31,7 @@ from condsim.sampling import (
     mix_seed,
 )
 
-from helpers import arcless_network, random_network
+from helpers import BARREN_SOURCE, arcless_network, random_network
 
 
 def test_greedy_trace_on_the_chain_network(net_c):
@@ -249,15 +251,19 @@ def test_infer_direct_strategy_skips_greedy(net_c):
     assert result.trials_total == result.subproblem_estimates[0][0].trials
 
 
-def test_infer_direct_uses_its_reserved_stream(net_a):
+def test_infer_direct_uses_its_reserved_stream(net_a, net_c):
     seed = 8675309
-    result = infer(net_a, {"B": 1}, {"A": 1}, 0.2, 0.1,
-                   strategy="direct", seed=seed)
-    manual = estimate_conditional_fraction(
-        net_a, {"B": 1}, {"A": 1}, 0.2, 0.1,
-        TrialGeneratorKind.rejection(), RandomSource(seed).derive(1))
-    assert result.estimate == manual.value
-    assert result.trials_total == manual.trials
+    # In the second case C is barren: infer drops it, and rejection draws
+    # the same rows on the whole network.
+    for net, query, evidence in ((net_a, {"B": 1}, {"A": 1}),
+                                 (net_c, {"A": 1}, {"B": 1})):
+        result = infer(net, query, evidence, 0.2, 0.1, strategy="direct",
+                       seed=seed)
+        manual = estimate_conditional_fraction(
+            net, query, evidence, 0.2, 0.1,
+            TrialGeneratorKind.rejection(), RandomSource(seed).derive(1))
+        assert result.estimate == manual.value
+        assert result.trials_total == manual.trials
 
 
 def test_infer_selective_accounting(net_c):
@@ -365,6 +371,32 @@ def test_infer_accepts_gibbs_generator(net_c):
     assert abs(result.estimate - phi) < 0.15
 
 
+def test_infer_conditions_on_the_closure_not_on_barren_nodes():
+    net = parse_network(BARREN_SOURCE)
+    # On the whole network greedy conditions on the barren X and Y.
+    whole, _ = greedy_select(net, {"E": 1}, exclude=("Q",))
+    assert set(whole) & {"X", "Y", "Z"}
+    result = infer(net, {"Q": 1}, {"E": 1}, 0.2, 0.1, seed=17)
+    assert result.strategy_used == "direct"
+    assert result.selected_s == ()
+    assert result.nodes_kept == 2
+    assert result.dependence_before == pytest.approx(3.5 ** 2)
+    assert satisfies_ras(exact_conditional(net, {"Q": 1}, {"E": 1}),
+                         result.estimate, 0.2)
+
+
+def test_many_independent_components_report_a_finite_dependence():
+    names, cpts = [], []
+    for i in range(200):
+        names += [f"A{i}", f"B{i}"]
+        cpts += [Cpt((), (0.5,)), Cpt((f"A{i}",), (0.001, 0.999))]
+    net = BeliefNetwork("wide", tuple(names), tuple(cpts))
+    assert dependence_value(net, {}).value == inf
+    result = infer(net, {"B7": 1}, {}, 0.2, 0.1, strategy="direct", seed=3)
+    assert result.nodes_kept == 2
+    assert result.dependence_before == pytest.approx(999.0 ** 2)
+
+
 _GIBBS_3 = InferConfig(generator=TrialGeneratorKind.gibbs(3))
 _CAP_100 = InferConfig(sample_cap=100)
 
@@ -384,15 +416,19 @@ _CAP_100 = InferConfig(sample_cap=100)
      ({"C": 1}, {"A": 1}, 0.2, "selective", _CAP_100, 14,
       ("distribution", 64, 100)),
      ({"C": 1}, {"A": 1}, 0.2, "direct", None, 15,
-      (0.73828125, 256, (1.0,)))],
+      (0.73828125, 256, (1.0,))),
+     ({"A": 1}, {"B": 1}, 0.2, "direct", _GIBBS_3, 16,
+      (0.8955078125, 1024, (1.0,)))],
     ids=["rejection", "selective", "gibbs-past-2^18", "rejection-past-2^18",
-         "cap-fraction", "cap-distribution", "clamped-condition"])
+         "cap-fraction", "cap-distribution", "clamped-condition",
+         "gibbs-barren"])
 def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
                                    config, seed, pinned):
-    # Recorded at version 0.4.0; all but clamped-condition, whose root
-    # evidence A is clamped, are unchanged since 0.3.0. A change that
-    # fails this changes a random stream, so it bumps the version and
-    # says so in CHANGES.md.
+    # Recorded at version 0.5.0, whose Gibbs chains leave out the barren
+    # C (gibbs-barren read 0.8994140625 at 0.4.0); the others are
+    # unchanged since 0.4.0, and all but clamped-condition since 0.3.0.
+    # A change that fails this changes a random stream, so it bumps the
+    # version and says so in CHANGES.md.
     try:
         result = infer(net_c, query, evidence, epsilon, 0.1, strategy,
                        config, seed)
