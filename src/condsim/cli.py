@@ -198,12 +198,14 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
         "seed": args.seed,
     }
     config = _infer_config(report["config"])
+    kept = ancestral_network(net, (*query, *evidence))
     oracle = None
     if args.exact:
-        # Before sampling, so that an oracle that cannot run is a usage
-        # error and not a failure after the answer.
+        # On the network infer answers on, and before sampling, so that
+        # an oracle that cannot run is a usage error and not a failure
+        # after the answer.
         try:
-            oracle = exact_conditional(net, query, evidence)
+            oracle = exact_conditional(kept, query, evidence)
         except (NetworkTooLargeError, ZeroDenominatorError) as exc:
             raise ValueError(f"--exact: {exc}") from exc
     started = time.perf_counter()
@@ -224,7 +226,6 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
         return 5
     report["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
     report["result"] = _result_dict(result)
-    kept = ancestral_network(net, (*query, *evidence))
     report["cost_before"] = asdict(predicted_cost(kept, evidence, ()))
     report["cost_after"] = asdict(
         predicted_cost(kept, evidence, result.selected_s))

@@ -3,12 +3,15 @@
 Logic sampling draws full assignments from the factored joint by walking
 nodes in declaration order, parents first. Conditioned trials come from
 either rejection (exact, cost inverse in the probability of the condition
-nodes not clamped) or Gibbs sweeps over the unbound nodes (approximate,
-fixed cost per trial).
+nodes not clamped) or Gibbs sweeps (approximate, fixed cost per trial).
+A sweep updates only the unbound nodes that a kept column can read
+through unbound Markov blankets; a kept node whose blanket is all bound
+is drawn once, on the last sweep.
 Estimators feed trial categories into a Dirichlet posterior and stop at
 the first geometric checkpoint the stopping rule certifies.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from collections.abc import Sequence
@@ -88,6 +91,11 @@ class RandomSource:
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` doubles drawn uniformly from [0, 1)."""
         return self._gen.random(count)
+
+    def skip(self, count: int) -> None:
+        """Advance past ``count`` doubles without drawing them."""
+        # A PCG64 double uses one 64-bit output.
+        self._gen.bit_generator.advance(count)
 
 
 @dataclass(frozen=True)
@@ -335,18 +343,32 @@ class _RejectionStream(_Stream):
         return accepted
 
 
+def _unbound_blanket(col: int, pcols: tuple[int, ...], kids: tuple,
+                     clamped: dict[int, int]) -> tuple[int, ...]:
+    """The Markov blanket of ``col`` without its clamped nodes.
+
+    ``kids`` are the _plan steps of col's children. The relation is
+    symmetric: b is in a's unbound blanket exactly when a is in b's.
+    """
+    blanket = (*pcols, *(c for ccol, cpcols, _ in kids
+                         for c in (ccol, *cpcols)))
+    return tuple(dict.fromkeys(c for c in blanket
+                               if c != col and c not in clamped))
+
+
 def _blanket_update(col: int, pcols: tuple[int, ...], rows: np.ndarray,
-                    kids: tuple, clamped: dict[int, int]):
+                    kids: tuple, bits: tuple[int, ...],
+                    clamped: dict[int, int]):
     """Pr[col = 1] given the other nodes, as a function of ``column``.
 
-    ``column(c)`` gives column c's values and ``kids`` are the _plan
-    steps of col's children. The evaluation reads the log-odds of col's
-    CPT entry, then adds in each child's log factor ratio, indexing the
-    child's tables with col read once as 1 and once as 0. A sum of logs
-    cannot underflow where the product of the factors would. When the
-    node's unbound Markov blanket spans at most _TABLE_BITS nodes, the
-    evaluation runs once on the grid of its states and the update looks
-    the rows up in that table; otherwise it runs on the rows.
+    ``column(c)`` gives column c's values, ``kids`` are the _plan steps
+    of col's children and ``bits`` its unbound blanket. The evaluation
+    reads the log-odds of col's CPT entry, then adds in each child's log
+    factor ratio, indexing the child's tables with col read once as 1
+    and once as 0. A sum of logs cannot underflow where the product of
+    the factors would. When ``bits`` spans at most _TABLE_BITS nodes,
+    the evaluation runs once on the grid of their states and the update
+    looks the rows up in that table; otherwise it runs on the rows.
     """
     own = np.log(rows) - np.log1p(-rows)
     logs = [(ccol, cpcols, np.log(crows), np.log1p(-crows))
@@ -363,10 +385,6 @@ def _blanket_update(col: int, pcols: tuple[int, ...], rows: np.ndarray,
                                    off[one] - off[zero])
         return np.exp(-np.logaddexp(0.0, -odds))
 
-    blanket = (*pcols, *(c for ccol, cpcols, _ in kids
-                         for c in (ccol, *cpcols)))
-    bits = tuple(dict.fromkeys(c for c in blanket
-                               if c != col and c not in clamped))
     if len(bits) > _TABLE_BITS:
         return pr_one
     size = 1 << len(bits)
@@ -381,7 +399,16 @@ class _GibbsStream(_Stream):
     """Independent Gibbs chains, one per row.
 
     Each chain starts from a clamped forward row; a sweep then redraws
-    every unbound node in declaration order from its blanket update.
+    unbound nodes in declaration order from their blanket updates, each
+    from its own block of the sweep's k·m uniforms (k unbound nodes, m
+    chains). Two unbound nodes are joined when one is in the other's
+    unbound blanket, and a sweep updates only the components that hold
+    a kept column: no kept node ever reads the others. A kept component
+    of one node reads only clamped values, so its update is a constant
+    Bernoulli and it updates on the last sweep only. When every kept
+    component has one node, the stream skips the earlier sweeps'
+    uniforms. Every uniform keeps its place, so the kept columns are
+    those of sweeping every node.
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
@@ -391,23 +418,47 @@ class _GibbsStream(_Stream):
         self._sweeps = sweeps
         clamped = dict(self._condition)
         plan = _plan(net)
-        self._updates = [
-            (col, _blanket_update(col, pcols, rows,
-                                  tuple(s for s in plan if col in s[1]),
-                                  clamped))
-            for col, pcols, rows in plan if col not in clamped
-        ]
+        free = [col for col, _, _ in plan if col not in clamped]
+        kids = {col: tuple(s for s in plan if col in s[1]) for col in free}
+        bits = {col: _unbound_blanket(col, plan[col][1], kids[col], clamped)
+                for col in free}
+        root: dict[int, int] = {}  # each node's component, by first node
+        for col in free:
+            if col not in root:
+                root[col], frontier = col, [col]
+                while frontier:
+                    for b in bits[frontier.pop()]:
+                        if b not in root:
+                            root[b] = col
+                            frontier.append(b)
+        size = Counter(root.values())
+        kept = {root[c] for c in keep if c in root}
+        self._width = len(free)
+        # (block, col, update) for every updated node, and the nodes of
+        # components of two or more, which update on every sweep.
+        self._last = [(i, col, _blanket_update(col, plan[col][1],
+                                               plan[col][2], kids[col],
+                                               bits[col], clamped))
+                      for i, col in enumerate(free) if root[col] in kept]
+        self._every = [u for u in self._last if size[root[u[1]]] > 1]
+
+    def _sweep(self, m: int, updates, column, flags) -> None:
+        # One draw per sweep: PCG64 yields the doubles of k draws of m.
+        draws = self._rng.uniforms(self._width * m).reshape(-1, m)
+        for i, col, update in updates:
+            np.less(draws[i], update(column), out=flags[col])
 
     def _next(self, m: int) -> np.ndarray:
         state, _ = _sample_batch(self._net, self._rng, m,
                                  clamp=self._condition)
         column = state.__getitem__
         flags = [row.view(bool) for row in state]
-        for _ in range(self._sweeps):
-            # One draw per sweep: PCG64 yields the doubles of k draws of m.
-            draws = self._rng.uniforms(len(self._updates) * m)
-            for u, (col, update) in zip(draws.reshape(-1, m), self._updates):
-                np.less(u, update(column), out=flags[col])
+        if self._every:
+            for _ in range(self._sweeps - 1):
+                self._sweep(m, self._every, column, flags)
+        else:
+            self._rng.skip((self._sweeps - 1) * self._width * m)
+        self._sweep(m, self._last, column, flags)
         return state[list(self._keep)]
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from condsim import __version__, cli
 from condsim.errors import SampleBudgetExceededError
-from condsim.exact import MAX_NODES
+from condsim.exact import MAX_NODES, exact_conditional
 from condsim.network import parse_network
 from condsim.reformulate import InferConfig, InferenceResult, infer
 from condsim.sampling import RandomSource, estimate_distribution_over
@@ -413,7 +413,8 @@ def _priors(n, p):
 
 @pytest.mark.parametrize("report", ["text", "json"])
 @pytest.mark.parametrize("source,evidence,message", [
-    (_priors(30, 0.5), "", f"n = 30 > {MAX_NODES} nodes"),
+    (_priors(30, 0.5), ",".join(f"N{i}=1" for i in range(1, 30)),
+     f"n = 30 > {MAX_NODES} nodes"),
     (_priors(3, 5e-324), "N1=1,N2=1", "Pr[evidence] underflows to 0"),
 ], ids=["too-many-nodes", "evidence-underflows"])
 def test_exact_oracle_that_cannot_run_is_a_usage_error(
@@ -429,6 +430,40 @@ def test_exact_oracle_that_cannot_run_is_a_usage_error(
     assert code == 2
     assert out == ""
     assert "--exact" in err and message in err
+
+
+def _pairs_network(pairs):
+    return "network pairs\n" + "".join(
+        f"node A{i}\nprior A{i} : 0.3\nnode B{i}\nparents B{i} : A{i}\n"
+        f"cpt B{i} : 0.2 0.7\n" for i in range(pairs))
+
+
+def test_exact_oracle_runs_on_the_network_infer_answers_on(capsys,
+                                                           tmp_path):
+    # 30 nodes are more than the oracle enumerates, but the query and the
+    # evidence keep one A -> B pair, where Pr[A0=1 | B0=1] = 0.21 / 0.35.
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", _write(tmp_path, _pairs_network(15)),
+                 "--query", "A0=1", "--evidence", "B0=1", "--epsilon", "0.2",
+                 "--delta", "0.1", "--exact"])
+    assert code == 0
+    assert report["result"]["nodes_kept"] == 2
+    assert report["exact"]["oracle"] == pytest.approx(0.6)
+    assert isinstance(report["exact"]["satisfies_ras"], bool)
+
+
+def test_exact_oracle_on_the_closure_keeps_its_value(capsys, tmp_path):
+    # Barren nodes cannot change Pr[q | e]; the closure's enumeration
+    # differs from the whole network's only in rounding.
+    net = parse_network(BARREN_SOURCE)
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", _write(tmp_path, BARREN_SOURCE),
+                 "--query", "Q=1", "--evidence", "E=1", "--epsilon", "0.2",
+                 "--delta", "0.1", "--exact"])
+    assert code == 0
+    assert report["result"]["nodes_kept"] == 2
+    assert report["exact"]["oracle"] == pytest.approx(
+        exact_conditional(net, {"Q": 1}, {"E": 1}), rel=1e-12, abs=0)
 
 
 _TINY_PAIR = "network tiny\nnode A\nprior A : {p}\nnode B\nprior B : {p}\n"

@@ -498,15 +498,20 @@ def test_schedule_walks_evidence_ancestors_first():
 
 
 class _CountingSource(RandomSource):
-    """A random source that records the size of every draw."""
+    """A random source that records the size of every draw and skip."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.sizes = []
+        self.skipped = []
 
     def uniforms(self, count):
         self.sizes.append(count)
         return super().uniforms(count)
+
+    def skip(self, count):
+        self.skipped.append(count)
+        super().skip(count)
 
 
 def test_rejected_rows_draw_no_more_uniforms(net_c):
@@ -705,3 +710,131 @@ def test_gibbs_rows_are_pinned(case, digest):
                                     RandomSource(71), 700)
     assert rows.shape == (700, net.n)
     assert _row_digest(rows) == digest
+
+
+def _components(net, condition):
+    """Components of the unbound nodes joined by unbound-blanket edges.
+
+    Two nodes share a blanket exactly when they share a family (a node
+    and its parents), so the edges are the moral graph's.
+    """
+    link = {x: set() for x in net.nodes if x not in condition}
+    for x in net.nodes:
+        family = [y for y in (x, *net.parents(x)) if y in link]
+        for y in family:
+            link[y].update(z for z in family if z != y)
+    found = {}
+    for x in link:
+        if x not in found:
+            members = {x}
+            frontier = [x]
+            while frontier:
+                for z in link[frontier.pop()] - members:
+                    members.add(z)
+                    frontier.append(z)
+            for z in members:
+                found[z] = frozenset(members)
+    return found
+
+
+def _gibbs_cases(seed, cases):
+    """Random nets with a condition and an unbound target node.
+
+    Yields ``(net, condition, target)`` until ``cases`` targets sit
+    alone in their component and ``cases`` other targets sit beside a
+    component of two or more nodes that the target cannot read.
+    """
+    gen = np.random.Generator(np.random.PCG64(seed))
+    alone = beside = 0
+    while alone < cases or beside < cases:
+        net = random_network(gen, int(gen.integers(4, 10)), max_parents=2,
+                             lo=0.2, hi=0.8)
+        picks = gen.choice(net.n, size=int(gen.integers(1, net.n - 1)),
+                           replace=False)
+        condition = {net.nodes[c]: int(gen.integers(0, 2)) for c in picks}
+        target = str(gen.choice([x for x in net.nodes
+                                 if x not in condition]))
+        components = _components(net, condition)
+        own = components[target]
+        unread = any(len(c) > 1 and c != own for c in components.values())
+        if len(own) == 1 and alone < cases:
+            alone += 1
+        elif unread and beside < cases:
+            beside += 1
+        else:
+            continue
+        yield net, condition, target
+
+
+def test_kept_column_streams_match_full_sweeps():
+    # A stream that keeps only the target sweeps only what the target can
+    # read, and skips sweeps it does not need; its column, and the stream
+    # position it leaves, are those of sweeping every node.
+    kind = TrialGeneratorKind.gibbs(3)
+    for case, (net, condition, target) in enumerate(_gibbs_cases(103, 10)):
+        col = net.index(target)
+        rng = RandomSource(case)
+        kept = _make_stream(net, condition, kind, rng,
+                            DEFAULT_REJECTION_CAP, (col,)).take(700)
+        full_rng = RandomSource(case)
+        full = conditioned_sample_batch(net, condition, kind, full_rng, 700)
+        assert np.array_equal(kept[0], full[:, col]), case
+        assert np.array_equal(rng.uniforms(4), full_rng.uniforms(4)), case
+
+
+def test_skip_then_draw_is_a_slice_of_one_draw():
+    for n, j in ((0, 5), (1, 1), (7, 64), (3 * 256 * 127, 3)):
+        rng = RandomSource(41)
+        rng.skip(n)
+        assert np.array_equal(rng.uniforms(j),
+                              RandomSource(41).uniforms(n + j)[n:])
+
+
+def test_one_node_kept_component_draws_the_start_state_and_one_sweep():
+    # A -> B -> C with A and C bound leaves B alone; D -> E is a second
+    # component, unbound and unread. Three unbound nodes, m = 256 chains.
+    net = parse_network("""\
+network parted
+node A
+prior A : 0.3
+node B
+parents B : A
+cpt B : 0.2 0.7
+node C
+parents C : B
+cpt C : 0.4 0.9
+node D
+prior D : 0.6
+node E
+parents E : D
+cpt E : 0.1 0.8
+""")
+    rng = _CountingSource(43)
+    _make_stream(net, {"A": 1, "C": 0}, TrialGeneratorKind.gibbs(128), rng,
+                 DEFAULT_REJECTION_CAP, (net.index("B"),)).take(256)
+    # The start state draws once per unbound node, then the last sweep
+    # draws once; the 127 sweeps before it are skipped, not drawn.
+    assert rng.sizes == [256, 256, 256, 3 * 256]
+    assert rng.skipped == [127 * 3 * 256]
+
+
+def test_gibbs_on_a_one_node_kept_component_is_exact():
+    # Bound to its whole Markov blanket, the query's update is its exact
+    # conditional, so one sweep samples it exactly.
+    count = 20_000
+    gen = np.random.Generator(np.random.PCG64(107))
+    for case in range(6):
+        net = random_network(gen, int(gen.integers(4, 9)), max_parents=2,
+                             lo=0.2, hi=0.8)
+        query = str(gen.choice(net.nodes))
+        kids = [x for x in net.nodes if query in net.parents(x)]
+        blanket = {*net.parents(query), *kids,
+                   *(p for x in kids for p in net.parents(x))} - {query}
+        condition = {x: int(gen.integers(0, 2)) for x in sorted(blanket)}
+        assert len(_components(net, condition)[query]) == 1
+        rows = _make_stream(net, condition, TrialGeneratorKind.gibbs(1),
+                            RandomSource(case), DEFAULT_REJECTION_CAP,
+                            (net.index(query),)).take(count)
+        phi = exact_conditional(net, {query: 1}, condition)
+        se = math.sqrt(phi * (1 - phi) / count)
+        assert abs(rows[0].mean() - phi) < 5 * se, (case, phi)
