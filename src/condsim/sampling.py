@@ -4,14 +4,13 @@ Logic sampling draws full assignments from the factored joint by walking
 nodes in declaration order, parents first. Conditioned trials come from
 either rejection (exact, cost inverse in the probability of the condition
 nodes not clamped) or Gibbs sweeps (approximate, fixed cost per trial).
-A sweep updates only the unbound nodes that a kept column can read
-through unbound Markov blankets; a kept node whose blanket is all bound
-is drawn once, on the last sweep.
+When every kept node's Markov blanket is bound, only the last sweep is
+drawn, and it updates only the kept nodes; otherwise every sweep updates
+every unbound node.
 Estimators feed trial categories into a Dirichlet posterior and stop at
 the first geometric checkpoint the stopping rule certifies.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from collections.abc import Sequence
@@ -401,14 +400,12 @@ class _GibbsStream(_Stream):
     Each chain starts from a clamped forward row; a sweep then redraws
     unbound nodes in declaration order from their blanket updates, each
     from its own block of the sweep's k·m uniforms (k unbound nodes, m
-    chains). Two unbound nodes are joined when one is in the other's
-    unbound blanket, and a sweep updates only the components that hold
-    a kept column: no kept node ever reads the others. A kept component
-    of one node reads only clamped values, so its update is a constant
-    Bernoulli and it updates on the last sweep only. When every kept
-    component has one node, the stream skips the earlier sweeps'
-    uniforms. Every uniform keeps its place, so the kept columns are
-    those of sweeping every node.
+    chains). A kept node whose unbound blanket is empty reads only
+    clamped values, so its update is a constant Bernoulli. When every
+    kept node is one, the stream skips the earlier sweeps' uniforms and
+    the last sweep updates only the kept nodes; otherwise every sweep
+    updates every unbound node. Every uniform keeps its place, so the
+    kept columns are those of sweeping every node.
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
@@ -422,25 +419,19 @@ class _GibbsStream(_Stream):
         kids = {col: tuple(s for s in plan if col in s[1]) for col in free}
         bits = {col: _unbound_blanket(col, plan[col][1], kids[col], clamped)
                 for col in free}
-        root: dict[int, int] = {}  # each node's component, by first node
-        for col in free:
-            if col not in root:
-                root[col], frontier = col, [col]
-                while frontier:
-                    for b in bits[frontier.pop()]:
-                        if b not in root:
-                            root[b] = col
-                            frontier.append(b)
-        size = Counter(root.values())
-        kept = {root[c] for c in keep if c in root}
+        kept = [col for col in keep if col in bits]
+        # A kept node with no unbound blanket reads only clamped values, so
+        # when every kept node is one, no sweep but the last matters.
+        alone = not any(bits[col] for col in kept)
         self._width = len(free)
-        # (block, col, update) for every updated node, and the nodes of
-        # components of two or more, which update on every sweep.
+        # (block, col, update) for the nodes the last sweep updates, and
+        # those that every earlier sweep updates.
         self._last = [(i, col, _blanket_update(col, plan[col][1],
                                                plan[col][2], kids[col],
                                                bits[col], clamped))
-                      for i, col in enumerate(free) if root[col] in kept]
-        self._every = [u for u in self._last if size[root[u[1]]] > 1]
+                      for i, col in enumerate(free)
+                      if not alone or col in kept]
+        self._every = [] if alone else self._last
 
     def _sweep(self, m: int, updates, column, flags) -> None:
         # One draw per sweep: PCG64 yields the doubles of k draws of m.

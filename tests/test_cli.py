@@ -4,17 +4,18 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from condsim import __version__, cli
 from condsim.errors import SampleBudgetExceededError
 from condsim.exact import MAX_NODES, exact_conditional
-from condsim.network import parse_network
+from condsim.network import ancestral_network, parse_network
 from condsim.reformulate import InferConfig, InferenceResult, infer
 from condsim.sampling import RandomSource, estimate_distribution_over
 from condsim.stopping import PriorChoice
 
-from helpers import BARREN_SOURCE, NET_C_SOURCE
+from helpers import BARREN_SOURCE, NET_C_SOURCE, random_network
 
 
 def run_cli(capsys, argv):
@@ -464,6 +465,44 @@ def test_exact_oracle_on_the_closure_keeps_its_value(capsys, tmp_path):
     assert report["result"]["nodes_kept"] == 2
     assert report["exact"]["oracle"] == pytest.approx(
         exact_conditional(net, {"Q": 1}, {"E": 1}), rel=1e-12, abs=0)
+
+
+def _source(net):
+    lines = [f"network {net.name}"]
+    for x in net.nodes:
+        cpt = net.cpt(x)
+        rows = " ".join(map(repr, cpt.rows))
+        lines.append(f"node {x}")
+        if cpt.parents:
+            lines.append(f"parents {x} : {' '.join(cpt.parents)}")
+            lines.append(f"cpt {x} : {rows}")
+        else:
+            lines.append(f"prior {x} : {rows}")
+    return "\n".join(lines) + "\n"
+
+
+def test_exact_oracle_on_random_closures_keeps_its_value(capsys, tmp_path):
+    # On random networks of at most 25 nodes with barren nodes, the CLI's
+    # oracle on the closure is the whole network's enumeration.
+    gen = np.random.Generator(np.random.PCG64(113))
+    cases = 0
+    while cases < 12:
+        net = random_network(gen, int(gen.integers(4, MAX_NODES + 1)),
+                             max_parents=2, lo=0.2, hi=0.8)
+        q, e = (net.nodes[i] for i in gen.choice(net.n, 2, replace=False))
+        query, evidence = {q: int(gen.integers(0, 2))}, {e: 1}
+        kept = ancestral_network(net, (*query, *evidence)).n
+        if kept == net.n:
+            continue
+        cases += 1
+        code, report, _ = run_json(
+            capsys, ["infer", "--network", _write(tmp_path, _source(net)),
+                     "--query", f"{q}={query[q]}", "--evidence", f"{e}=1",
+                     "--epsilon", "0.3", "--delta", "0.2", "--exact"])
+        assert code == 0
+        assert report["result"]["nodes_kept"] == kept
+        assert report["exact"]["oracle"] == pytest.approx(
+            exact_conditional(net, query, evidence), rel=1e-12, abs=0)
 
 
 _TINY_PAIR = "network tiny\nnode A\nprior A : {p}\nnode B\nprior B : {p}\n"
