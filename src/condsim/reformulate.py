@@ -124,8 +124,9 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
     lambda^exponent / 2^|u'| wins (declaration order breaks ties). The
     search stops when estimating the weights would cost at least as much
     as the subproblems, when no candidate is eligible, or when the next
-    addition would push |S| past max_s or make the weight term infinite. Nodes in ``exclude`` never enter
-    S, so query nodes can be kept out of the conditioning set.
+    addition would push |S| past max_s or make the weight term infinite.
+    Nodes in ``exclude`` never enter S, so query nodes can be kept out of
+    the conditioning set.
     """
     if not exponent >= 1.0:
         raise ValueError(f"exponent must be at least 1, got {exponent!r}")

@@ -8,7 +8,8 @@ When every kept node's Markov blanket is bound, only the last sweep is
 drawn, and it updates only the kept nodes; otherwise every sweep updates
 every unbound node.
 Estimators feed trial categories into a Dirichlet posterior and stop at
-the first geometric checkpoint the stopping rule certifies.
+the first geometric checkpoint the stopping rule certifies, on every
+category for the weights and on the consistent category for a fraction.
 """
 
 from dataclasses import dataclass
@@ -487,17 +488,21 @@ def _check_risk_params(epsilon: float, delta: float) -> None:
 
 def _certify(draw, classify, s_size: int, net: BeliefNetwork,
              nodes: tuple[str, ...], epsilon: float, delta: float,
-             prior: PriorChoice, sample_cap: int | None, phase: str
+             prior: PriorChoice, sample_cap: int | None, phase: str,
+             category: int | None = None
              ) -> tuple[DirichletPosterior, int]:
     """Count classified rows until the stopping rule certifies them.
 
     ``draw(m)`` is a _Stream's ``take``, the next ``m`` rows, and
     ``classify(rows)`` their counts in k = 2^s_size categories. The rule
-    is evaluated at checkpoints that double from k trials; a checkpoint
-    past ``sample_cap`` raises. A None cap is ten times the worst-case
-    bound, with phi_min bounded over ``nodes``; when that bound cannot be
-    sized (phi_min underflows), nothing is drawn and the error says to
-    set a cap. Returns the certified posterior and the trial count.
+    certifies the category the caller reads, ``category``, or every
+    category when it is None; either way every category must have been
+    observed. It is evaluated at checkpoints that double from k trials;
+    a checkpoint past ``sample_cap`` raises. A None cap is ten times the
+    worst-case bound, with phi_min bounded over ``nodes``; when that
+    bound cannot be sized (phi_min underflows), nothing is drawn and the
+    error says to set a cap. Returns the certified posterior and the
+    trial count.
     """
     if sample_cap is None:
         try:
@@ -521,7 +526,7 @@ def _certify(draw, classify, s_size: int, net: BeliefNetwork,
             counts += classify(draw(m))
             trials += m
         posterior = DirichletPosterior(tuple(counts), prior)
-        if should_stop(posterior, epsilon, delta):
+        if should_stop(posterior, epsilon, delta, category=category):
             return posterior, trials
         checkpoint *= 2
 
@@ -570,8 +575,9 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
     """Certified estimate of Pr[target | condition] by scored trials.
 
     Conditioned trials are scored consistent or inconsistent with
-    ``target``; the two-category stopping rule certifies the consistent
-    fraction. The empty target needs no trials and estimates 1. The
+    ``target``. The answer reads only the consistent fraction, so the
+    stopping rule certifies that category alone, once both have been
+    observed. The empty target needs no trials and estimates 1. The
     default sample cap bounds phi_min over target and condition together:
     Pr[target | condition] >= Pr[target, condition] >= that bound.
     """
@@ -593,6 +599,6 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
         lambda rows: np.bincount(np.all(rows == t_vals, axis=0),
                                  minlength=2),
         1, net, (*target, *condition), epsilon, delta, prior, sample_cap,
-        "fraction")
+        "fraction", category=1)
     return RasEstimate(posterior.mu[1], epsilon, delta, trials,
                        posterior.counts[1])

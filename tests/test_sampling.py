@@ -13,7 +13,11 @@ from condsim.errors import (
     SampleBudgetExceededError,
     UnknownNodeError,
 )
-from condsim.exact import exact_conditional, exact_distribution_over
+from condsim.exact import (
+    exact_conditional,
+    exact_distribution_over,
+    exact_marginal,
+)
 from condsim.network import BeliefNetwork, Cpt, parse_network
 from condsim.sampling import (
     DEFAULT_REJECTION_CAP,
@@ -375,6 +379,71 @@ def test_rejection_budget_error_counts_scored_trials(net_c):
     # Trials are scored a checkpoint at a time, and checkpoints double.
     assert all(t & (t - 1) == 0 for t in scored)
     assert max(scored) > 0
+
+
+def _banded_fractions(seed, lo, hi, count):
+    """Random fraction cases whose true values spread over [lo, hi].
+
+    The range is cut into ``count`` bands of equal width in log-odds, and
+    each band takes the first draw whose Pr[target | condition] falls in
+    it. Conditions have probability at least 0.05, so rejection stays
+    cheap. Returns (net, target, condition, truth) tuples, by band.
+    """
+    gen = np.random.Generator(np.random.PCG64(seed))
+    odds = np.linspace(math.log(lo / (1 - lo)), math.log(hi / (1 - hi)),
+                       count + 1)
+    edges = 1.0 / (1.0 + np.exp(-odds))
+    cases = {}
+    while len(cases) < count:
+        n = int(gen.integers(3, 8))
+        net = random_network(gen, n, lo=0.02, hi=0.98)
+        names = [str(x) for x in gen.permutation(net.nodes)]
+        k = int(gen.integers(1, 3))
+        c = k + int(gen.integers(0, 3))
+        target = {x: int(gen.integers(0, 2)) for x in names[:k]}
+        condition = {x: int(gen.integers(0, 2)) for x in names[k:c]}
+        if condition and exact_marginal(net, condition) < 0.05:
+            continue
+        truth = exact_conditional(net, target, condition)
+        band = int(np.searchsorted(edges, truth, side="right")) - 1
+        if 0 <= band < count:
+            cases.setdefault(band, (net, target, condition, truth))
+    return [cases[band] for band in range(count)]
+
+
+@pytest.mark.parametrize("epsilon,lo,hi,count,reps", [
+    (0.2, 0.02, 0.98, 16, 50),
+    # Near 0.9 a fraction certifies within a few hundred trials. Here the
+    # tails of Beta(alpha, n - alpha) alone missed 185 of the 960 runs.
+    (0.05, 0.87, 0.92, 12, 80),
+], ids=["eps-0.2-across", "eps-0.05-near-0.9"])
+def test_fraction_coverage_against_the_oracle(epsilon, lo, hi, count, reps):
+    delta = 0.1
+    cases = _banded_fractions(131, lo, hi, count)
+    runs = misses = 0
+    for ci, (net, target, condition, truth) in enumerate(cases):
+        for rep in range(reps):
+            est = estimate_conditional_fraction(
+                net, target, condition, epsilon, delta,
+                TrialGeneratorKind.rejection(),
+                RandomSource(mix_seed(ci, rep)))
+            runs += 1
+            misses += not satisfies_ras(truth, est.value, epsilon)
+    threshold = delta + 3 * math.sqrt(delta * (1 - delta) / runs)
+    assert misses / runs <= threshold, (
+        f"{misses} misses in {runs} runs, threshold {threshold:.4f}")
+
+
+def test_fraction_near_one_stops_on_its_own_category():
+    net = parse_network(
+        "network near_one\nnode A\nprior A : 0.5\n"
+        "node B\nparents B : A\ncpt B : 0.3 0.95\n")
+    est = estimate_conditional_fraction(
+        net, {"B": 1}, {"A": 1}, 0.2, 0.1, TrialGeneratorKind.rejection(),
+        RandomSource(3))
+    # Certifying the 0.05 complement too took 2,048 trials on this seed.
+    assert est.trials <= 1024
+    assert satisfies_ras(0.95, est.value, 0.2)
 
 
 def test_fraction_is_deterministic_per_seed(net_c):

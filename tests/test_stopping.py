@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from condsim.errors import (
     EmptyPosteriorError,
@@ -183,6 +184,63 @@ def test_should_stop_reference_values():
 def test_should_stop_uniform_prior_still_requires_raw_counts():
     post = DirichletPosterior((0, 5), PriorChoice.UNIFORM)
     assert not should_stop(post, 100.0, 0.99)
+
+
+@pytest.mark.parametrize("prior", list(PriorChoice))
+def test_one_category_bound_is_its_exact_binomial_tail_mass(prior):
+    sizes = (1, 2, 7, 40, 300, 5000)
+    for counts in itertools.product(sizes, sizes):
+        post = DirichletPosterior(counts, prior)
+        n = post.n
+        for category, epsilon in itertools.product((0, 1), (0.05, 0.2, 1.0)):
+            a = post.alpha(category)
+            mu = a / n
+            lower, upper = mu / (1 + epsilon), mu * (1 + epsilon)
+            beta_tails = stats.beta.cdf(lower, a, n - a + 1)
+            binomial_tails = stats.binom.sf(a - 1, n, lower)
+            plain = stats.beta.cdf(lower, a, n - a)
+            if upper < 1:
+                beta_tails += stats.beta.sf(upper, a + 1, n - a)
+                binomial_tails += stats.binom.cdf(a, n, upper)
+                plain += stats.beta.sf(upper, a, n - a)
+            bound = failure_probability_bound(post, epsilon,
+                                              category=category)
+            assert bound == pytest.approx(min(1.0, beta_tails), abs=1e-9)
+            if prior is PriorChoice.UNBIASED:
+                assert bound == pytest.approx(min(1.0, binomial_tails),
+                                              abs=1e-9)
+            # The exact tails bracket those of the Beta(a, n - a) marginal.
+            assert bound >= min(1.0, plain) - 1e-12
+
+
+def test_one_category_rule_needs_the_other_category_observed():
+    for counts, category in (((0, 1000), 1), ((1000, 0), 0)):
+        post = DirichletPosterior(counts, PriorChoice.UNBIASED)
+        assert failure_probability_bound(post, 100.0,
+                                         category=category) == 1.0
+        assert not should_stop(post, 100.0, 0.99, category=category)
+    # The uniform prior gives the empty category a pseudocount, but the
+    # rule still waits for a raw observation.
+    post = DirichletPosterior((0, 1000), PriorChoice.UNIFORM)
+    assert not should_stop(post, 100.0, 0.99, category=1)
+    with pytest.raises(ValueError):
+        failure_probability_bound(post, 0.2, category=2)
+
+
+def test_one_category_rule_does_not_certify_a_lucky_run():
+    # 31 of 32: the Beta(31, 1) marginal leaves 0.082 below mu / 1.05,
+    # under delta 0.1, but Pr[Bin(32, mu / 1.05) >= 31] is 0.28.
+    post = DirichletPosterior((1, 31), PriorChoice.UNBIASED)
+    mu = 31 / 32
+    assert stats.beta.cdf(mu / 1.05, 31, 1) < 0.1
+    assert not should_stop(post, 0.05, 0.1, category=1)
+    assert failure_probability_bound(post, 0.05, category=1) == (
+        pytest.approx(0.28, abs=0.01))
+    # A run that the exact tails certify stops on one category long
+    # before both categories are certified.
+    post = DirichletPosterior((8, 248), PriorChoice.UNBIASED)
+    assert should_stop(post, 0.05, 0.1, category=1)
+    assert not should_stop(post, 0.05, 0.1)
 
 
 def test_worst_case_sample_bound_reference_values():
