@@ -46,6 +46,8 @@ _MAX_CHUNK = 1 << 18
 # far, within these sizes, so that batches end on the checkpoints.
 _FIRST_RAW_BATCH = 1 << 8
 _MAX_RAW_BATCH = 1 << 16
+# Most doubles one Gibbs draw returns (8 MB).
+_MAX_DRAW = 1 << 20
 # Widest unbound Markov blanket a Gibbs table spans (2^16 entries); a
 # wider blanket is evaluated on the rows.
 _TABLE_BITS = 16
@@ -162,10 +164,11 @@ def _index(column, cols):
     """Values of ``cols`` read as a binary number, first most significant.
 
     ``column(c)`` gives column c's values; the result is 0 for no columns.
+    It is intp, the index type numpy gathers with without a cast.
     """
-    if len(cols) < 2:
-        return column(cols[0]) if cols else 0
-    idx = column(cols[0]).astype(np.uint8 if len(cols) <= 8 else np.intp)
+    if not cols:
+        return 0
+    idx = column(cols[0]).astype(np.intp)
     for col in cols[1:]:
         idx <<= 1
         idx |= column(col)
@@ -246,7 +249,7 @@ def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
             sel = np.flatnonzero(batch[i, :m] == want)
             if len(sel) < m:
                 pos, m = sel if pos is None else pos[sel], len(sel)
-                batch[first:i + 1, :m] = batch[first:i + 1, sel]
+                batch[first:i + 1, :m] = batch[first:i + 1].take(sel, axis=1)
     if condition and pos is None:
         pos = np.arange(count)
     return batch[list(out), :m], pos
@@ -435,10 +438,15 @@ class _GibbsStream(_Stream):
         self._every = [] if alone else self._last
 
     def _sweep(self, m: int, updates, column, flags) -> None:
-        # One draw per sweep: PCG64 yields the doubles of k draws of m.
-        draws = self._rng.uniforms(self._width * m).reshape(-1, m)
-        for i, col, update in updates:
-            np.less(draws[i], update(column), out=flags[col])
+        # Whole blocks, at most _MAX_DRAW doubles a draw: PCG64 yields the
+        # doubles of k draws of m, whatever the draws' sizes.
+        step = max(1, _MAX_DRAW // m)
+        for start in range(0, self._width, step):
+            stop = min(start + step, self._width)
+            draws = self._rng.uniforms((stop - start) * m).reshape(-1, m)
+            for i, col, update in updates:
+                if start <= i < stop:
+                    np.less(draws[i - start], update(column), out=flags[col])
 
     def _next(self, m: int) -> np.ndarray:
         state, _ = _sample_batch(self._net, self._rng, m,
@@ -594,11 +602,13 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
     t_vals = np.array([[v] for _, v in bound], dtype=np.uint8)
     stream = _make_stream(net, condition, kind, rng, attempt_cap,
                           tuple(c for c, _ in bound))
+
+    def classify(rows):
+        hits = np.count_nonzero(np.all(rows == t_vals, axis=0))
+        return rows.shape[1] - hits, hits
+
     posterior, trials = _certify(
-        stream.take,
-        lambda rows: np.bincount(np.all(rows == t_vals, axis=0),
-                                 minlength=2),
-        1, net, (*target, *condition), epsilon, delta, prior, sample_cap,
-        "fraction", category=1)
+        stream.take, classify, 1, net, (*target, *condition), epsilon,
+        delta, prior, sample_cap, "fraction", category=1)
     return RasEstimate(posterior.mu[1], epsilon, delta, trials,
                        posterior.counts[1])

@@ -47,7 +47,8 @@ def test_parse_skips_comments_and_blank_lines():
 
 
 def test_parse_wrong_row_count():
-    source = "network x\nnode A\nprior A : 0.3\nnode B\nparents B : A\ncpt B : 0.2\n"
+    source = ("network x\nnode A\nprior A : 0.3\nnode B\nparents B : A\n"
+              "cpt B : 0.2\n")
     with pytest.raises(WrongRowCountError):
         parse_network(source)
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from condsim import sampling
 from condsim.dependence import satisfies_ras
 from condsim.errors import (
     NetworkTooLargeError,
@@ -537,6 +538,47 @@ def test_pruned_batch_matches_a_filtered_full_batch():
         assert np.array_equal(rng.uniforms(4), ref.uniforms(4))
 
 
+def _wide_parent_cases(seed, cases):
+    """Sampling requests on nets with one node W of 9 to 12 parents.
+
+    W and its child C follow a random net; the condition binds W or C,
+    and every third case also clamps some of W's parents.
+    """
+    gen = np.random.Generator(np.random.PCG64(seed))
+    for case in range(cases):
+        base = random_network(gen, int(gen.integers(12, 17)))
+        k = int(gen.integers(9, 13))
+        picks = sorted(gen.choice(base.n, size=k, replace=False))
+        wide = Cpt(tuple(base.nodes[j] for j in picks),
+                   tuple(float(p) for p in gen.uniform(0.05, 0.95, 1 << k)))
+        child = Cpt(("W", base.nodes[-1]),
+                    tuple(float(p) for p in gen.uniform(0.05, 0.95, 4)))
+        net = BeliefNetwork("wide", (*base.nodes, "W", "C"),
+                            (*base.cpts, wide, child))
+        w, c = net.n - 2, net.n - 1
+        bound = ((w if case % 2 else c, int(gen.integers(0, 2))),)
+        clamp = tuple((int(j), int(gen.integers(0, 2)))
+                      for j in picks[:3]) if case % 3 == 2 else ()
+        keep = (c, w, *(int(j) for j in gen.permutation(picks)[3:6]))
+        yield net, keep, bound, clamp, int(gen.integers(1000, 5000))
+
+
+def test_wide_parent_sets_match_the_reference_walk():
+    # A CPT of 2^9 to 2^12 rows is looked up with every parent's bit;
+    # kept rows, hit positions and the stream position must be those of
+    # the reference walk.
+    for case, (net, keep, condition, clamp, count) in enumerate(
+            _wide_parent_cases(131, 12)):
+        rng, ref = RandomSource(case), RandomSource(case)
+        rows, hits = _sample_batch(net, rng, count, keep, condition, clamp)
+        full, alive = _survivor_rows(net, ref, count, keep, condition,
+                                     dict(clamp))
+        assert 0 < len(hits) < count, case
+        assert np.array_equal(hits, alive), case
+        assert np.array_equal(rows, full[alive][:, keep].T), case
+        assert np.array_equal(rng.uniforms(4), ref.uniforms(4)), case
+
+
 def _ancestors(net, col):
     parents = [net.index(p) for p in net.parents(net.nodes[col])]
     return set(parents).union(*(_ancestors(net, p) for p in parents))
@@ -849,6 +891,32 @@ def test_kept_column_streams_match_full_sweeps():
         full = conditioned_sample_batch(net, condition, kind, full_rng, 700)
         assert np.array_equal(kept[0], full[:, col]), case
         assert np.array_equal(rng.uniforms(4), full_rng.uniforms(4)), case
+
+
+def test_wide_gibbs_sweeps_draw_at_most_the_bound(monkeypatch):
+    # 40 unbound nodes on 65,536 chains make 2.6M doubles a sweep. Each
+    # sweep draws them in pieces of at most the bound, whole blocks each,
+    # and the rows and the stream position are those of one draw a sweep.
+    net = random_network(np.random.Generator(np.random.PCG64(113)), 44)
+    condition = {"N3": 1, "N17": 0, "N30": 1, "N41": 0}
+    m = 1 << 16
+
+    def batch(rng):
+        return _make_stream(net, condition, TrialGeneratorKind.gibbs(2),
+                            rng, DEFAULT_REJECTION_CAP,
+                            tuple(range(net.n)))._next(m)
+
+    rng = _CountingSource(127)
+    rows = batch(rng)
+    # The start state draws 40 times; each sweep draws 16, 16 and 8
+    # blocks.
+    assert max(rng.sizes) <= sampling._MAX_DRAW == 16 * m
+    assert rng.sizes[40:] == [16 * m, 16 * m, 8 * m] * 2
+    monkeypatch.setattr(sampling, "_MAX_DRAW", 40 * m)
+    ref = _CountingSource(127)
+    assert np.array_equal(batch(ref), rows)
+    assert ref.sizes[40:] == [40 * m] * 2
+    assert np.array_equal(rng.uniforms(4), ref.uniforms(4))
 
 
 def test_skip_then_draw_is_a_slice_of_one_draw():
