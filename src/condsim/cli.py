@@ -324,7 +324,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return int(exc.code or 0)
     try:
         source = Path(args.network).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"condsim: cannot read network: {exc}", file=sys.stderr)
         return 3
     command = cmd_analyze if args.command == "analyze" else cmd_infer

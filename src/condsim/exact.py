@@ -2,9 +2,9 @@
 
 Every query is answered by summing the joint probability over complete
 assignments, so cost grows as 2**n. Calls are refused above the size
-guards (25 nodes, 20 projection nodes). Enumeration follows a fixed state
-order (declaration-order bits, node 0 most significant), so repeated calls
-return bit-identical values.
+guards (25 nodes, 20 projection nodes). Each chunk's joint is a running
+product of CPT tables in declaration order, summed in a fixed order, so
+repeated calls return bit-identical values; no state array outlives a call.
 """
 
 from functools import lru_cache
@@ -34,27 +34,17 @@ def _guard(net: BeliefNetwork) -> None:
 
 
 @lru_cache(maxsize=64)
-def _joint_chunk(net: BeliefNetwork, start: int, stop: int) -> np.ndarray:
-    """Joint probabilities of states ``start <= s < stop``.
-
-    State s assigns node i the bit ``(s >> (n - 1 - i)) & 1``.
-    """
-    n = net.n
-    states = np.arange(start, stop, dtype=np.int64)
-    joint = np.ones(states.shape[0], dtype=np.float64)
+def _tables(net: BeliefNetwork) -> tuple[tuple[list[int], np.ndarray], ...]:
+    """Per node: its family in declaration order, and its CPT as a table
+    with one length-2 axis per member in that order: ``rows`` reshaped
+    (first parent first), then the node's own axis of 1 - p and p."""
+    tables = []
     for i, cpt in enumerate(net.cpts):
-        bits = (states >> (n - 1 - i)) & 1
-        if cpt.parents:
-            row_index = np.zeros(states.shape[0], dtype=np.int64)
-            for parent in cpt.parents:
-                j = net.index(parent)
-                row_index = (row_index << 1) | ((states >> (n - 1 - j)) & 1)
-            p_one = np.asarray(cpt.rows, dtype=np.float64)[row_index]
-        else:
-            p_one = cpt.rows[0]
-        joint *= np.where(bits == 1, p_one, 1.0 - p_one)
-    joint.setflags(write=False)
-    return joint
+        family = [net.index(parent) for parent in cpt.parents] + [i]
+        rows = np.asarray(cpt.rows, dtype=np.float64)
+        table = np.stack([1.0 - rows, rows], -1).reshape((2,) * len(family))
+        tables.append((sorted(family), table.transpose(np.argsort(family))))
+    return tuple(tables)
 
 
 def _project(net: BeliefNetwork, keep: tuple[str, ...],
@@ -62,18 +52,17 @@ def _project(net: BeliefNetwork, keep: tuple[str, ...],
     """Joint mass of the states that satisfy ``fix``, by values of ``keep``.
 
     The result has one length-2 axis per kept node, in ``keep`` order;
-    ``keep`` and ``fix`` name disjoint nodes. Each chunk of the joint is
-    viewed as one length-2 axis per node it varies; the other nodes are
-    summed out one axis at a time. Every total is then a balanced tree
-    of additions, whose rounding error grows with the logarithm of the
-    number of states rather than with the number.
+    ``keep`` and ``fix`` name disjoint nodes. A chunk's joint is the
+    running product from 1.0 of the CPT tables in declaration order, each
+    sliced at the nodes that ``fix`` or the chunk binds; a free node adds
+    an axis. The nodes not kept are summed out one axis at a time, so a
+    total's rounding error grows with the logarithm of the number of
+    states, not with the number. No chunk outlives the call.
     """
-    n = net.n
-    high = max(0, n - _CHUNK_BITS)
-    low = n - high
+    high = max(0, net.n - _CHUNK_BITS)
     kept = [net.index(node) for node in keep]
     fixed = {net.index(node): value for node, value in fix.items()}
-    free = [c for c in range(high, n) if c not in fixed]
+    free = [c for c in range(high, net.n) if c not in fixed]
     inner = [c for c in free if c in kept]
     order = [inner.index(c) for c in kept if c >= high]
     mass = np.zeros((2,) * len(kept))
@@ -81,9 +70,12 @@ def _project(net: BeliefNetwork, keep: tuple[str, ...],
         top = [(chunk >> (high - 1 - c)) & 1 for c in range(high)]
         if any(top[c] != v for c, v in fixed.items() if c < high):
             continue
-        part = _joint_chunk(net, chunk << low, (chunk + 1) << low)
-        part = part.reshape((2,) * low)[
-            tuple(fixed.get(c, slice(None)) for c in range(high, n))]
+        bound = {**dict(enumerate(top)), **fixed}
+        part = np.ones((1,) * len(free))
+        for family, table in _tables(net):
+            factor = table[tuple([bound.get(c, slice(None)) for c in family])]
+            part = part * factor.reshape(
+                [2 if c in family else 1 for c in free])
         for axis in reversed(range(len(free))):
             if free[axis] not in inner:
                 part = part.sum(axis=axis)

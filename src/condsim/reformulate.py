@@ -153,7 +153,10 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
             if any(p in kept_out for p in unbound):
                 continue
             subsets = float(1 << len(unbound))
-            strength = lam ** exponent
+            try:
+                strength = lam ** exponent
+            except OverflowError:  # float ** raises where * would give inf
+                strength = inf
             if not subsets < strength:
                 continue
             key = (strength / subsets, -rank)

@@ -335,14 +335,17 @@ class _RejectionStream(_Stream):
                                        self._rejected, self._clamped)
         if hits is not None:
             # Lengths of the runs of rejected rows before, between and
-            # after the hits, the first continuing the previous batch's.
-            runs = np.diff(np.concatenate(
-                ([-1 - self._since_accept], hits, [m]))) - 1
-            if runs.max() > self._cap:
-                raise RejectionBudgetExceededError(
-                    f"no accepted trial within {self._cap} attempts",
-                    phase="rejection", trials=self._taken, cap=self._cap)
-            self._since_accept = int(runs[-1])
+            # after the hits, the first continuing the previous batch's;
+            # none is longer than that run through the whole batch.
+            if self._since_accept + m > self._cap:
+                runs = np.diff(np.concatenate(
+                    ([-1 - self._since_accept], hits, [m]))) - 1
+                if runs.max() > self._cap:
+                    raise RejectionBudgetExceededError(
+                        f"no accepted trial within {self._cap} attempts",
+                        phase="rejection", trials=self._taken, cap=self._cap)
+            self._since_accept = (m - 1 - int(hits[-1]) if len(hits)
+                                  else self._since_accept + m)
         return accepted
 
 

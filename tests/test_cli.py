@@ -115,11 +115,13 @@ def test_infer_prices_the_network_it_ran_on(capsys, tmp_path):
     assert report["cost_after"] == report["cost_before"]
 
 
-def test_missing_network_file_is_a_read_error(capsys):
-    code, _, err = run_cli(capsys,
-                           ["analyze", "--network", "/no/such/file.bnet"])
-    assert code == 3
-    assert "cannot read network" in err
+def test_missing_network_file_is_a_read_error(capsys, tmp_path):
+    not_utf8 = tmp_path / "latin.bnet"
+    not_utf8.write_bytes(b"network x\nnode A\nprior A : 0.5 \xff\n")
+    for path in ("/no/such/file.bnet", str(not_utf8)):
+        code, _, err = run_cli(capsys, ["analyze", "--network", path])
+        assert code == 3
+        assert "cannot read network" in err
 
 
 def test_malformed_network_is_a_parse_error(capsys, tmp_path):
@@ -577,6 +579,41 @@ def test_analyze_reports_an_infinite_weight_term(capsys, tmp_path):
     assert report["selected_s"] == []
     assert report["greedy_trace"]["stop_reason"] == "weight term infinite"
     assert report["cost_after"]["weight_term"] == 1.0
+
+
+_OVERFLOW = """\
+network overflow
+node A
+prior A : 0.5
+node B
+parents B : A
+cpt B : 1e-10 0.9
+node C
+parents C : B
+cpt C : 0.2 0.7
+"""
+
+
+def test_greedy_strength_that_overflows_is_infinite(capsys, tmp_path):
+    # B's lambda is 9e9, and 9e9 ** 40 overflows a float. B's strength
+    # is then inf, so greedy takes it first, as under the default.
+    path = _write(tmp_path, _OVERFLOW)
+    code, report, _ = run_json(
+        capsys, ["analyze", "--network", path, "--greedy-exponent", "40"])
+    assert code == 0
+    first = report["greedy_trace"]["steps"][0]
+    assert (first["node"], first["candidate_ratio"]) == ("B", math.inf)
+    _, default, _ = run_json(capsys, ["analyze", "--network", path])
+    assert report["selected_s"] == default["selected_s"] == ["A", "B"]
+    # infer gets past greedy. The weight phase must then certify
+    # Pr[A=0, B=1] = 5e-11, which the sample cap stops.
+    code, report, err = run_json(
+        capsys, ["infer", "--network", path, "--query", "C=1",
+                 "--epsilon", "0.2", "--delta", "0.1",
+                 "--greedy-exponent", "40", "--sample-cap", "100000"])
+    assert code == 5
+    assert report["error"]["phase"] == "distribution"
+    assert "Traceback" not in err
 
 
 def test_auto_answers_when_the_weight_term_is_infinite(capsys, tmp_path):

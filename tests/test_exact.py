@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,8 @@ from condsim.errors import (
     OverlappingSetsError,
     ZeroDenominatorError,
 )
-from condsim.network import parse_network
+from condsim.exact import _CHUNK_BITS
+from condsim.network import BeliefNetwork, Cpt, parse_network
 
 from helpers import arcless_network, brute_marginal, random_network
 
@@ -117,3 +121,92 @@ def test_enumeration_is_deterministic(net_c):
     a = exact_marginal(net_c, {"C": 1})
     b = exact_marginal(net_c, {"C": 1})
     assert a == b
+
+
+def _reversed_parents(net):
+    """The same nodes and rows with each parent list reversed, so that
+    parents stop being listed in declaration order."""
+    return BeliefNetwork(net.name, net.nodes, tuple(
+        Cpt(cpt.parents[::-1], cpt.rows) for cpt in net.cpts))
+
+
+def _enumerated(net, bound):
+    """Pr[bound] in the oracle's order of additions, from the products of
+    single states that brute_marginal forms in declaration order.
+
+    Unbound nodes among the first n - _CHUNK_BITS are added state by
+    state in binary order. Within each, the other unbound nodes are
+    summed pairwise, the first one splitting the sum in two.
+    """
+    high = max(0, net.n - _CHUNK_BITS)
+
+    def tree(partial, free):
+        if not free:
+            return brute_marginal(net, partial)
+        head, rest = free[0], free[1:]
+        return (tree({**partial, head: 0}, rest)
+                + tree({**partial, head: 1}, rest))
+
+    prefix = [x for x in net.nodes[:high] if x not in bound]
+    rest = [x for x in net.nodes[high:] if x not in bound]
+    total = 0.0
+    for values in itertools.product((0, 1), repeat=len(prefix)):
+        total += tree({**bound, **dict(zip(prefix, values))}, rest)
+    return total
+
+
+def test_every_state_is_the_declaration_order_product():
+    gen = np.random.Generator(np.random.PCG64(41))
+    for n in range(1, 13):
+        net = random_network(gen, n, max_parents=3)
+        if n % 2:
+            net = _reversed_parents(net)
+        subset = [net.nodes[j] for j in gen.permutation(n)]
+        for i, p in enumerate(exact_distribution_over(net, subset)):
+            state = {x: (i >> (n - 1 - k)) & 1 for k, x in enumerate(subset)}
+            assert p == brute_marginal(net, state), (n, i)
+
+
+def test_chunked_entries_are_brute_force_products_and_sums():
+    # 21 to 23 nodes take 2 to 8 chunks, each fixing the first n - 20
+    # nodes. Kept and bound nodes fall on both sides of that prefix.
+    gen = np.random.Generator(np.random.PCG64(43))
+    for n in (21, 22, 23):
+        net = _reversed_parents(random_network(gen, n, max_parents=3))
+        high = n - _CHUNK_BITS
+        inside = [int(c) for c in gen.permutation(high)]
+        outside = [int(c) for c in gen.permutation(range(high, n))]
+        picks = [inside[0], *outside[:14]]
+        subset = [net.nodes[c] for c in gen.permutation(picks)]
+        dist = exact_distribution_over(net, subset)
+        for i in gen.choice(len(dist), size=6, replace=False):
+            entry = {x: (int(i) >> (len(subset) - 1 - k)) & 1
+                     for k, x in enumerate(subset)}
+            assert dist[i] == _enumerated(net, entry), (n, i)
+        bound = {net.nodes[c]: int(gen.integers(0, 2))
+                 for c in (*inside[-1:], *outside[-13:])}
+        target = dict([bound.popitem()])
+        assert exact_marginal(net, bound) == _enumerated(net, bound), n
+        assert exact_conditional(net, target, bound) == (
+            _enumerated(net, {**target, **bound})
+            / _enumerated(net, bound)), n
+
+
+def test_calls_hold_no_state_arrays():
+    net = random_network(np.random.Generator(np.random.PCG64(47)), 22)
+    calls = (
+        lambda: exact_marginal(net, {"N0": 1, "N21": 0}),
+        lambda: exact_conditional(net, {"N5": 1}, {"N1": 0, "N20": 1}),
+        lambda: exact_distribution_over(net, ["N21", "N0", "N9"]),
+    )
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            held, peak = tracemalloc.get_traced_memory()
+            assert held - before < 2 ** 20
+            assert peak - before < 32 * 2 ** 20
+    finally:
+        tracemalloc.stop()

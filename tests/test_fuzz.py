@@ -3,12 +3,15 @@ error, a parse error or a budget error, never a traceback or exit 4.
 
 Networks of 1-8 nodes are generated as ``.bnet`` text with rows drawn
 from the extremes of the open unit interval, and each one is run through
-``infer`` with random flags and through ``analyze``. Both caps stay at
-or below 1e5 so that every case ends quickly.
+``infer`` with random flags and through ``analyze``; both also take a
+random ``--max-s`` and ``--greedy-exponent``, including exponents at
+which a candidate's strength overflows a float. Both caps stay at or
+below 1e5 so that every case ends quickly.
 """
 
 import contextlib
 import io
+import math
 from dataclasses import dataclass
 
 from hypothesis import example, given, settings
@@ -22,6 +25,9 @@ _ROWS = st.one_of(
                      1 - 1e-3, 1 - 1e-8, 1 - 1e-16)),
     st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)))
 _EXIT_CODES = {0, 2, 3, 5}
+# A row of 1e-8 gives a lambda near 1e8, whose 40th power overflows.
+_EXPONENTS = st.one_of(st.sampled_from((1.0, 40.0, 1e3, math.inf)),
+                       st.floats(1.0, 64.0))
 
 
 @dataclass(frozen=True)
@@ -31,6 +37,7 @@ class Case:
     evidence: str
     flags: tuple[str, ...]
     report: str
+    greedy: tuple[str, ...] = ()
 
 
 def _cap(least):
@@ -73,16 +80,18 @@ def cases(draw):
                   "--burn-in-sweeps", str(draw(st.integers(1, 4)))]
     if draw(st.booleans()):
         flags.append("--exact")
+    greedy = ("--greedy-exponent", repr(draw(_EXPONENTS)),
+              "--max-s", str(draw(st.integers(0, 8))))
     return Case("\n".join(lines) + "\n", ",".join(pairs[:split]),
                 ",".join(pairs[split:]), tuple(flags),
-                draw(st.sampled_from(("text", "json"))))
+                draw(st.sampled_from(("text", "json"))), greedy)
 
 
-def _reproducer(source, query, *flags):
+def _reproducer(source, query, *flags, greedy=()):
     return Case(source, query, "",
                 ("--epsilon", "0.2", "--delta", "0.1",
                  "--sample-cap", "100000", "--rejection-cap", "100000",
-                 *flags), "json")
+                 *flags), "json", greedy)
 
 
 _PAIR = "network tiny\nnode A\nprior A : {p}\nnode B\nprior B : {p}\n"
@@ -94,6 +103,9 @@ _ROW = ("network tiny\nnode A\nprior A : 0.999\nnode B\nparents B : A\n"
         "cpt B : 1e-320 0.5\n")
 _STEEP = ("network steep\nnode A\nprior A : 0.5\nnode B\nparents B : A\n"
           "cpt B : 1e-40 0.5\n")
+_OVERFLOW = ("network overflow\nnode A\nprior A : 0.5\nnode B\n"
+             "parents B : A\ncpt B : 1e-10 0.9\nnode C\nparents C : B\n"
+             "cpt C : 0.2 0.7\n")
 
 
 def _run(argv):
@@ -113,6 +125,7 @@ def _run(argv):
 @example(_reproducer(_TRIPLE.replace("1e-120", "1e-102"), "D=1"))
 @example(_reproducer(_ROW, "B=1", "--strategy", "direct"))
 @example(_reproducer(_STEEP, "B=1"))
+@example(_reproducer(_OVERFLOW, "C=1", greedy=("--greedy-exponent", "40")))
 @example(_reproducer(_STEEP, "B=1", "--generator", "gibbs",
                      "--burn-in-sweeps", "2", "--exact"))
 @example(Case("network fuzz\nnode A\nprior A : 5e-324\nnode B\n"
@@ -137,6 +150,7 @@ def test_cli_ends_in_an_answer_or_a_reported_error(tmp_path_factory, case):
          "--evidence", case.evidence, "--report", case.report],
     )
     for argv in runs:
+        argv += case.greedy
         code, err = _run(argv)
         assert code in _EXIT_CODES, (argv, case.source, err)
         assert "Traceback" not in err, (argv, case.source, err)

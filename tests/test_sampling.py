@@ -579,6 +579,37 @@ def test_wide_parent_sets_match_the_reference_walk():
         assert np.array_equal(rng.uniforms(4), ref.uniforms(4)), case
 
 
+def test_rejection_cap_raises_where_a_run_crossing_batches_ends():
+    # B=1 holds on about one row in ten, so runs of rejected rows span
+    # 16-row batches. With the cap one below a run longer than every
+    # earlier run and than a batch, the stream raises in the batch that
+    # holds the run's last row; one above it, that batch passes.
+    net = parse_network("network runs\nnode A\nprior A : 0.5\nnode B\n"
+                        "parents B : A\ncpt B : 0.05 0.15\n")
+    keep, condition, m = (0, 1), ((1, 1),), 16
+    for seed in range(6):
+        ref = RandomSource(seed)
+        hits = np.concatenate([
+            b * m + _survivor_rows(net, ref, m, keep, condition, {})[1]
+            for b in range(400)])
+        runs = np.diff(np.concatenate(([-1], hits))) - 1
+        before = np.concatenate(([-1], np.maximum.accumulate(runs)[:-1]))
+        record = (runs > m + 1) & (runs > before)
+        assert record.any()
+        i = int(np.argmax(record))
+        last_batch = (hits[i] - 1) // m
+        for cap, raises in ((runs[i] - 1, True), (runs[i], False)):
+            stream = _RejectionStream(net, {"B": 1}, RandomSource(seed),
+                                      int(cap), keep)
+            for _ in range(last_batch):
+                stream._next(m)
+            if raises:
+                with pytest.raises(RejectionBudgetExceededError):
+                    stream._next(m)
+            else:
+                stream._next(m)
+
+
 def _ancestors(net, col):
     parents = [net.index(p) for p in net.parents(net.nodes[col])]
     return set(parents).union(*(_ancestors(net, p) for p in parents))
