@@ -5,7 +5,7 @@ and estimate conditional probabilities to a requested relative error with
 a certified failure probability.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import (
     BnetSyntaxError,

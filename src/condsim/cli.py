@@ -8,6 +8,7 @@ reproduces its estimate bit for bit.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -80,9 +81,25 @@ def _result_dict(result: InferenceResult) -> dict:
     return out
 
 
+def _finite(value):
+    """``value`` with every float that is not finite replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
-    """Write the report to stdout; a failed write is a runtime failure."""
-    text = json.dumps(report, indent=2) if as_json else "\n".join(lines)
+    """Write the report to stdout; a failed write is a runtime failure.
+
+    A JSON report is strict JSON (RFC 8259): a float that is not finite
+    is written as null.
+    """
+    text = (json.dumps(_finite(report), indent=2, allow_nan=False)
+            if as_json else "\n".join(lines))
     try:
         print(text, flush=True)
     except OSError as exc:
@@ -163,8 +180,10 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
 
 def _infer_config(cfg: Mapping) -> InferConfig:
     """The InferConfig that a report's ``config`` dict records."""
+    # The only exponent that a report writes as null is infinity.
+    exponent = cfg["greedy_exponent"]
     return InferConfig(
-        greedy_exponent=cfg["greedy_exponent"],
+        greedy_exponent=math.inf if exponent is None else exponent,
         max_s=cfg["max_s"],
         prior=PriorChoice(cfg["prior"]),
         generator=TrialGeneratorKind(cfg["generator"],

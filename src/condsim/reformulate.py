@@ -30,6 +30,7 @@ from .sampling import (
     RasEstimate,
     TrialGeneratorKind,
     _check_risk_params,
+    _fractions,
     estimate_conditional_fraction,
     estimate_distribution_over,
 )
@@ -124,7 +125,8 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
     lambda^exponent / 2^|u'| wins (declaration order breaks ties). The
     search stops when estimating the weights would cost at least as much
     as the subproblems, when no candidate is eligible, or when the next
-    addition would push |S| past max_s or make the weight term infinite.
+    addition would push |S| past max_s, make the weight term infinite or
+    not lower the total cost, subproblem plus weight term.
     Nodes in ``exclude`` never enter S, so query nodes can be kept out of
     the conditioning set.
     """
@@ -172,6 +174,10 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
         after = predicted_cost(net, evidence, tuple(selected) + unbound)
         if after.weight_term == inf:
             reason = "weight term infinite"
+            break
+        if not (after.subproblem_term + after.weight_term
+                < cost_now.subproblem_term + cost_now.weight_term):
+            reason = "total cost not lowered"
             break
         steps.append(GreedyStep(name, unbound, lam, best[0][0],
                                 cost_now, after))
@@ -264,15 +270,17 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     The direct strategy scores trials conditioned on the evidence. The
     selective strategy reformulates through the greedy conditioning set:
     weights over S come from one distribution estimate, each instantiation
-    contributes certified numerator and denominator fractions, and the
-    weighted sums meet in a clamped ratio. Auto picks selective exactly
-    when the greedy set is nonempty. Equal arguments and seed reproduce
-    the result bit for bit. All of it runs on the ancestral closure of
-    the query and evidence (``nodes_kept`` nodes); the rest is barren.
+    contributes certified numerator and denominator fractions, read from
+    one conditioned stream, and the weighted sums meet in a clamped
+    ratio. Auto picks selective exactly when the greedy set is nonempty.
+    Equal arguments and seed reproduce the result bit for bit. All of it
+    runs on the ancestral closure of the query and evidence
+    (``nodes_kept`` nodes); the rest is barren.
 
     A :class:`BudgetExceededError` from a subproblem estimate is raised
     again with the trials the whole run had scored, its message naming
-    the subproblem and whether its numerator or denominator failed.
+    the subproblem and its first unfinished reader, the numerator or the
+    denominator.
     """
     if config is None:
         config = InferConfig()
@@ -294,24 +302,14 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
 
     scored = 0
 
-    def fraction(target, condition, stage_eps, stage_delta, stream):
-        nonlocal scored
+    def certified(label, estimate, *args, **kwargs):
+        # A budget error counts the trials the whole run had scored.
         try:
-            estimate = estimate_conditional_fraction(
-                net, target, condition, stage_eps, stage_delta,
-                config.generator, root.derive(stream), prior=config.prior,
-                sample_cap=config.sample_cap,
-                attempt_cap=config.rejection_cap)
+            return estimate(*args, **kwargs)
         except BudgetExceededError as exc:
-            # Stream 2i + 1 is subproblem i's numerator, 2i + 2 its
-            # denominator.
-            role = "numerator" if stream % 2 else "denominator"
-            raise type(exc)(
-                f"subproblem {(stream - 1) // 2} {role}: {exc}",
-                phase=exc.phase, trials=scored + exc.trials,
-                cap=exc.cap) from exc
-        scored += estimate.trials
-        return estimate
+            raise type(exc)(f"{label}{exc}", phase=exc.phase,
+                            trials=scored + exc.trials,
+                            cap=exc.cap) from exc
 
     trace: GreedyTrace | None = None
     selected: tuple[str, ...] = ()
@@ -329,19 +327,31 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
             net, selected, stage_eps, delta_w, config.prior, root.derive(0),
             sample_cap=config.sample_cap)
         scored = weight_trials
-        pairs = tuple(
-            (fraction(sub.numerator_target, sub.instantiation, stage_eps,
-                      delta_s, 2 * sub.index + 1),
-             fraction(sub.denominator_target, sub.instantiation, stage_eps,
-                      delta_s, 2 * sub.index + 2))
-            for sub in decompose(net, query, evidence, selected))
+        pairs = []
+        for sub in decompose(net, query, evidence, selected):
+            # Subproblem i reads stream i + 1; its numerator and
+            # denominator are two readers of it.
+            fractions = certified(
+                f"subproblem {sub.index} ", _fractions, net,
+                {"numerator": sub.numerator_target,
+                 "denominator": sub.denominator_target},
+                sub.instantiation, stage_eps, delta_s, config.generator,
+                root.derive(sub.index + 1), config.prior, config.sample_cap,
+                config.rejection_cap)
+            pairs.append((fractions["numerator"], fractions["denominator"]))
+            scored += sum(est.trials for est in fractions.values())
         dependence_after = dependence_value(net, evidence,
                                             conditioning=selected).value
     else:
         # One subproblem of weight 1 whose denominator is exactly 1.
         mu_s, weight_trials = (1.0,), 0
-        pairs = ((fraction(query, evidence, epsilon, delta, 1),
-                  RasEstimate(1.0, epsilon, delta, 0, 0)),)
+        pairs = [(certified("subproblem 0 numerator: ",
+                            estimate_conditional_fraction, net, query,
+                            evidence, epsilon, delta, config.generator,
+                            root.derive(1), prior=config.prior,
+                            sample_cap=config.sample_cap,
+                            attempt_cap=config.rejection_cap),
+                  RasEstimate(1.0, epsilon, delta, 0, 0))]
         dependence_after = dependence_before
     numerator = combine_weighted([num.value for num, _ in pairs], mu_s)
     denominator = combine_weighted([den.value for _, den in pairs], mu_s)
@@ -350,7 +360,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
         estimate=estimate, epsilon=epsilon, delta=delta,
         strategy_used="selective" if use_selective else "direct",
         selected_s=selected, mu_s=mu_s, weight_trials=weight_trials,
-        subproblem_estimates=pairs, numerator=numerator,
+        subproblem_estimates=tuple(pairs), numerator=numerator,
         denominator=denominator, clamped=clamped,
         dependence_before=dependence_before,
         dependence_after=dependence_after, nodes_kept=net.n,

@@ -8,10 +8,13 @@ When every kept node's Markov blanket is bound, only the last sweep is
 drawn, and it updates only the kept nodes; otherwise every sweep updates
 every unbound node.
 Estimators feed trial categories into a Dirichlet posterior and stop at
-the first geometric checkpoint the stopping rule certifies, on every
-category for the weights and on the consistent category for a fraction.
+the first checkpoint (the powers of two and the worst-case bound) that
+the stopping rule certifies, on every category for the weights and on
+the consistent category for a fraction. Several fractions can read one
+conditioned stream, each certified on its own.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from collections.abc import Sequence
@@ -42,8 +45,8 @@ _MASK64 = (1 << 64) - 1
 # Most rows one take returns, which bounds a take's memory; at 2^16 two
 # mixed-small passes took 8x to 34x the minor page faults of 2^18.
 _MAX_CHUNK = 1 << 18
-# A stream's next batch makes as many rows or chains as it has made so
-# far, within these sizes, so that batches end on the checkpoints.
+# A stream's first batch draws this many raw rows or chains, and no
+# batch draws more than the second.
 _FIRST_RAW_BATCH = 1 << 8
 _MAX_RAW_BATCH = 1 << 16
 # Most doubles one Gibbs draw returns (8 MB).
@@ -273,11 +276,16 @@ class _Stream:
 
     Rows are returned column-major, one row per ``keep`` column. A
     subclass's ``_next(m)`` makes the stream's next batch from ``m`` raw
-    rows or chains. Each batch makes as many as the stream has made so
-    far, from _FIRST_RAW_BATCH up to _MAX_RAW_BATCH, whatever is asked
-    for: the stream returns the same rows however a count is split into
-    takes, and a stream that keeps every raw row (logic sampling, Gibbs)
-    ends a batch on each power-of-two checkpoint from _FIRST_RAW_BATCH on.
+    rows or chains. Each batch aims at the next power-of-two total of
+    rows made, at least _FIRST_RAW_BATCH: it draws the rows still wanted,
+    plus two standard deviations of their binomial count, over the
+    acceptance seen so far, (made + 1) / (drawn + 1), and at most
+    _MAX_RAW_BATCH raw rows. A batch's size depends only on the
+    batches before it, so the stream returns the same rows however a
+    count is split into takes. A stream that keeps every raw row (logic
+    sampling, Gibbs, rejection on a clamped condition) ends a batch on
+    each power-of-two checkpoint from _FIRST_RAW_BATCH on, and one that
+    rejects ends a batch near it.
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
@@ -289,14 +297,20 @@ class _Stream:
         self._rest = np.empty((len(keep), 0), dtype=np.uint8)
         self._taken = 0
         self._made = 0
+        self._drawn = 0
 
     def take(self, count: int) -> np.ndarray:
         """The stream's next ``count`` rows."""
         parts, have = [self._rest], self._rest.shape[1]
         while have < count:
-            m = min(max(self._made, _FIRST_RAW_BATCH), _MAX_RAW_BATCH)
-            self._made += m
+            wanted = (max(1 << self._made.bit_length(), _FIRST_RAW_BATCH)
+                      - self._made)
+            rate = (self._made + 1) / (self._drawn + 1)
+            spread = 2.0 * math.sqrt(wanted * (1.0 - rate))
+            m = min(math.ceil((wanted + spread) / rate), _MAX_RAW_BATCH)
+            self._drawn += m
             parts.append(self._next(m))
+            self._made += parts[-1].shape[1]
             have += parts[-1].shape[1]
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         self._rest = rows[:, count:]
@@ -497,49 +511,95 @@ def _check_risk_params(epsilon: float, delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
 
 
-def _certify(draw, classify, s_size: int, net: BeliefNetwork,
-             nodes: tuple[str, ...], epsilon: float, delta: float,
-             prior: PriorChoice, sample_cap: int | None, phase: str,
-             category: int | None = None
-             ) -> tuple[DirichletPosterior, int]:
-    """Count classified rows until the stopping rule certifies them.
+def _named(name: str, message) -> str:
+    return f"{name}: {message}" if name else str(message)
 
-    ``draw(m)`` is a _Stream's ``take``, the next ``m`` rows, and
-    ``classify(rows)`` their counts in k = 2^s_size categories. The rule
-    certifies the category the caller reads, ``category``, or every
-    category when it is None; either way every category must have been
-    observed. It is evaluated at checkpoints that double from k trials;
-    a checkpoint past ``sample_cap`` raises. A None cap is ten times the
-    worst-case bound, with phi_min bounded over ``nodes``; when that
-    bound cannot be sized (phi_min underflows), nothing is drawn and the
-    error says to set a cap. Returns the certified posterior and the
-    trial count.
+
+class _Reader:
+    """One estimate certified on a stream, with its own counts and stop.
+
+    ``classify(rows)`` counts rows in 2^s_size categories, and the rule
+    certifies ``category``, or every category when it is None. Its
+    worst-case bound W bounds phi_min over ``nodes`` (None when phi_min
+    underflows), and a None cap is ten times W; when W cannot be sized,
+    that raises, and the error says to set a cap. ``name`` prefixes its
+    budget errors. ``posterior`` and ``trials`` are set when it is
+    certified.
     """
-    if sample_cap is None:
+
+    def __init__(self, classify, s_size: int, net: BeliefNetwork,
+                 nodes: tuple[str, ...], epsilon: float, delta: float,
+                 sample_cap: int | None, phase: str,
+                 category: int | None = None, name: str = "") -> None:
         try:
-            sample_cap = 10 * worst_case_sample_bound(
+            self.bound = worst_case_sample_bound(
                 s_size, epsilon, delta, phi_min_lower_bound(net, nodes))
         except NonPositivePhiMinError as exc:
-            raise SampleBudgetExceededError(
-                f"default sample cap cannot be sized ({exc}); set one with "
-                f"sample_cap (--sample-cap)", phase=phase) from exc
-    k = 1 << s_size
-    counts = np.zeros(k, dtype=np.int64)
-    trials = 0
-    checkpoint = k
-    while True:
-        if checkpoint > sample_cap:
-            raise SampleBudgetExceededError(
-                f"stopping rule unsatisfied at {trials} trials",
-                phase=phase, trials=trials, cap=sample_cap)
-        while trials < checkpoint:
-            m = min(checkpoint - trials, _MAX_CHUNK)
-            counts += classify(draw(m))
+            if sample_cap is None:
+                raise SampleBudgetExceededError(_named(
+                    name, f"default sample cap cannot be sized ({exc}); set "
+                    "one with sample_cap (--sample-cap)"),
+                    phase=phase) from exc
+            self.bound = None
+        self.cap = 10 * self.bound if sample_cap is None else sample_cap
+        self.classify, self.category = classify, category
+        self.phase, self.name = phase, name
+        self.counts = np.zeros(1 << s_size, dtype=np.int64)
+        self.trials = 0
+        self.posterior: DirichletPosterior | None = None
+
+
+def _certify(draw, readers: Sequence[_Reader], epsilon: float,
+             delta: float, prior: PriorChoice) -> None:
+    """Classify drawn rows until the stopping rule certifies every reader.
+
+    ``draw(m)`` is a _Stream's ``take``, the next ``m`` rows. Every
+    unfinished reader classifies each row drawn, and drawing stops when
+    the last reader is certified. The readers share their category count
+    k. Checkpoints double from k, and each reader's W is a checkpoint
+    too; at each one every unfinished reader is evaluated, and it
+    certifies only once all its categories have been observed. A
+    checkpoint past an unfinished reader's cap raises, as does the
+    stream's attempt cap; the error names the first such reader and
+    counts every reader's trials.
+    """
+    k = len(readers[0].counts)
+    # Each W that is not already a checkpoint, largest first.
+    marks = sorted({r.bound for r in readers if r.bound is not None
+                    and r.bound > k and r.bound & (r.bound - 1)},
+                   reverse=True)
+    live, trials, checkpoint = list(readers), 0, k
+
+    def fail(reader, error, message, phase, cap):
+        return error(_named(reader.name, message), phase=phase, cap=cap,
+                     trials=sum(trials if r.posterior is None else r.trials
+                                for r in readers))
+
+    while live:
+        if marks and marks[-1] < checkpoint:
+            stop = marks.pop()
+        else:
+            stop, checkpoint = checkpoint, 2 * checkpoint
+        for r in live:
+            if stop > r.cap:
+                raise fail(r, SampleBudgetExceededError,
+                           f"stopping rule unsatisfied at {trials} trials",
+                           r.phase, r.cap)
+        while trials < stop:
+            m = min(stop - trials, _MAX_CHUNK)
+            try:
+                rows = draw(m)
+            except RejectionBudgetExceededError as exc:
+                raise fail(live[0], type(exc), exc, exc.phase,
+                           exc.cap) from exc
+            for r in live:
+                r.counts += r.classify(rows)
             trials += m
-        posterior = DirichletPosterior(tuple(counts), prior)
-        if should_stop(posterior, epsilon, delta, category=category):
-            return posterior, trials
-        checkpoint *= 2
+        for r in live:
+            posterior = DirichletPosterior(tuple(r.counts), prior)
+            if should_stop(posterior, epsilon, delta, category=r.category):
+                r.posterior, r.trials = posterior, trials
+        live = [r for r in live if r.posterior is None]
 
 
 def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
@@ -567,12 +627,14 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
         raise UnknownNodeError(f"repeated node in {list(s)}")
     cols = tuple(net.index(x) for x in s)
     positions = range(len(cols))
-    posterior, trials = _certify(
-        _RejectionStream(net, {}, rng, DEFAULT_REJECTION_CAP, cols).take,
-        lambda rows: np.bincount(_index(rows.__getitem__, positions),
-                                 minlength=1 << len(s)),
-        len(s), net, s, epsilon, delta, prior, sample_cap, "distribution")
-    return posterior.mu, trials
+    reader = _Reader(lambda rows: np.bincount(_index(rows.__getitem__,
+                                                     positions),
+                                              minlength=1 << len(s)),
+                     len(s), net, s, epsilon, delta, sample_cap,
+                     "distribution")
+    _certify(_RejectionStream(net, {}, rng, DEFAULT_REJECTION_CAP, cols).take,
+             (reader,), epsilon, delta, prior)
+    return reader.posterior.mu, reader.trials
 
 
 def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
@@ -592,26 +654,55 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
     default sample cap bounds phi_min over target and condition together:
     Pr[target | condition] >= Pr[target, condition] >= that bound.
     """
+    return _fractions(net, {"": target}, condition, epsilon, delta, kind,
+                      rng, prior, sample_cap, attempt_cap)[""]
+
+
+def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
+               condition: Assignment, epsilon: float, delta: float,
+               kind: TrialGeneratorKind, rng: RandomSource,
+               prior: PriorChoice, sample_cap: int | None,
+               attempt_cap: int) -> dict[str, RasEstimate]:
+    """Certified Pr[t | condition] for each named target t, every one
+    read from one conditioned stream, as estimate_conditional_fraction
+    certifies one. Each target is a reader of the stream, and its name
+    prefixes its budget errors."""
     _check_risk_params(epsilon, delta)
-    net.validate_assignment(target)
     net.validate_assignment(condition)
-    shared = sorted(set(target) & set(condition))
-    if shared:
-        raise OverlappingSetsError(
-            f"target and condition both bind: {', '.join(shared)}")
-    if not target:
-        return RasEstimate(1.0, epsilon, delta, 0, 0)
-    bound = _pairs(net, target)
-    t_vals = np.array([[v] for _, v in bound], dtype=np.uint8)
-    stream = _make_stream(net, condition, kind, rng, attempt_cap,
-                          tuple(c for c, _ in bound))
+    for target in targets.values():
+        net.validate_assignment(target)
+        shared = sorted(set(target) & set(condition))
+        if shared:
+            raise OverlappingSetsError(
+                f"target and condition both bind: {', '.join(shared)}")
+    keep = tuple(dict.fromkeys(net.index(x) for target in targets.values()
+                               for x in target))
+    slot = {col: i for i, col in enumerate(keep)}
 
-    def classify(rows):
-        hits = np.count_nonzero(np.all(rows == t_vals, axis=0))
-        return rows.shape[1] - hits, hits
+    def scorer(target):
+        bound = _pairs(net, target)
+        at = [slot[col] for col, _ in bound]
+        if at == list(range(at[0], at[0] + len(at))):
+            at = slice(at[0], at[0] + len(at))  # a view, not a copy
+        want = np.array([[v] for _, v in bound], dtype=np.uint8)
 
-    posterior, trials = _certify(
-        stream.take, classify, 1, net, (*target, *condition), epsilon,
-        delta, prior, sample_cap, "fraction", category=1)
-    return RasEstimate(posterior.mu[1], epsilon, delta, trials,
-                       posterior.counts[1])
+        def classify(rows):
+            hits = np.count_nonzero(np.all(rows[at] == want, axis=0))
+            return rows.shape[1] - hits, hits
+        return classify
+
+    readers = {name: _Reader(scorer(target), 1, net, (*target, *condition),
+                             epsilon, delta, sample_cap, "fraction",
+                             category=1, name=name)
+               for name, target in targets.items() if target}
+    if readers:
+        stream = _make_stream(net, condition, kind, rng, attempt_cap, keep)
+        _certify(stream.take, tuple(readers.values()), epsilon, delta, prior)
+    estimates = {}
+    for name in targets:
+        r = readers.get(name)
+        estimates[name] = (
+            RasEstimate(1.0, epsilon, delta, 0, 0) if r is None else
+            RasEstimate(r.posterior.mu[1], epsilon, delta, r.trials,
+                        r.posterior.counts[1]))
+    return estimates

@@ -7,6 +7,7 @@ here.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -96,7 +97,8 @@ def _predicted_raw(net, query, evidence, s):
     return total
 
 
-def test_criterion_1_oracle_coverage():
+@functools.lru_cache(maxsize=1)
+def _criterion_1_cases():
     gen = np.random.Generator(np.random.PCG64(424242))
     cases = []
     while len(cases) < 30:
@@ -114,10 +116,13 @@ def test_criterion_1_oracle_coverage():
         if _predicted_raw(net, query, evidence, s) > _PRED_RAW_CAP:
             continue
         cases.append((net, query, evidence))
+    return tuple(cases)
 
+
+def test_criterion_1_oracle_coverage():
     runs = 0
     failures = 0
-    for ci, (net, query, evidence) in enumerate(cases):
+    for ci, (net, query, evidence) in enumerate(_criterion_1_cases()):
         phi = exact_conditional(net, query, evidence)
         for rep in range(50):
             result = infer(net, query, evidence, _EPS_1, _DELTA_1,
@@ -132,6 +137,44 @@ def test_criterion_1_oracle_coverage():
                    "interval at the stated risk (30 networks x 50 seeds)")
     assert ok, (f"{failures} failures over {runs} runs, rate {rate:.4f} "
                 f"vs threshold {threshold:.4f}")
+
+
+def _binomial_gate(n, p, risk):
+    """Smallest m with Pr[Binomial(n, p) > m] <= risk."""
+    tail = 1.0
+    for m in range(n + 1):
+        tail -= math.comb(n, m) * p ** m * (1 - p) ** (n - m)
+        if tail <= risk:
+            return m
+    return n
+
+
+def test_criterion_1_selective_oracle_coverage():
+    # Criterion 1's cases again, each forced through the selective plan,
+    # whose numerator and denominator read one stream. With S empty the
+    # plan is one subproblem, Pr[q, e] over Pr[e]. A case that misses
+    # more often than its gate allows fails on its own.
+    reps = 5
+    gate = _binomial_gate(reps, _DELTA_1, 1e-3)
+    runs = failures = 0
+    per_case = []
+    for ci, (net, query, evidence) in enumerate(_criterion_1_cases()):
+        phi = exact_conditional(net, query, evidence)
+        misses = 0
+        for rep in range(reps):
+            result = infer(net, query, evidence, _EPS_1, _DELTA_1,
+                           strategy="selective", seed=mix_seed(ci, rep))
+            assert result.strategy_used == "selective"
+            misses += not satisfies_ras(phi, result.estimate, _EPS_1)
+        per_case.append(misses)
+        runs += reps
+        failures += misses
+    threshold = _DELTA_1 + 3 * math.sqrt(_DELTA_1 * (1 - _DELTA_1) / runs)
+    ok = (max(per_case) <= gate and failures / runs <= threshold)
+    _record(1, ok, "selective estimates meet the relative-error interval "
+                   f"per case and pooled (30 networks x {reps} seeds)")
+    assert ok, (f"misses per case {per_case} (gate {gate}), {failures} "
+                f"over {runs} runs vs threshold {threshold:.4f}")
 
 
 # ---------------------------------------------------------------- 2

@@ -1,5 +1,4 @@
 import json
-import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -539,7 +538,10 @@ def _write(tmp_path, source):
 @pytest.mark.parametrize("source,query,strategy", [
     (_TINY_PAIR.format(p="1e-160"), "A=1,B=1", "direct"),
     (_TINY_PAIR.format(p="1e-200"), "A=1,B=1", "direct"),
-    (_TINY_TRIPLE.replace("1e-120", "1e-102"), "D=1", "auto"),
+    # D's rows are steep enough that D^4 overflows, so greedy takes the
+    # step to S = [A, B, C] although its weight term is 8e306.
+    (_TINY_TRIPLE.replace("1e-120", "1e-102").replace("0.01", "1e-80"),
+     "D=1", "auto"),
     (_TINY_ROW, "B=1", "direct"),
 ], ids=["bound-overflows", "phi-underflows", "weight-bound-overflows",
         "row-overflows"])
@@ -596,24 +598,55 @@ cpt C : 0.2 0.7
 
 def test_greedy_strength_that_overflows_is_infinite(capsys, tmp_path):
     # B's lambda is 9e9, and 9e9 ** 40 overflows a float. B's strength
-    # is then inf, so greedy takes it first, as under the default.
+    # is then inf (null in the report), so greedy takes it first, as
+    # under the default.
     path = _write(tmp_path, _OVERFLOW)
     code, report, _ = run_json(
         capsys, ["analyze", "--network", path, "--greedy-exponent", "40"])
     assert code == 0
     first = report["greedy_trace"]["steps"][0]
-    assert (first["node"], first["candidate_ratio"]) == ("B", math.inf)
+    assert (first["node"], first["candidate_ratio"]) == ("B", None)
     _, default, _ = run_json(capsys, ["analyze", "--network", path])
-    assert report["selected_s"] == default["selected_s"] == ["A", "B"]
-    # infer gets past greedy. The weight phase must then certify
-    # Pr[A=0, B=1] = 5e-11, which the sample cap stops.
+    # The next step, C adding B, would trade a subproblem term of 45,037.5
+    # for a weight term of 8e10, so greedy stops before it.
+    assert report["selected_s"] == default["selected_s"] == ["A"]
+    assert default["greedy_trace"]["stop_reason"] == "total cost not lowered"
     code, report, err = run_json(
         capsys, ["infer", "--network", path, "--query", "C=1",
                  "--epsilon", "0.2", "--delta", "0.1",
                  "--greedy-exponent", "40", "--sample-cap", "100000"])
-    assert code == 5
-    assert report["error"]["phase"] == "distribution"
+    assert code == 0
+    assert report["result"]["selected_s"] == ["A"]
     assert "Traceback" not in err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_reports_write_values_that_are_not_finite_as_null(capsys,
+                                                               tmp_path):
+    # D^4 overflows on this network, and a JSON report is strict JSON.
+    path = _write(tmp_path, _STEEP)
+    code, out, _ = run_cli(capsys, ["analyze", "--network", path,
+                                    "--report", "json"])
+    assert code == 0
+    report = _strict_json(out)
+    assert report["cost_before"]["subproblem_term"] is None
+    code, out, _ = run_cli(capsys, ["analyze", "--network", path])
+    assert "subproblem inf" in out
+    # A report written as null replays: the exponent null is infinity.
+    code, out, _ = run_cli(
+        capsys, ["infer", "--network", path, "--query", "B=1",
+                 "--epsilon", "0.2", "--delta", "0.1", "--strategy",
+                 "direct", "--greedy-exponent", "inf", "--report", "json"])
+    assert code == 0
+    report = _strict_json(out)
+    assert report["config"]["greedy_exponent"] is None
+    assert (cli.rerun_report(report).estimate
+            == report["result"]["estimate"])
 
 
 def test_auto_answers_when_the_weight_term_is_infinite(capsys, tmp_path):
@@ -641,12 +674,12 @@ def test_overflowing_subproblem_term_is_reported_as_infinite(capsys,
     path = _write(tmp_path, _STEEP)
     code, report, _ = run_json(capsys, ["analyze", "--network", path])
     assert code == 0
-    assert report["cost_before"]["subproblem_term"] == math.inf
+    assert report["cost_before"]["subproblem_term"] is None
     query = ["infer", "--network", path, "--query", "B=1",
              "--epsilon", "0.2", "--delta", "0.1"]
     code, report, _ = run_json(capsys, query + ["--strategy", "direct"])
     assert code == 0
-    assert report["cost_before"]["subproblem_term"] == math.inf
+    assert report["cost_before"]["subproblem_term"] is None
     # Auto conditions on A, whose A=0 numerator (probability 1e-40)
     # rejection cannot certify: the sample cap ends the run.
     code, _, _ = run_json(capsys, query + ["--sample-cap", "100000"])

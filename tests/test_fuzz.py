@@ -6,11 +6,13 @@ from the extremes of the open unit interval, and each one is run through
 ``infer`` with random flags and through ``analyze``; both also take a
 random ``--max-s`` and ``--greedy-exponent``, including exponents at
 which a candidate's strength overflows a float. Both caps stay at or
-below 1e5 so that every case ends quickly.
+below 1e5 so that every case ends quickly. Every JSON report must parse
+as strict JSON (RFC 8259), with no NaN or Infinity constant.
 """
 
 import contextlib
 import io
+import json
 import math
 from dataclasses import dataclass
 
@@ -112,7 +114,11 @@ def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse(constant):
+    raise ValueError(f"not JSON (RFC 8259): {constant}")
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -151,6 +157,8 @@ def test_cli_ends_in_an_answer_or_a_reported_error(tmp_path_factory, case):
     )
     for argv in runs:
         argv += case.greedy
-        code, err = _run(argv)
+        code, out, err = _run(argv)
         assert code in _EXIT_CODES, (argv, case.source, err)
         assert "Traceback" not in err, (argv, case.source, err)
+        if case.report == "json" and out:
+            json.loads(out, parse_constant=_refuse)

@@ -27,6 +27,7 @@ from condsim.sampling import (
     RandomSource,
     RasEstimate,
     TrialGeneratorKind,
+    conditioned_sample_batch,
     estimate_conditional_fraction,
     mix_seed,
 )
@@ -352,6 +353,11 @@ def test_infer_selective_propagates_sample_budget(net_c):
      "fraction", 1 << 16)])
 def test_infer_budget_error_counts_the_run_s_scored_trials(
         net_c, config, error, phase, subproblem_trials):
+    if phase == "fraction":
+        # Subproblem 0's numerator runs on to the cap. Its denominator
+        # reads the same stream and certified at 16,384 trials, which
+        # count too.
+        subproblem_trials += 1 << 14
     for seed in range(3):
         weight_trials = infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1,
                               "selective", seed=seed).weight_trials
@@ -361,6 +367,40 @@ def test_infer_budget_error_counts_the_run_s_scored_trials(
         assert einfo.value.phase == phase
         assert einfo.value.trials == weight_trials + subproblem_trials
         assert str(einfo.value).startswith("subproblem 0 numerator: ")
+
+
+def test_subproblem_readers_count_their_stream_s_rows(net_c):
+    # Subproblem i's numerator and denominator read stream i + 1: each
+    # counts the target-consistent rows among the first rows of that
+    # stream, as many as its trials.
+    seed = 23
+    result = infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1, "selective",
+                   seed=seed)
+    assert result.selected_s == ("B",)
+    a, c = net_c.index("A"), net_c.index("C")
+    for b, (num, den) in enumerate(result.subproblem_estimates):
+        assert num.trials != den.trials
+        rows = conditioned_sample_batch(
+            net_c, {"B": b}, TrialGeneratorKind.rejection(),
+            RandomSource(seed).derive(b + 1), max(num.trials, den.trials))
+        evidence = rows[:, c] == 1
+        assert den.consistent == np.count_nonzero(evidence[:den.trials])
+        assert num.consistent == np.count_nonzero(
+            (evidence & (rows[:, a] == 1))[:num.trials])
+
+
+def test_auto_answers_where_a_step_would_raise_the_total_cost():
+    # Conditioning on B too would trade a subproblem term of 45,037.5 for
+    # a weight term of 8e10, the cost of certifying Pr[A=0, B=1] = 5e-11,
+    # so greedy stops at S = [A].
+    net = parse_network("network overflow\nnode A\nprior A : 0.5\n"
+                        "node B\nparents B : A\ncpt B : 1e-10 0.9\n"
+                        "node C\nparents C : B\ncpt C : 0.2 0.7\n")
+    result = infer(net, {"C": 1}, {}, 0.2, 0.1)
+    assert result.selected_s == ("A",)
+    assert result.greedy_trace.stop_reason == "total cost not lowered"
+    assert satisfies_ras(exact_conditional(net, {"C": 1}, {}),
+                         result.estimate, 0.2)
 
 
 def test_infer_accepts_gibbs_generator(net_c):
@@ -406,11 +446,11 @@ _CAP_100 = InferConfig(sample_cap=100)
     [({"A": 1}, {"C": 1}, 0.2, "direct", None, 11,
       (0.71875, 64, (1.0,))),
      ({"C": 1}, {"A": 1}, 0.2, "selective", None, 12,
-      (0.7449275759567422, 301568, (0.490234375, 0.509765625))),
+      (0.7217584591312388, 301568, (0.490234375, 0.509765625))),
      ({"A": 1}, {"C": 1}, 0.001, "direct", _GIBBS_3, 13,
       (0.6722016334533691, 2097152, (1.0,))),
      ({"A": 1}, {"C": 1}, 0.001, "direct", None, 11,
-      (0.7405872344970703, 1048576, (1.0,))),
+      (0.740147590637207, 1048576, (1.0,))),
      ({"A": 1}, {"C": 1}, 0.05, "direct", _CAP_100, 14,
       ("fraction", 64, 100)),
      ({"C": 1}, {"A": 1}, 0.2, "selective", _CAP_100, 14,
@@ -424,9 +464,11 @@ _CAP_100 = InferConfig(sample_cap=100)
          "gibbs-barren"])
 def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
                                    config, seed, pinned):
-    # Recorded at version 0.6.0, whose fractions certify only the
-    # consistent category, so they stop at earlier checkpoints; the two
-    # budget errors are unchanged since 0.3.0. The past-2^18 cases run at
+    # Recorded at version 0.7.0, whose subproblem numerators and
+    # denominators read one stream and whose rejection batches aim at the
+    # next checkpoint; the Gibbs and clamped-condition cases and the
+    # first rejection case are unchanged since 0.6.0, and the two budget
+    # errors since 0.3.0. The past-2^18 cases run at
     # epsilon 0.001 so that a checkpoint still spans several 2^18-trial
     # chunks. A change that fails this changes a random stream or a stop
     # point, so it bumps the version and says so in CHANGES.md.

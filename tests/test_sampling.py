@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from condsim import sampling
-from condsim.dependence import satisfies_ras
+from condsim.dependence import phi_min_lower_bound, satisfies_ras
 from condsim.errors import (
     NetworkTooLargeError,
     OverlappingSetsError,
@@ -36,7 +36,7 @@ from condsim.sampling import (
     logic_sample_batch,
     mix_seed,
 )
-from condsim.stopping import PriorChoice
+from condsim.stopping import PriorChoice, worst_case_sample_bound
 
 from helpers import arcless_network, random_network
 
@@ -141,12 +141,17 @@ def test_estimate_distribution_empty_subset_is_trivial(net_a):
 def test_estimate_distribution_certifies_at_stated_risk(net_a):
     epsilon, delta = 0.2, 0.1
     phi = exact_distribution_over(net_a, ["A"])
+    # The checkpoints are the powers of two and the worst-case bound W.
+    bound = worst_case_sample_bound(1, epsilon, delta,
+                                    phi_min_lower_bound(net_a, ["A"]))
+    assert bound == 500
     covered = 0
     for rep in range(200):
         mu, trials = estimate_distribution_over(
             net_a, ["A"], epsilon, delta, PriorChoice.UNBIASED,
             RandomSource(mix_seed(909, rep)))
-        assert trials >= 2 and trials & (trials - 1) == 0
+        assert trials >= 2 and (trials & (trials - 1) == 0
+                                or trials == bound)
         assert sum(mu) == pytest.approx(1.0)
         covered += all(
             satisfies_ras(p, m, epsilon) for p, m in zip(phi, mu))
@@ -155,16 +160,9 @@ def test_estimate_distribution_certifies_at_stated_risk(net_a):
     assert covered >= 180
 
 
-@pytest.mark.xfail(
-    strict=False,
-    reason="the published worst-case trial bound (500 here) assumes the "
-    "stopping rule is checked after every trial; checking at doubling "
-    "checkpoints overshoots to 512 whenever certification first holds "
-    "between 257 and 512 trials, which happens with probability about "
-    "0.024 per run, so some violation among 200 runs is near certain "
-    "(measured 99.2 percent)")
 def test_estimate_distribution_never_exceeds_published_bound(net_a):
-    # worst_case_sample_bound(1, 0.2, 0.1, 0.3) == 500
+    # worst_case_sample_bound(1, 0.2, 0.1, 0.3) == 500. The rule is also
+    # evaluated at that bound, between the checkpoints 256 and 512.
     for rep in range(200):
         _, trials = estimate_distribution_over(
             net_a, ["A"], 0.2, 0.1, PriorChoice.UNBIASED,
@@ -774,6 +772,26 @@ def test_streams_ignore_how_takes_are_split(net_c, condition, kind):
         tail = split.take(b)
         whole = stream().take(a + b)
         assert np.array_equal(np.concatenate([head, tail], axis=1), whole)
+
+
+def test_rejection_batches_stop_near_each_checkpoint():
+    # B=1 holds on about 3% of rows and is rejected on. Each batch aims at
+    # the next power-of-two total from the acceptance seen, so fewer
+    # accepted rows than one first batch are made past each checkpoint.
+    net = parse_network("network thin\nnode A\nprior A : 0.5\nnode B\n"
+                        "parents B : A\ncpt B : 0.02 0.04\n")
+    for seed in range(3):
+        stream = _RejectionStream(net, {"B": 1}, RandomSource(seed),
+                                  DEFAULT_REJECTION_CAP, (0,))
+        taken, checkpoint, unscored = 0, 256, []
+        while checkpoint <= 1 << 17:
+            stream.take(checkpoint - taken)
+            taken = checkpoint
+            unscored.append(stream._made - taken)
+            checkpoint *= 2
+        assert 0.025 < stream._made / stream._drawn < 0.035
+        assert max(unscored) < sampling._FIRST_RAW_BATCH, unscored
+        assert sum(unscored) < 0.01 * taken, unscored
 
 
 def test_streams_make_only_what_the_checkpoints_score(net_c, monkeypatch):
