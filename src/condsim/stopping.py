@@ -10,6 +10,11 @@ read the whole mean vector. A caller that reads one category's mean
 names it, and only that category's two tails are summed, each taken
 with one more pseudo-observation against the value it bounds (the exact
 binomial tails).
+
+Every shape the bound passes to the Beta CDF is an integer, so each tail
+is a binomial tail, and ``should_stop`` first brackets it in closed form
+from one pmf term and the ratio of consecutive terms. Only when a
+bracket cannot tell the bound from delta does it evaluate the bound.
 """
 
 import math
@@ -199,6 +204,48 @@ def failure_probability_bound(posterior: DirichletPosterior, epsilon: float,
     return min(1.0, total)
 
 
+# Relative room each tail bracket leaves per unit of the magnitudes that
+# its log pmf sums (the log-gamma and log-probability terms), plus the
+# continued fraction's up to 300 + 10 sqrt(n) steps, counted as
+# 300 + 10 n, so that it holds both the tail and the value
+# failure_probability_bound computes for it. Both round off a few units
+# in the last place of those magnitudes, which grow as n log n; 2^-44 is
+# 512 such units.
+_SLACK = 2.0 ** -44
+# Absolute room per tail: the bound takes some tails as 1 - I, which
+# rounds off a few units in the last place of 1.
+_ROUNDING = 2.0 ** -48
+
+
+def _tail_bounds(trials: int, start: int, log_p: float, log_q: float,
+                 odds: float) -> tuple[float, float]:
+    """Lower and upper bounds on Pr[Binomial(trials, p) >= start].
+
+    ``log_p`` and ``log_q`` are log p and log(1 - p), and ``odds`` is
+    p / (1 - p). The ratio of consecutive pmf terms, r_j = (trials - j) /
+    (j + 1) * odds, falls with j and must be below 1 at ``start``. So
+    the tail is at most its first term over 1 - r_start, and at least
+    its first term times the sum of r_(start + m)^i for i = 0..m + 1,
+    with m about 2 / (1 - r_start). Both are widened by the margins
+    above.
+    """
+    log_gamma = math.lgamma(trials + 1)
+    terms = start * log_p + (trials - start) * log_q
+    first = math.exp(log_gamma - math.lgamma(start + 1)
+                     - math.lgamma(trials - start + 1) + terms)
+    slack = _SLACK * (2.0 * log_gamma - terms + 10.0 * trials + 300.0)
+    gap = 1.0 - (trials - start) / (start + 1) * odds - _ROUNDING
+    if not gap > 0.0:
+        return first * (1.0 - slack), math.inf
+    m = min(int(2.0 / gap), trials - start - 1)
+    low = first
+    if m > 0:
+        ratio = (trials - start - m) / (start + m + 1) * odds
+        low *= (1.0 - ratio ** (m + 2)) / (1.0 - ratio)
+    return (low * (1.0 - slack),
+            first / gap * (1.0 + slack) + _ROUNDING)
+
+
 def should_stop(posterior: DirichletPosterior, epsilon: float,
                 delta: float, category: int | None = None) -> bool:
     """Certify the posterior mean to relative error epsilon, risk delta.
@@ -208,11 +255,55 @@ def should_stop(posterior: DirichletPosterior, epsilon: float,
     covers every category's mean, or only ``category``'s when one is
     given. The other categories must still have been observed, since
     under the unbiased prior the category's Beta tails need n > alpha.
+
+    The answer is always ``failure_probability_bound(posterior, epsilon,
+    stop_when_above=delta, category=category) <= delta``, but the bound
+    is evaluated only when closed-form brackets cannot decide it. Each
+    tail it sums is a binomial tail (integer shapes), bracketed by
+    ``_tail_bounds`` widely enough to hold the value the bound computes
+    for it too. Smallest categories first, the rule returns False as
+    soon as the lower brackets sum above delta, True when the upper
+    brackets sum to at most delta, and otherwise evaluates the bound.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     if min(posterior.counts) < 1:
         return False
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if category is not None and not 0 <= category < posterior.k:
+        raise ValueError(
+            f"category {category!r} outside 0..{posterior.k - 1}")
+    if delta < 1.0:
+        n = posterior.n
+        if category is None:
+            alphas = sorted(map(posterior.alpha, range(posterior.k)))
+            shift = 0
+        else:
+            alphas, shift = (posterior.alpha(category),), 1
+        # Beta(a, b) at x is Pr[Binomial(a + b - 1, x) >= a].
+        trials = n - 1 + shift
+        low = high = 0.0
+        for a in alphas:
+            mu = a / n
+            lower = mu / (1.0 + epsilon)
+            if lower > 0.0:
+                lo, hi = _tail_bounds(trials, a, math.log(lower),
+                                      math.log1p(-lower),
+                                      lower / (1.0 - lower))
+                low, high = low + lo, high + hi
+            upper = mu * (1.0 + epsilon)
+            if upper < 1.0:
+                # Pr[Binomial(trials, upper) < a + shift] is
+                # Pr[Binomial(trials, 1 - upper) > trials - a - shift].
+                lo, hi = _tail_bounds(trials, trials - a + 1 - shift,
+                                      math.log1p(-upper), math.log(upper),
+                                      (1.0 - upper) / upper)
+                low, high = low + lo, high + hi
+            if low > delta:
+                return False
+        if high <= delta:
+            return True
     bound = failure_probability_bound(posterior, epsilon,
                                       stop_when_above=delta,
                                       category=category)

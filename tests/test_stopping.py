@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from condsim import stopping
 from condsim.errors import (
+    CondsimError,
     EmptyPosteriorError,
     NonPositivePhiMinError,
     NonPositiveShapeError,
@@ -241,6 +245,217 @@ def test_one_category_rule_does_not_certify_a_lucky_run():
     post = DirichletPosterior((8, 248), PriorChoice.UNBIASED)
     assert should_stop(post, 0.05, 0.1, category=1)
     assert not should_stop(post, 0.05, 0.1)
+
+
+def _bound_decides(posterior, epsilon, delta, category):
+    """The stopping rule as failure_probability_bound alone decides it."""
+    if min(posterior.counts) < 1:
+        return False
+    return failure_probability_bound(posterior, epsilon,
+                                     stop_when_above=delta,
+                                     category=category) <= delta
+
+
+@st.composite
+def _rule_inputs(draw):
+    """Counts near the total where the rule first certifies, or anywhere.
+
+    Category 1 of two, or every category of 2 to 16, keeps fixed shares
+    of the total; the certifying total is found by bisection on the
+    failure bound, and the counts are drawn within a few trials of it.
+    """
+    prior = draw(st.sampled_from(PriorChoice))
+    category = draw(st.sampled_from((None, 1)))
+    k = 2 if category is not None else draw(st.integers(2, 16))
+    shares = draw(st.lists(st.integers(1, 1000), min_size=k, max_size=k))
+    epsilon = 10.0 ** draw(st.floats(-3.0, 1.0))
+    delta = 10.0 ** draw(st.floats(-6.0, 0.0, exclude_max=True))
+
+    def posterior(total):
+        return DirichletPosterior(
+            tuple(max(1, round(total * s / sum(shares))) for s in shares),
+            prior)
+
+    def certifies(total):
+        return _bound_decides(posterior(total), epsilon, delta, category)
+
+    low, high = k, 1 << 18
+    if draw(st.booleans()) and not certifies(low) and certifies(high):
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if certifies(mid) else (mid, high)
+        total = high + draw(st.integers(-3, 3))
+    else:
+        total = draw(st.integers(low, high))
+    return posterior(total), epsilon, delta, category
+
+
+_EDGES = (
+    # alpha = 1, in the bound over every category and alone
+    ((1, 500), PriorChoice.UNBIASED, 0.2, 0.1, None),
+    ((500, 1), PriorChoice.UNBIASED, 5.0, 0.5, 1),
+    # alpha = n - 1
+    ((1, 500), PriorChoice.UNBIASED, 0.01, 0.1, 1),
+    ((1, 499), PriorChoice.UNIFORM, 0.01, 0.1, 1),
+    # mu (1 + epsilon) >= 1: the upper tail is left out
+    ((3, 500), PriorChoice.UNIFORM, 1.0, 0.1, 1),
+    ((300, 700), PriorChoice.UNBIASED, 1.0, 0.1, None),
+    # delta = 1
+    ((1, 1), PriorChoice.UNBIASED, 0.5, 1.0, None),
+    ((10, 1000), PriorChoice.UNBIASED, 0.001, 1.0, 1),
+    # lower limits that underflow, and a tail that underflows
+    ((1, 1000), PriorChoice.UNBIASED, 1e306, 0.1, None),
+    ((1, 1000), PriorChoice.UNBIASED, math.inf, 0.1, 1),
+    ((1, 1 << 20), PriorChoice.UNBIASED, 10.0, 1e-4, 1),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_rule_inputs())
+def test_should_stop_decides_as_the_failure_bound(case):
+    posterior, epsilon, delta, category = case
+    try:
+        expected = _bound_decides(posterior, epsilon, delta, category)
+    except CondsimError:
+        return  # the reference gives up; any answer is no worse
+    assert should_stop(posterior, epsilon, delta, category) is expected
+
+
+@pytest.mark.parametrize("counts, prior, epsilon, delta, category", _EDGES)
+def test_should_stop_decides_edge_inputs_as_the_failure_bound(
+        counts, prior, epsilon, delta, category):
+    posterior = DirichletPosterior(counts, prior)
+    assert should_stop(posterior, epsilon, delta, category) is (
+        _bound_decides(posterior, epsilon, delta, category))
+
+
+@pytest.mark.parametrize("trials", [2, 3, 10, 100, 10 ** 4, 10 ** 6,
+                                    10 ** 9])
+def test_tail_bounds_bracket_the_binomial_tails(trials):
+    checked = 0
+    for p in (1e-6, 0.01, 0.3, 0.5, 0.9):
+        sd = math.sqrt(trials * p * (1.0 - p))
+        for z in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0):
+            # Pr[X >= start] above the mean, Pr[X <= stop] below it, the
+            # latter taken from the top as should_stop takes it.
+            start = math.ceil(trials * p + z * sd)
+            stop = math.floor(trials * p - z * sd)
+            tails = []
+            if 1 <= start <= trials and (trials - start) * p < (
+                    (start + 1) * (1.0 - p)):
+                tails.append((stats.binom.sf(start - 1, trials, p),
+                              stopping._tail_bounds(
+                                  trials, start, math.log(p),
+                                  math.log1p(-p), p / (1.0 - p))))
+            if 0 <= stop < trials and stop * (1.0 - p) < (
+                    (trials - stop + 1) * p):
+                tails.append((stats.binom.cdf(stop, trials, p),
+                              stopping._tail_bounds(
+                                  trials, trials - stop, math.log1p(-p),
+                                  math.log(p), (1.0 - p) / p)))
+            for exact, (low, high) in tails:
+                assert low <= exact <= high
+                if 1e-6 < exact < 0.05:
+                    # Near any delta the rule meets, the bracket is
+                    # narrow enough to decide most evaluations.
+                    assert high <= 2.0 * low
+                checked += 1
+    assert checked >= 10
+
+
+def test_tail_margin_covers_the_pmf_error_at_a_billion_trials():
+    # The brackets widen each tail by _SLACK times the magnitudes summed
+    # in its log pmf; at a billion trials the log-gamma cancellation
+    # leaves the pmf a few parts in a million off, well inside that.
+    trials = 10 ** 9
+    log_gamma = math.lgamma(trials + 1)
+    for p in (1e-6, 0.01, 0.3, 0.5, 0.9):
+        sd = math.sqrt(trials * p * (1.0 - p))
+        for z in (1.0, 2.0, 3.0, 5.0):
+            k = math.ceil(trials * p + z * sd)
+            terms = k * math.log(p) + (trials - k) * math.log1p(-p)
+            pmf = math.exp(log_gamma - math.lgamma(k + 1)
+                           - math.lgamma(trials - k + 1) + terms)
+            error = abs(pmf / stats.binom.pmf(k, trials, p) - 1.0)
+            margin = stopping._SLACK * (2.0 * log_gamma - terms
+                                        + 10.0 * trials + 300.0)
+            assert 0.0 < error < margin / 100.0
+
+
+# The smallest count c of category 1 at which counts (n - c, c) certify
+# under the unbiased prior, for n = 2^e, e = 1..22, as the failure bound
+# alone decides: (first e at which some count certifies, c from there on).
+_CERTIFYING_COUNTS = {
+    (0.5, 0.1, None): (5, (12, 14, 16, 16, 17, 17, 17, 17, 17, 17, 17, 17, 17,
+        17, 17, 17, 17, 17)),
+    (0.5, 0.1, 1): (3, (7, 10, 13, 15, 17, 18, 19, 19, 19, 19, 19, 19, 19, 19,
+        19, 19, 19, 19, 19, 19)),
+    (0.5, 0.0125, None): (6, (26, 31, 35, 37, 39, 39, 40, 40, 40, 40, 40, 40,
+        40, 40, 40, 40, 40)),
+    (0.5, 0.0125, 1): (4, (15, 21, 27, 32, 36, 39, 40, 41, 41, 41, 41, 41, 41,
+        41, 41, 41, 41, 41, 41)),
+    (0.5, 0.0001, None): (8, (76, 86, 92, 95, 97, 98, 99, 99, 99, 99, 99, 99,
+        99, 99, 99)),
+    (0.5, 0.0001, 1): (5, (30, 46, 63, 77, 86, 92, 96, 98, 99, 99, 99, 99, 99,
+        100, 100, 100, 100, 100)),
+    (0.2, 0.1, None): (7, (53, 63, 71, 76, 79, 81, 82, 82, 82, 82, 82, 82, 82,
+        82, 82, 82)),
+    (0.2, 0.1, 1): (5, (25, 38, 53, 66, 75, 81, 84, 85, 86, 87, 87, 87, 87, 87,
+        87, 87, 87, 87)),
+    (0.2, 0.0125, None): (8, (112, 139, 161, 174, 182, 186, 188, 189, 189, 189,
+        190, 190, 190, 190, 190)),
+    (0.2, 0.0125, 1): (5, (31, 52, 80, 113, 143, 164, 178, 186, 190, 192, 193,
+        193, 194, 194, 194, 194, 194, 194)),
+    (0.2, 0.0001, None): (10, (325, 381, 418, 439, 451, 457, 460, 461, 462,
+        463, 463, 463, 463)),
+    (0.2, 0.0001, 1): (6, (63, 111, 177, 254, 328, 384, 421, 442, 454, 460,
+        463, 464, 465, 466, 466, 466, 466)),
+    (0.0466, 0.1, None): (11, (837, 990, 1126, 1209, 1255, 1280, 1292, 1299,
+        1302, 1304, 1304, 1305)),
+    (0.0466, 0.1, 1): (6, (63, 119, 218, 374, 583, 810, 1006, 1144, 1229, 1276,
+        1300, 1313, 1320, 1323, 1325, 1326, 1326)),
+    (0.0466, 0.0125, None): (12, (1754, 2202, 2543, 2756, 2877, 2942, 2975,
+        2992, 3001, 3005, 3007)),
+    (0.0466, 0.0125, 1): (7, (127, 241, 444, 772, 1229, 1748, 2217, 2560, 2775,
+        2897, 2962, 2996, 3013, 3021, 3026, 3028)),
+    (0.0466, 0.0001, None): (13, (3923, 5058, 5977, 6574, 6920, 7107, 7204,
+        7254, 7279, 7292)),
+    (0.0466, 0.0001, 1): (8, (255, 492, 917, 1620, 2645, 3882, 5072, 5993,
+        6591, 6938, 7126, 7223, 7273, 7298, 7311)),
+    (0.0122, 0.1, None): (15, (11954, 14367, 16136, 17194, 17777, 18083, 18241,
+        18320)),
+    (0.0122, 0.1, 1): (8, (255, 501, 975, 1851, 3365, 5694, 8706, 11836, 14431,
+        16207, 17270, 17856, 18163, 18321, 18401)),
+    (0.0122, 0.0125, None): (16, (25798, 32054, 36518, 39252, 40778, 41587,
+        42003)),
+    (0.0122, 0.0125, 1): (9, (510, 1006, 1961, 3745, 6882, 11845, 18526, 25805,
+        32115, 36588, 39327, 40856, 41667, 42084)),
+    (0.0122, 0.0001, None): (17, (57699, 73925, 86054, 93746, 98132, 100482)),
+    (0.0122, 0.0001, 1): (10, (1022, 2023, 3961, 7614, 14164, 24892, 40088,
+        57714, 73982, 86121, 93819, 98208, 100560)),
+}
+
+
+@pytest.mark.parametrize("key", list(_CERTIFYING_COUNTS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_certifying_counts_are_pinned(key):
+    epsilon, delta, category = key
+    first, counts = _CERTIFYING_COUNTS[key]
+    assert first + len(counts) == 23
+    for e in range(1, 23):
+        n = 1 << e
+        # Two categories' bound is symmetric, so n / 2 certifies first.
+        best = n - 1 if category == 1 else n // 2
+
+        def stops(c):
+            return should_stop(DirichletPosterior((n - c, c)), epsilon,
+                               delta, category)
+
+        if e < first:
+            assert not stops(best)
+        else:
+            c = counts[e - first]
+            assert stops(c) and not stops(c - 1)
 
 
 def test_worst_case_sample_bound_reference_values():
