@@ -519,18 +519,19 @@ class _Reader:
     """One estimate certified on a stream, with its own counts and stop.
 
     ``classify(rows)`` counts rows in 2^s_size categories, and the rule
-    certifies ``category``, or every category when it is None. Its
-    worst-case bound W bounds phi_min over ``nodes`` (None when phi_min
-    underflows), and a None cap is ten times W; when W cannot be sized,
-    that raises, and the error says to set a cap. ``name`` prefixes its
-    budget errors. ``posterior`` and ``trials`` are set when it is
-    certified.
+    certifies ``category`` (phase "fraction"), or every category when it
+    is None (phase "distribution"). Its worst-case bound W bounds phi_min
+    over ``nodes`` (None when phi_min underflows), and a None cap is ten
+    times W; when W cannot be sized, that raises, and the error says to
+    set a cap. The phase and ``name`` label its budget errors.
+    ``posterior`` and ``trials`` are set when it is certified.
     """
 
     def __init__(self, classify, s_size: int, net: BeliefNetwork,
                  nodes: tuple[str, ...], epsilon: float, delta: float,
-                 sample_cap: int | None, phase: str,
-                 category: int | None = None, name: str = "") -> None:
+                 sample_cap: int | None, category: int | None = None,
+                 name: str = "") -> None:
+        self.phase = "distribution" if category is None else "fraction"
         try:
             self.bound = worst_case_sample_bound(
                 s_size, epsilon, delta, phi_min_lower_bound(net, nodes))
@@ -539,11 +540,10 @@ class _Reader:
                 raise SampleBudgetExceededError(_named(
                     name, f"default sample cap cannot be sized ({exc}); set "
                     "one with sample_cap (--sample-cap)"),
-                    phase=phase) from exc
+                    phase=self.phase) from exc
             self.bound = None
         self.cap = 10 * self.bound if sample_cap is None else sample_cap
-        self.classify, self.category = classify, category
-        self.phase, self.name = phase, name
+        self.classify, self.category, self.name = classify, category, name
         self.counts = np.zeros(1 << s_size, dtype=np.int64)
         self.trials = 0
         self.posterior: DirichletPosterior | None = None
@@ -630,8 +630,7 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
     reader = _Reader(lambda rows: np.bincount(_index(rows.__getitem__,
                                                      positions),
                                               minlength=1 << len(s)),
-                     len(s), net, s, epsilon, delta, sample_cap,
-                     "distribution")
+                     len(s), net, s, epsilon, delta, sample_cap)
     _certify(_RejectionStream(net, {}, rng, DEFAULT_REJECTION_CAP, cols).take,
              (reader,), epsilon, delta, prior)
     return reader.posterior.mu, reader.trials
@@ -692,8 +691,8 @@ def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
         return classify
 
     readers = {name: _Reader(scorer(target), 1, net, (*target, *condition),
-                             epsilon, delta, sample_cap, "fraction",
-                             category=1, name=name)
+                             epsilon, delta, sample_cap, category=1,
+                             name=name)
                for name, target in targets.items() if target}
     if readers:
         stream = _make_stream(net, condition, kind, rng, attempt_cap, keep)

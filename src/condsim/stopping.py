@@ -149,14 +149,44 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
+def _check_rule_inputs(posterior: DirichletPosterior, epsilon: float,
+                       category: int | None) -> None:
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if category is not None and not 0 <= category < posterior.k:
+        raise ValueError(f"category {category!r} outside 0..{posterior.k - 1}")
+
+
+def _tails(posterior: DirichletPosterior, epsilon: float,
+           category: int | None):
+    """Each tail the failure bound sums, smallest category first.
+
+    Yields ``(a, b, x, above)``: the mass of Beta(a, b) below x, or above
+    x when ``above`` is set. Every category's tails are summed, or only
+    ``category``'s, each then with one more pseudo-observation against
+    the value it bounds. An upper limit of 1 or more has no tail.
+    """
+    n = posterior.n
+    if category is None:
+        alphas, shift = sorted(map(posterior.alpha, range(posterior.k))), 0
+    else:
+        alphas, shift = (posterior.alpha(category),), 1
+    for a in alphas:
+        mu = a / n
+        yield a, n - a + shift, mu / (1.0 + epsilon), False
+        upper = mu * (1.0 + epsilon)
+        if upper < 1.0:
+            yield a + shift, n - a, upper, True
+
+
 def failure_probability_bound(posterior: DirichletPosterior, epsilon: float,
-                              stop_when_above: float | None = None,
                               category: int | None = None) -> float:
     """Upper bound on the posterior mass outside the certified intervals.
 
-    Sums, over categories, the Beta marginal mass below mu/(1 + epsilon)
-    and above mu*(1 + epsilon), clamped to [0, 1]. Returns 1 when a
-    summed category still has a zero shape (nothing can be certified).
+    Sums, over categories, smallest first, the Beta marginal mass below
+    mu/(1 + epsilon) and above mu*(1 + epsilon), clamped to [0, 1].
+    Returns 1 when a summed category still has a zero shape (nothing can
+    be certified).
 
     With ``category`` given only that category is summed, and each tail
     takes one more pseudo-observation against the value it bounds: the
@@ -167,40 +197,18 @@ def failure_probability_bound(posterior: DirichletPosterior, epsilon: float,
     Beta(alpha, n - alpha) alone, with no other category's tails added,
     are too narrow at small counts: a fraction near 0.9 would certify
     at 31 of 32 trials to epsilon 0.05 with delta 0.1.
-
-    When ``stop_when_above`` is given the sum may return early once it
-    provably exceeds that threshold; the returned partial sum is then only
-    guaranteed to be on the correct side of the threshold.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if category is not None and not 0 <= category < posterior.k:
-        raise ValueError(f"category {category!r} outside 0..{posterior.k - 1}")
+    _check_rule_inputs(posterior, epsilon, category)
     n = posterior.n
     if n < 1:
         raise EmptyPosteriorError("posterior holds no observations")
     summed = range(posterior.k) if category is None else (category,)
-    alphas = {i: posterior.alpha(i) for i in summed}
-    if min(alphas.values()) <= 0 or max(alphas.values()) >= n:
+    if any(not 0 < posterior.alpha(i) < n for i in summed):
         return 1.0
-    shift = 0.0 if category is None else 1.0
-    order = list(alphas)
-    if stop_when_above is not None:
-        # Small categories carry the widest tails; visiting them first
-        # makes the early exit trigger sooner.
-        order.sort(key=alphas.get)
     total = 0.0
-    for i in order:
-        a = float(alphas[i])
-        b = float(n) - a
-        mu = a / n
-        total += regularized_incomplete_beta(a, b + shift,
-                                             mu / (1.0 + epsilon))
-        upper = mu * (1.0 + epsilon)
-        if upper < 1.0:
-            total += 1.0 - regularized_incomplete_beta(a + shift, b, upper)
-        if stop_when_above is not None and total > stop_when_above:
-            return min(1.0, total)
+    for a, b, x, above in _tails(posterior, epsilon, category):
+        mass = regularized_incomplete_beta(float(a), float(b), x)
+        total += 1.0 - mass if above else mass
     return min(1.0, total)
 
 
@@ -257,9 +265,10 @@ def should_stop(posterior: DirichletPosterior, epsilon: float,
     under the unbiased prior the category's Beta tails need n > alpha.
 
     The answer is always ``failure_probability_bound(posterior, epsilon,
-    stop_when_above=delta, category=category) <= delta``, but the bound
-    is evaluated only when closed-form brackets cannot decide it. Each
-    tail it sums is a binomial tail (integer shapes), bracketed by
+    category) <= delta``, but the bound is evaluated only when
+    closed-form brackets cannot decide it. At delta >= 1 the clamped
+    bound always certifies, and no tail is taken. Otherwise each tail it
+    sums is a binomial tail (integer shapes), bracketed by
     ``_tail_bounds`` widely enough to hold the value the bound computes
     for it too. Smallest categories first, the rule returns False as
     soon as the lower brackets sum above delta, True when the upper
@@ -269,45 +278,26 @@ def should_stop(posterior: DirichletPosterior, epsilon: float,
         raise ValueError(f"delta must be positive, got {delta!r}")
     if min(posterior.counts) < 1:
         return False
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if category is not None and not 0 <= category < posterior.k:
-        raise ValueError(
-            f"category {category!r} outside 0..{posterior.k - 1}")
-    if delta < 1.0:
-        n = posterior.n
-        if category is None:
-            alphas = sorted(map(posterior.alpha, range(posterior.k)))
-            shift = 0
+    _check_rule_inputs(posterior, epsilon, category)
+    if delta >= 1.0:
+        return True
+    low = high = 0.0
+    for a, b, x, above in _tails(posterior, epsilon, category):
+        # Beta(a, b) below x is Pr[Binomial(a + b - 1, x) >= a], and
+        # above x it is Pr[Binomial(a + b - 1, 1 - x) >= b].
+        if above:
+            lo, hi = _tail_bounds(a + b - 1, b, math.log1p(-x), math.log(x),
+                                  (1.0 - x) / x)
+        elif x > 0.0:
+            lo, hi = _tail_bounds(a + b - 1, a, math.log(x), math.log1p(-x),
+                                  x / (1.0 - x))
         else:
-            alphas, shift = (posterior.alpha(category),), 1
-        # Beta(a, b) at x is Pr[Binomial(a + b - 1, x) >= a].
-        trials = n - 1 + shift
-        low = high = 0.0
-        for a in alphas:
-            mu = a / n
-            lower = mu / (1.0 + epsilon)
-            if lower > 0.0:
-                lo, hi = _tail_bounds(trials, a, math.log(lower),
-                                      math.log1p(-lower),
-                                      lower / (1.0 - lower))
-                low, high = low + lo, high + hi
-            upper = mu * (1.0 + epsilon)
-            if upper < 1.0:
-                # Pr[Binomial(trials, upper) < a + shift] is
-                # Pr[Binomial(trials, 1 - upper) > trials - a - shift].
-                lo, hi = _tail_bounds(trials, trials - a + 1 - shift,
-                                      math.log1p(-upper), math.log(upper),
-                                      (1.0 - upper) / upper)
-                low, high = low + lo, high + hi
-            if low > delta:
-                return False
-        if high <= delta:
-            return True
-    bound = failure_probability_bound(posterior, epsilon,
-                                      stop_when_above=delta,
-                                      category=category)
-    return bound <= delta
+            continue
+        low, high = low + lo, high + hi
+        if low > delta:
+            return False
+    return high <= delta or failure_probability_bound(
+        posterior, epsilon, category) <= delta
 
 
 def worst_case_sample_bound(s_size: int, epsilon: float, delta: float,

@@ -130,8 +130,7 @@ def expected_stop_n(probs, epsilon: float, delta: float, start: int) -> int:
         counts = tuple(int(round(n * p)) for p in probs)
         if min(counts) >= 1:
             post = DirichletPosterior(counts, PriorChoice.UNBIASED)
-            bound = failure_probability_bound(post, epsilon,
-                                              stop_when_above=delta)
+            bound = failure_probability_bound(post, epsilon)
             if bound <= delta:
                 return n
         n *= 2

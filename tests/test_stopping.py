@@ -217,6 +217,91 @@ def test_one_category_bound_is_its_exact_binomial_tail_mass(prior):
             assert bound >= min(1.0, plain) - 1e-12
 
 
+@pytest.mark.parametrize("prior", list(PriorChoice))
+def test_all_category_bound_is_its_beta_tail_mass(prior):
+    gen = np.random.Generator(np.random.PCG64(23))
+    for k in range(3, 17):
+        # Random counts, then one category above half of n, whose upper
+        # limit at epsilon 1 reaches 1 and drops its upper tail.
+        spread = tuple(int(c) for c in gen.integers(50, 1000, size=k))
+        rest = tuple(int(c) for c in gen.integers(5, 60, size=k - 1))
+        dominant = (2 * sum(rest),) + rest
+        for counts, epsilon in ((spread, 0.2), (dominant, 1.0)):
+            post = DirichletPosterior(counts, prior)
+            n = post.n
+            expected = 0.0
+            for category in range(k):
+                a = post.alpha(category)
+                mu = a / n
+                expected += stats.beta.cdf(mu / (1 + epsilon), a, n - a)
+                if mu * (1 + epsilon) < 1:
+                    expected += stats.beta.sf(mu * (1 + epsilon), a, n - a)
+            assert (post.alpha(0) / n * (1 + epsilon) >= 1) is (
+                counts is dominant)
+            assert failure_probability_bound(post, epsilon) == (
+                pytest.approx(min(1.0, expected), abs=1e-9))
+
+
+# failure_probability_bound as float.hex at fixed posteriors. The sum
+# runs smallest category first; another order moves the last bits of
+# some of these values, (9, 1), (200, 50, 110) and the unsorted k = 8
+# posterior among them.
+_PINNED_BOUNDS = [
+    ((30, 70), "unbiased", 0.3, None, "0x1.6a5c6d3271bfbp-4"),
+    ((70, 30), "uniform", 0.3, None, "0x1.52148f725fecdp-4"),
+    ((40, 160), "unbiased", 0.1, None, "0x1.05062fae7e5e3p-1"),
+    ((40, 160), "uniform", 0.1, None, "0x1.01fe728670737p-1"),
+    ((1, 9), "unbiased", 0.2, None, "0x1.de80e0af0a8f6p-1"),
+    ((9, 1), "uniform", 0.5, None, "0x1.1fdd91ce3980ap-1"),
+    ((3, 7), "unbiased", 0.2, 1, "0x1.18798dc159d5ep-1"),
+    ((3, 7), "uniform", 0.2, 1, "0x1.0c27e68c3876ep-1"),
+    ((1, 31), "unbiased", 0.05, 1, "0x1.1ea149cf87620p-2"),
+    ((8, 248), "uniform", 0.05, 1, "0x1.22d08e85fa2e3p-9"),
+    ((700, 300), "unbiased", 0.05, 1, "0x1.50e3b9fd5b1cdp-2"),
+    ((1, 9), "uniform", 0.3, 1, "0x1.182b9be6e5b1dp-3"),
+    ((5, 11, 20), "unbiased", 0.3, None, "0x1.d31dae47db788p-1"),
+    ((5, 11, 20), "uniform", 0.3, None, "0x1.b1131fb616275p-1"),
+    ((200, 50, 110), "uniform", 0.2, None, "0x1.783e0078ea8d6p-3"),
+    ((50, 2, 948), "unbiased", 1.0, None, "0x1.6bd62714954dcp-2"),
+    ((5, 11, 20), "unbiased", 0.3, 1, "0x1.835f770d9347ap-2"),
+    ((12, 40, 3), "uniform", 0.25, 1, "0x1.3f96de3b2ad7fp-6"),
+    ((20, 40, 60, 100, 160, 260, 420, 680), "unbiased", 0.3, None,
+     "0x1.8a3e094c20c2cp-2"),
+    ((680, 20, 420, 60, 260, 40, 160, 100), "uniform", 0.3, None,
+     "0x1.781e17a409571p-2"),
+    ((900, 100, 350, 4000, 70, 610, 1200, 180), "unbiased", 0.3, None,
+     "0x1.36da643295a65p-5"),
+    ((90, 10, 35, 400, 7, 61, 120, 18), "unbiased", 0.3, 1,
+     "0x1.fa777942d7a68p-2"),
+    ((3000, 1000), "unbiased", 0.0466, None, "0x1.8aaa94f69d3c9p-4"),
+]
+
+
+@pytest.mark.parametrize("counts, prior, epsilon, category, pinned",
+                         _PINNED_BOUNDS)
+def test_failure_bound_is_pinned(counts, prior, epsilon, category, pinned):
+    post = DirichletPosterior(counts, PriorChoice(prior))
+    assert failure_probability_bound(post, epsilon, category).hex() == (
+        pinned)
+
+
+def test_should_stop_decides_the_pinned_bound_in_the_fallback_band(
+        monkeypatch):
+    # At delta equal to the bound no bracket decides, so the rule
+    # evaluates the bound, and one step below it the answer flips.
+    evaluated = []
+
+    def bound_of(*args):
+        evaluated.append(args)
+        return failure_probability_bound(*args)
+    monkeypatch.setattr(stopping, "failure_probability_bound", bound_of)
+    post = DirichletPosterior((3000, 1000), PriorChoice.UNBIASED)
+    bound = float.fromhex("0x1.8aaa94f69d3c9p-4")
+    assert should_stop(post, 0.0466, bound)
+    assert not should_stop(post, 0.0466, math.nextafter(bound, 0.0))
+    assert len(evaluated) == 2
+
+
 def test_one_category_rule_needs_the_other_category_observed():
     for counts, category in (((0, 1000), 1), ((1000, 0), 0)):
         post = DirichletPosterior(counts, PriorChoice.UNBIASED)
@@ -252,7 +337,6 @@ def _bound_decides(posterior, epsilon, delta, category):
     if min(posterior.counts) < 1:
         return False
     return failure_probability_bound(posterior, epsilon,
-                                     stop_when_above=delta,
                                      category=category) <= delta
 
 
