@@ -180,7 +180,7 @@ def _tails(posterior: DirichletPosterior, epsilon: float,
 
 
 def failure_probability_bound(posterior: DirichletPosterior, epsilon: float,
-                              category: int | None = None) -> float:
+                              *, category: int | None = None) -> float:
     """Upper bound on the posterior mass outside the certified intervals.
 
     Sums, over categories, smallest first, the Beta marginal mass below
@@ -202,11 +202,12 @@ def failure_probability_bound(posterior: DirichletPosterior, epsilon: float,
     n = posterior.n
     if n < 1:
         raise EmptyPosteriorError("posterior holds no observations")
-    summed = range(posterior.k) if category is None else (category,)
-    if any(not 0 < posterior.alpha(i) < n for i in summed):
+    # Each summed category has one lower tail, whose a is its alpha.
+    tails = list(_tails(posterior, epsilon, category))
+    if any(not (above or 0 < a < n) for a, _, _, above in tails):
         return 1.0
     total = 0.0
-    for a, b, x, above in _tails(posterior, epsilon, category):
+    for a, b, x, above in tails:
         mass = regularized_incomplete_beta(float(a), float(b), x)
         total += 1.0 - mass if above else mass
     return min(1.0, total)
@@ -265,7 +266,7 @@ def should_stop(posterior: DirichletPosterior, epsilon: float,
     under the unbiased prior the category's Beta tails need n > alpha.
 
     The answer is always ``failure_probability_bound(posterior, epsilon,
-    category) <= delta``, but the bound is evaluated only when
+    category=category) <= delta``, but the bound is evaluated only when
     closed-form brackets cannot decide it. At delta >= 1 the clamped
     bound always certifies, and no tail is taken. Otherwise each tail it
     sums is a binomial tail (integer shapes), bracketed by
@@ -297,7 +298,7 @@ def should_stop(posterior: DirichletPosterior, epsilon: float,
         if low > delta:
             return False
     return high <= delta or failure_probability_bound(
-        posterior, epsilon, category) <= delta
+        posterior, epsilon, category=category) <= delta
 
 
 def worst_case_sample_bound(s_size: int, epsilon: float, delta: float,

@@ -132,6 +132,11 @@ def test_failure_bound_guards():
         with pytest.raises(ValueError):
             failure_probability_bound(
                 DirichletPosterior((1, 1), PriorChoice.UNBIASED), epsilon)
+    # The category is keyword-only: a third positional argument was once
+    # an early-exit threshold, and must not be read as a category.
+    with pytest.raises(TypeError):
+        failure_probability_bound(
+            DirichletPosterior((1, 1), PriorChoice.UNBIASED), 0.5, 1)
 
 
 def test_failure_bound_non_increasing_in_n_at_fixed_mean():
@@ -281,8 +286,8 @@ _PINNED_BOUNDS = [
                          _PINNED_BOUNDS)
 def test_failure_bound_is_pinned(counts, prior, epsilon, category, pinned):
     post = DirichletPosterior(counts, PriorChoice(prior))
-    assert failure_probability_bound(post, epsilon, category).hex() == (
-        pinned)
+    assert failure_probability_bound(post, epsilon,
+                                     category=category).hex() == pinned
 
 
 def test_should_stop_decides_the_pinned_bound_in_the_fallback_band(
@@ -291,9 +296,9 @@ def test_should_stop_decides_the_pinned_bound_in_the_fallback_band(
     # evaluates the bound, and one step below it the answer flips.
     evaluated = []
 
-    def bound_of(*args):
+    def bound_of(*args, **kwargs):
         evaluated.append(args)
-        return failure_probability_bound(*args)
+        return failure_probability_bound(*args, **kwargs)
     monkeypatch.setattr(stopping, "failure_probability_bound", bound_of)
     post = DirichletPosterior((3000, 1000), PriorChoice.UNBIASED)
     bound = float.fromhex("0x1.8aaa94f69d3c9p-4")
