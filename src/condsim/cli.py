@@ -29,7 +29,7 @@ from .errors import (
 )
 from .exact import exact_conditional
 from .dependence import satisfies_ras
-from .network import ancestral_network, parse_network
+from .network import ancestral_network, check_disjoint, parse_network
 from .reformulate import (
     DEFAULT_SEED,
     InferConfig,
@@ -123,10 +123,7 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
     full = parse_network(source)
     query = parse_assignment_text(args.query)
     evidence = parse_assignment_text(args.evidence)
-    shared = sorted(set(query) & set(evidence))
-    if shared:
-        raise OverlappingSetsError(
-            f"query and evidence both bind: {', '.join(shared)}")
+    check_disjoint(query, evidence, "query and evidence")
     # With a query, price the network and S that infer would use.
     net = ancestral_network(full, (*query, *evidence)) if query else full
     started = time.perf_counter()
@@ -222,7 +219,8 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
     if args.exact:
         # On the network infer answers on, and before sampling, so that
         # an oracle that cannot run is a usage error and not a failure
-        # after the answer.
+        # after the answer; overlapping bindings get infer's message.
+        check_disjoint(query, evidence, "query and evidence")
         try:
             oracle = exact_conditional(kept, query, evidence)
         except (NetworkTooLargeError, ZeroDenominatorError) as exc:

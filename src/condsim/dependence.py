@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from math import inf
 
-from .errors import OverlappingSetsError, UnknownNodeError
-from .network import Assignment, BeliefNetwork
+from .network import Assignment, BeliefNetwork, check_disjoint
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,7 @@ def phi_min_lower_bound(net: BeliefNetwork,
     all parent configurations. Any full instantiation of the set has at
     least this probability, by the chain rule. Empty set: 1.
     """
-    if len(set(subset)) != len(subset):
-        raise UnknownNodeError(f"repeated node in {list(subset)}")
+    net.validate_nodes(subset)
     product = 1.0
     for node in subset:
         b = node_bounds(net, node, 1, {})
@@ -143,10 +141,7 @@ def predicted_cost(net: BeliefNetwork, evidence: Assignment,
     rarest instantiation probability, or infinity when that bound
     underflows to 0.
     """
-    overlap = set(evidence) & set(conditioning)
-    if overlap:
-        raise OverlappingSetsError(
-            f"conditioning set overlaps evidence on {sorted(overlap)}")
+    check_disjoint(evidence, conditioning, "evidence and conditioning set")
     d = dependence_value(net, evidence, conditioning).value
     try:
         d4 = d ** 4

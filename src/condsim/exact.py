@@ -11,13 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    NetworkTooLargeError,
-    OverlappingSetsError,
-    UnknownNodeError,
-    ZeroDenominatorError,
-)
-from .network import Assignment, BeliefNetwork
+from .errors import NetworkTooLargeError, ZeroDenominatorError
+from .network import Assignment, BeliefNetwork, check_disjoint
 
 MAX_NODES = 25
 MAX_PROJECTION = 20
@@ -100,10 +95,7 @@ def exact_conditional(net: BeliefNetwork, target: Assignment,
     float value can underflow to 0; that raises ZeroDenominatorError.
     """
     _guard(net)
-    overlap = set(target) & set(evidence)
-    if overlap:
-        raise OverlappingSetsError(
-            f"target and evidence both bind {sorted(overlap)}")
+    check_disjoint(target, evidence, "target and evidence")
     merged = {**target, **evidence}
     denominator = exact_marginal(net, evidence)
     if denominator == 0.0:
@@ -121,10 +113,7 @@ def exact_distribution_over(net: BeliefNetwork,
     as the most significant bit.
     """
     _guard(net)
-    if len(set(subset)) != len(subset):
-        raise UnknownNodeError(f"repeated node in {list(subset)}")
-    for node in subset:
-        net.index(node)
+    net.validate_nodes(subset)
     if len(subset) > MAX_PROJECTION:
         raise NetworkTooLargeError(
             f"projection over {len(subset)} > {MAX_PROJECTION} nodes")

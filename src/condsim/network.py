@@ -18,7 +18,7 @@ the first listed parent as the most significant bit. All probabilities are
 strictly between 0 and 1.
 """
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -26,6 +26,7 @@ from .errors import (
     DuplicateNodeError,
     MissingParentBindingError,
     NetworkFormatError,
+    OverlappingSetsError,
     ProbabilityOutOfRangeError,
     UndeclaredParentError,
     UnknownNodeError,
@@ -138,6 +139,22 @@ class BeliefNetwork:
         for node, value in assignment.items():
             self.index(node)
             _check_value(value, node)
+
+    def validate_nodes(self, nodes: Sequence[str]) -> None:
+        """Check that ``nodes`` repeats no node and names only known ones."""
+        if len(set(nodes)) != len(nodes):
+            raise UnknownNodeError(f"repeated node in {list(nodes)}")
+        for node in nodes:
+            self.index(node)
+
+
+def check_disjoint(first: Iterable[str], second: Iterable[str],
+                   names: str) -> None:
+    """Raise OverlappingSetsError when ``first`` and ``second`` share a
+    node; ``names`` names the two in the message."""
+    shared = sorted(set(first) & set(second))
+    if shared:
+        raise OverlappingSetsError(f"{names} both bind: {', '.join(shared)}")
 
 
 def ancestral_network(net: BeliefNetwork,

@@ -23,7 +23,12 @@ from .errors import (
     OverlappingSetsError,
     ZeroDenominatorError,
 )
-from .network import Assignment, BeliefNetwork, ancestral_network
+from .network import (
+    Assignment,
+    BeliefNetwork,
+    ancestral_network,
+    check_disjoint,
+)
 from .sampling import (
     DEFAULT_REJECTION_CAP,
     RandomSource,
@@ -41,6 +46,14 @@ DEFAULT_SEED = 271828182845
 _STRATEGIES = ("direct", "selective", "auto")
 
 
+def _check_greedy_settings(exponent: float, max_s: int) -> None:
+    """greedy_select's settings rule, which InferConfig applies too."""
+    if not exponent >= 1.0:
+        raise ValueError(f"exponent must be at least 1, got {exponent!r}")
+    if max_s < 0:
+        raise ValueError(f"max_s must be nonnegative, got {max_s!r}")
+
+
 @dataclass(frozen=True)
 class InferConfig:
     """Tunables for infer; defaults suit networks of desk scale."""
@@ -53,6 +66,7 @@ class InferConfig:
     rejection_cap: int = DEFAULT_REJECTION_CAP
 
     def __post_init__(self) -> None:
+        _check_greedy_settings(self.greedy_exponent, self.max_s)
         if self.sample_cap is not None and self.sample_cap < 1:
             raise ValueError("sample_cap (--sample-cap) must be at least 1, "
                              f"got {self.sample_cap!r}")
@@ -130,10 +144,7 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
     Nodes in ``exclude`` never enter S, so query nodes can be kept out of
     the conditioning set.
     """
-    if not exponent >= 1.0:
-        raise ValueError(f"exponent must be at least 1, got {exponent!r}")
-    if max_s < 0:
-        raise ValueError(f"max_s must be nonnegative, got {max_s!r}")
+    _check_greedy_settings(exponent, max_s)
     net.validate_assignment(evidence)
     bound = set(evidence)
     kept_out = set(exclude)
@@ -200,15 +211,12 @@ def decompose(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     net.validate_assignment(evidence)
     for name in s_nodes:
         net.index(name)
-    overlap = sorted((set(query) & set(evidence))
-                     | (set(s_nodes) & (set(query) | set(evidence))))
-    if overlap:
-        raise OverlappingSetsError(
-            f"query, evidence, and conditioning set must be disjoint; "
-            f"shared: {', '.join(overlap)}")
+    numerator_target = {**query, **evidence}
+    check_disjoint(query, evidence, "query and evidence")
+    check_disjoint(s_nodes, numerator_target,
+                   "conditioning set and query or evidence")
     if len(set(s_nodes)) != len(s_nodes):
         raise OverlappingSetsError("conditioning set repeats a node")
-    numerator_target = {**query, **evidence}
     width = len(s_nodes)
     out = []
     for index in range(1 << width):
@@ -292,10 +300,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     net.validate_assignment(evidence)
     if not query:
         raise ValueError("query must bind at least one node")
-    shared = sorted(set(query) & set(evidence))
-    if shared:
-        raise OverlappingSetsError(
-            f"query and evidence both bind: {', '.join(shared)}")
+    check_disjoint(query, evidence, "query and evidence")
     net = ancestral_network(net, (*query, *evidence))
     root = RandomSource(seed)
     dependence_before = dependence_value(net, evidence).value

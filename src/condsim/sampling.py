@@ -25,12 +25,10 @@ from .dependence import phi_min_lower_bound
 from .errors import (
     NetworkTooLargeError,
     NonPositivePhiMinError,
-    OverlappingSetsError,
     RejectionBudgetExceededError,
     SampleBudgetExceededError,
-    UnknownNodeError,
 )
-from .network import Assignment, BeliefNetwork
+from .network import Assignment, BeliefNetwork, check_disjoint
 from .stopping import (
     DirichletPosterior,
     PriorChoice,
@@ -623,8 +621,7 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
         raise NetworkTooLargeError(
             f"{len(s)} nodes span too many categories "
             f"(limit {_MAX_CATEGORY_NODES})")
-    if len(set(s)) != len(s):
-        raise UnknownNodeError(f"repeated node in {list(s)}")
+    net.validate_nodes(s)
     cols = tuple(net.index(x) for x in s)
     positions = range(len(cols))
     reader = _Reader(lambda rows: np.bincount(_index(rows.__getitem__,
@@ -670,10 +667,7 @@ def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
     net.validate_assignment(condition)
     for target in targets.values():
         net.validate_assignment(target)
-        shared = sorted(set(target) & set(condition))
-        if shared:
-            raise OverlappingSetsError(
-                f"target and condition both bind: {', '.join(shared)}")
+        check_disjoint(target, condition, "target and condition")
     keep = tuple(dict.fromkeys(net.index(x) for target in targets.values()
                                for x in target))
     slot = {col: i for i, col in enumerate(keep)}

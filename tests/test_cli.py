@@ -161,16 +161,33 @@ def test_duplicate_binding_is_a_usage_error(capsys, net_a_path):
 
 def test_overlapping_query_and_evidence_is_a_usage_error(capsys,
                                                          net_a_path):
-    code, _, _ = run_cli(
-        capsys, ["infer", "--network", net_a_path, "--query", "B=1",
-                 "--evidence", "B=0",
-                 "--epsilon", "0.2", "--delta", "0.1"])
+    # One message, with or without the exact oracle.
+    infer_argv = ["infer", "--network", net_a_path, "--query", "A=1,B=1",
+                  "--evidence", "B=0", "--epsilon", "0.2", "--delta", "0.1"]
+    for argv in (infer_argv, infer_argv + ["--exact"],
+                 ["analyze", "--network", net_a_path, "--query", "B=1",
+                  "--evidence", "B=0"]):
+        assert run_cli(capsys, argv) == (
+            2, "", "condsim: query and evidence both bind: B\n")
+
+
+@pytest.mark.parametrize("strategy", ["direct", "selective", "auto"])
+@pytest.mark.parametrize("flags", [
+    ["--greedy-exponent", "0.5"],
+    ["--greedy-exponent", "nan"],
+    ["--max-s", "-3"],
+], ids=["exponent-below-1", "nan-exponent", "negative-max-s"])
+def test_every_strategy_refuses_the_same_greedy_settings(capsys, net_c_path,
+                                                         strategy, flags):
+    # direct never runs the greedy search, yet its report would record
+    # the settings for a replay under any strategy.
+    code, out, err = run_cli(
+        capsys, ["infer", "--network", net_c_path, "--query", "A=1",
+                 "--evidence", "C=1", "--epsilon", "0.2", "--delta", "0.1",
+                 "--strategy", strategy, *flags])
     assert code == 2
-    code, _, err = run_cli(
-        capsys, ["analyze", "--network", net_a_path, "--query", "B=1",
-                 "--evidence", "B=0"])
-    assert code == 2
-    assert "both bind: B" in err
+    assert out == ""
+    assert "must" in err and flags[1] in err
 
 
 def test_infer_exact_verdict(capsys, net_a_path):

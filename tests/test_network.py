@@ -5,6 +5,7 @@ import pytest
 
 from condsim import (
     BeliefNetwork,
+    cli,
     Cpt,
     ancestral_network,
     parse_network,
@@ -16,11 +17,22 @@ from condsim.errors import (
     DuplicateNodeError,
     MissingParentBindingError,
     NetworkFormatError,
+    OverlappingSetsError,
     ProbabilityOutOfRangeError,
     UndeclaredParentError,
     UnknownNodeError,
     WrongRowCountError,
 )
+from condsim.dependence import phi_min_lower_bound, predicted_cost
+from condsim.exact import exact_conditional, exact_distribution_over
+from condsim.reformulate import decompose, infer
+from condsim.sampling import (
+    RandomSource,
+    TrialGeneratorKind,
+    estimate_conditional_fraction,
+    estimate_distribution_over,
+)
+from condsim.stopping import PriorChoice
 
 from helpers import NET_A_SOURCE, brute_marginal, random_network
 
@@ -245,3 +257,71 @@ def test_cpt_validation():
         Cpt(("A",), (0.5,))
     with pytest.raises(ProbabilityOutOfRangeError):
         Cpt((), (0.0,))
+
+
+def _analyze(net, query, evidence):
+    args = cli.build_parser().parse_args(
+        ["analyze", "--network", "unread.bnet", "--query", query,
+         "--evidence", evidence])
+    return cli.cmd_analyze(args, serialize_network(net))
+
+
+def _fraction(net, target, condition):
+    return estimate_conditional_fraction(
+        net, target, condition, 0.2, 0.1, TrialGeneratorKind.rejection(),
+        RandomSource(1))
+
+
+def _distribution(net, nodes):
+    return estimate_distribution_over(net, nodes, 0.2, 0.1,
+                                      PriorChoice.UNBIASED, RandomSource(1))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda net: infer(net, {"B": 1}, {"B": 0}, 0.2, 0.1),
+     OverlappingSetsError, "query and evidence both bind: B"),
+    (lambda net: decompose(net, {"C": 1}, {"C": 0}, ()),
+     OverlappingSetsError, "query and evidence both bind: C"),
+    (lambda net: decompose(net, {"C": 1}, {"B": 0}, ("B", "A")),
+     OverlappingSetsError,
+     "conditioning set and query or evidence both bind: B"),
+    (lambda net: decompose(net, {"C": 1}, {}, ("C",)),
+     OverlappingSetsError,
+     "conditioning set and query or evidence both bind: C"),
+    (lambda net: _analyze(net, "A=1,B=1", "B=0,A=0"),
+     OverlappingSetsError, "query and evidence both bind: A, B"),
+    (lambda net: _fraction(net, {"A": 1, "B": 0}, {"B": 1}),
+     OverlappingSetsError, "target and condition both bind: B"),
+    (lambda net: predicted_cost(net, {"A": 1}, ("A",)),
+     OverlappingSetsError, "evidence and conditioning set both bind: A"),
+    (lambda net: exact_conditional(net, {"B": 1}, {"B": 0}),
+     OverlappingSetsError, "target and evidence both bind: B"),
+    (lambda net: net.validate_nodes(("Q", "Q")),
+     UnknownNodeError, "repeated node in ['Q', 'Q']"),
+    (lambda net: net.validate_nodes(("A", "Q")),
+     UnknownNodeError, "unknown node 'Q'"),
+    (lambda net: _distribution(net, ("A", "A")),
+     UnknownNodeError, "repeated node in ['A', 'A']"),
+    (lambda net: _distribution(net, ("A", "Q")),
+     UnknownNodeError, "unknown node 'Q'"),
+    (lambda net: phi_min_lower_bound(net, ("B", "B")),
+     UnknownNodeError, "repeated node in ['B', 'B']"),
+    (lambda net: phi_min_lower_bound(net, ("Q",)),
+     UnknownNodeError, "unknown node 'Q'"),
+    (lambda net: exact_distribution_over(net, ["C", "C"]),
+     UnknownNodeError, "repeated node in ['C', 'C']"),
+    (lambda net: exact_distribution_over(net, ["C", "Q"]),
+     UnknownNodeError, "unknown node 'Q'"),
+], ids=["infer", "decompose-query-evidence", "decompose-evidence-s",
+        "decompose-query-s", "analyze", "fraction", "predicted-cost",
+        "exact-conditional", "validate-nodes-repeated",
+        "validate-nodes-unknown", "distribution-repeated",
+        "distribution-unknown", "phi-min-repeated", "phi-min-unknown",
+        "exact-distribution-repeated", "exact-distribution-unknown"])
+def test_every_entry_point_states_the_input_rules_alike(net_c, call, error,
+                                                        message):
+    # Disjointness and node lists are each checked in one place, so every
+    # entry point raises the same type with the same text.
+    with pytest.raises(error) as raised:
+        call(net_c)
+    assert str(raised.value) == message
