@@ -5,6 +5,7 @@ import pytest
 
 from condsim.dependence import dependence_value, satisfies_ras
 from condsim.errors import (
+    BudgetExceededError,
     LengthMismatchError,
     OverlappingSetsError,
     RejectionBudgetExceededError,
@@ -439,6 +440,8 @@ def test_many_independent_components_report_a_finite_dependence():
 
 _GIBBS_3 = InferConfig(generator=TrialGeneratorKind.gibbs(3))
 _CAP_100 = InferConfig(sample_cap=100)
+_RUNS_8 = InferConfig(rejection_cap=8)
+_RUNS_10 = InferConfig(rejection_cap=10)
 
 
 @pytest.mark.parametrize(
@@ -452,31 +455,41 @@ _CAP_100 = InferConfig(sample_cap=100)
      ({"A": 1}, {"C": 1}, 0.001, "direct", None, 11,
       (0.740147590637207, 1048576, (1.0,))),
      ({"A": 1}, {"C": 1}, 0.05, "direct", _CAP_100, 14,
-      ("fraction", 64, 100)),
+      ("SampleBudgetExceededError", "fraction", 64, 100,
+       "subproblem 0 numerator: stopping rule unsatisfied at 64 trials")),
      ({"C": 1}, {"A": 1}, 0.2, "selective", _CAP_100, 14,
-      ("distribution", 64, 100)),
+      ("SampleBudgetExceededError", "distribution", 64, 100,
+       "stopping rule unsatisfied at 64 trials")),
+     ({"A": 1}, {"C": 1}, 0.05, "direct", _RUNS_8, 11,
+      ("RejectionBudgetExceededError", "rejection", 64, 8,
+       "subproblem 0 numerator: no accepted trial within 8 attempts")),
+     ({"C": 1}, {"A": 1}, 0.2, "selective", _RUNS_10, 11,
+      ("RejectionBudgetExceededError", "rejection", 8192, 10,
+       "subproblem 0 numerator: no accepted trial within 10 attempts")),
      ({"C": 1}, {"A": 1}, 0.2, "direct", None, 15,
       (0.84375, 32, (1.0,))),
      ({"A": 1}, {"B": 1}, 0.2, "direct", _GIBBS_3, 16,
       (0.84375, 32, (1.0,)))],
     ids=["rejection", "selective", "gibbs-past-2^18", "rejection-past-2^18",
-         "cap-fraction", "cap-distribution", "clamped-condition",
+         "cap-fraction", "cap-distribution", "attempts-fraction",
+         "attempts-subproblem", "clamped-condition",
          "gibbs-barren"])
 def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
                                    config, seed, pinned):
     # Recorded at version 0.7.0, whose subproblem numerators and
     # denominators read one stream and whose rejection batches aim at the
     # next checkpoint; the Gibbs and clamped-condition cases and the
-    # first rejection case are unchanged since 0.6.0, and the two budget
-    # errors since 0.3.0. The past-2^18 cases run at
+    # first rejection case are unchanged since 0.6.0, and the two sample
+    # cap errors since 0.3.0 (their types and messages were added at
+    # 0.7.0, with the two attempt-cap errors). The past-2^18 cases run at
     # epsilon 0.001 so that a checkpoint still spans several 2^18-trial
     # chunks. A change that fails this changes a random stream or a stop
     # point, so it bumps the version and says so in CHANGES.md.
     try:
         result = infer(net_c, query, evidence, epsilon, 0.1, strategy,
                        config, seed)
-    except SampleBudgetExceededError as exc:
-        got = (exc.phase, exc.trials, exc.cap)
+    except BudgetExceededError as exc:
+        got = (type(exc).__name__, exc.phase, exc.trials, exc.cap, str(exc))
     else:
         got = (result.estimate, result.trials_total, result.mu_s)
     assert got == pinned
