@@ -17,7 +17,7 @@ from pathlib import Path
 from collections.abc import Mapping
 
 from . import __version__
-from .dependence import dependence_value, predicted_cost
+from .dependence import _cost, _value_given, dependence_value
 from .errors import (
     BudgetExceededError,
     CondsimError,
@@ -33,6 +33,7 @@ from .network import ancestral_network, check_disjoint, parse_network
 from .reformulate import (
     DEFAULT_SEED,
     InferConfig,
+    GreedyTrace,
     InferenceResult,
     _STRATEGIES,
     greedy_select,
@@ -119,6 +120,16 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+def _costs(trace: GreedyTrace | None, dependence_before: float):
+    """predicted_cost of S = () and of greedy's S, read from its trace;
+    with no trace, S = () priced from its dependence value."""
+    if trace is None:
+        cost = _cost(dependence_before, 0, 1.0)
+        return cost, cost
+    first = trace.steps[0].cost_before if trace.steps else trace.final_cost
+    return first, trace.final_cost
+
+
 def cmd_analyze(args: argparse.Namespace, source: str) -> int:
     full = parse_network(source)
     query = parse_assignment_text(args.query)
@@ -129,10 +140,10 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
     started = time.perf_counter()
     dep = dependence_value(net, evidence)
     selected, trace = greedy_select(net, evidence, args.greedy_exponent,
-                                    args.max_s, exclude=tuple(query))
-    cost_before = predicted_cost(net, evidence, ())
-    cost_after = predicted_cost(net, evidence, selected)
-    dep_after = dependence_value(net, evidence, conditioning=selected)
+                                    args.max_s, exclude=tuple(query),
+                                    report=dep)
+    cost_before, cost_after = _costs(trace, dep.value)
+    dep_after = _value_given(dep, net, {*evidence, *selected})
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     report = {
         "tool": "condsim",
@@ -146,7 +157,7 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
                             "lambda": lam}
                      for name, (bounds, lam) in dep.per_node.items()},
         "dependence_value": dep.value,
-        "dependence_after": dep_after.value,
+        "dependence_after": dep_after,
         "selected_s": list(selected),
         "greedy_trace": asdict(trace),
         "cost_before": asdict(cost_before),
@@ -166,7 +177,7 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
         lines.append(f"  added {{{', '.join(step.added)}}} for node "
                      f"{step.node}: lambda {step.lambda_before:.6g}, "
                      f"ratio {step.candidate_ratio:.6g}")
-    lines.append(f"dependence value given S = {dep_after.value:.6g}")
+    lines.append(f"dependence value given S = {dep_after:.6g}")
     lines.append(f"cost before: subproblem {cost_before.subproblem_term:.6g}"
                  f", weight {cost_before.weight_term:.6g}")
     lines.append(f"cost after:  subproblem {cost_after.subproblem_term:.6g}"
@@ -243,9 +254,10 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
         return 5
     report["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
     report["result"] = _result_dict(result)
-    report["cost_before"] = asdict(predicted_cost(kept, evidence, ()))
-    report["cost_after"] = asdict(
-        predicted_cost(kept, evidence, result.selected_s))
+    cost_before, cost_after = _costs(result.greedy_trace,
+                                     result.dependence_before)
+    report["cost_before"] = asdict(cost_before)
+    report["cost_after"] = asdict(cost_after)
     lines = [f"network {net.name} ({net.n} nodes, {kept.n} kept)",
              f"Pr[{_format_assignment(query)} | "
              f"{_format_assignment(evidence) or 'nothing'}] "

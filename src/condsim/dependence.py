@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from math import inf
 
-from .network import Assignment, BeliefNetwork, check_disjoint
+from .network import Assignment, BeliefNetwork, Cpt, check_disjoint
 
 
 @dataclass(frozen=True)
@@ -57,20 +57,22 @@ def node_bounds(net: BeliefNetwork, node: str, node_value: int,
     if node_value not in (0, 1):
         raise ValueError(f"node value must be 0 or 1, got {node_value!r}")
     net.validate_assignment(fixed)
-    cpt = net.cpt(node)
-    k = len(cpt.parents)
-    pinned = [(k - 1 - j, fixed[parent])
-              for j, parent in enumerate(cpt.parents) if parent in fixed]
-    lo = hi = None
-    for row in range(1 << k):
-        if any((row >> shift) & 1 != value for shift, value in pinned):
-            continue
-        p = cpt.rows[row] if node_value == 1 else 1.0 - cpt.rows[row]
-        if lo is None or p < lo:
-            lo = p
-        if hi is None or p > hi:
-            hi = p
-    return NodeBounds(lo, hi)
+    return _bounds(net.cpt(node), node_value, fixed)
+
+
+def _bounds(cpt: Cpt, node_value: int, fixed: Assignment) -> NodeBounds:
+    """node_bounds for a table, with the value and binding checked."""
+    # A row is reachable when its bits at the bound parents' places,
+    # picked out by mask, hold their values.
+    mask = want = 0
+    for parent in cpt.parents:
+        mask, want = mask << 1, want << 1
+        if parent in fixed:
+            mask, want = mask | 1, want | (fixed[parent] == 1)
+    ps = [p for row, p in enumerate(cpt.rows) if row & mask == want]
+    if node_value == 0:
+        ps = [1.0 - p for p in ps]
+    return NodeBounds(min(ps), max(ps))
 
 
 def node_lambda(net: BeliefNetwork, node: str, fixed: Assignment,
@@ -88,14 +90,20 @@ def node_lambda(net: BeliefNetwork, node: str, fixed: Assignment,
     net.validate_assignment(fixed)
     cpt = net.cpt(node)
     bound = set(fixed) | set(conditioning)
-    if not cpt.parents or all(p in bound for p in cpt.parents):
+    if all(p in bound for p in cpt.parents):
         return 1.0
-    b = node_bounds(net, node, 1, fixed)
-    if node in fixed:
-        if fixed[node] == 1:
-            return b.hi / b.lo
-        return (1.0 - b.lo) / (1.0 - b.hi)
-    return max(b.hi / b.lo, (1.0 - b.lo) / (1.0 - b.hi))
+    return _spread(_bounds(cpt, 1, fixed), fixed.get(node))
+
+
+def _spread(b: NodeBounds, value: int | None) -> float:
+    """The lambda of a node with a free parent and bounds ``b`` for value
+    1: the ratio for its bound ``value``, or the larger one when it is
+    unbound (None)."""
+    if value is None:
+        return max(b.hi / b.lo, (1.0 - b.lo) / (1.0 - b.hi))
+    if value == 1:
+        return b.hi / b.lo
+    return (1.0 - b.lo) / (1.0 - b.hi)
 
 
 def dependence_value(net: BeliefNetwork, fixed: Assignment,
@@ -103,16 +111,34 @@ def dependence_value(net: BeliefNetwork, fixed: Assignment,
     """Product over all nodes of lambda squared, with per-node detail.
 
     The report's bounds are for node value 1. The value is always >= 1 and
-    never increases when more nodes are bound.
+    never increases when more nodes are bound. Each node's bounds are
+    taken once, and its lambda is node_lambda's.
     """
+    net.validate_assignment(fixed)
+    bound = set(fixed) | set(conditioning)
     per_node: dict[str, tuple[NodeBounds, float]] = {}
     value = 1.0
-    for node in net.nodes:
-        b = node_bounds(net, node, 1, fixed)
-        lam = node_lambda(net, node, fixed, conditioning)
+    for node, cpt in zip(net.nodes, net.cpts):
+        b = _bounds(cpt, 1, fixed)
+        lam = (1.0 if all(p in bound for p in cpt.parents)
+               else _spread(b, fixed.get(node)))
         per_node[node] = (b, lam)
         value *= lam * lam
     return DependenceReport(per_node, value)
+
+
+def _value_given(report: DependenceReport, net: BeliefNetwork,
+                 bound) -> float:
+    """dependence_value(net, fixed, conditioning).value, from ``report``,
+    that of dependence_value(net, fixed); ``bound`` holds the nodes of
+    both. Binding more nodes only sets to 1 the lambda of each node whose
+    parents they all bind, and the product keeps its order."""
+    value = 1.0
+    for cpt, (_, lam) in zip(net.cpts, report.per_node.values()):
+        if all(p in bound for p in cpt.parents):
+            lam = 1.0
+        value *= lam * lam
+    return value
 
 
 def phi_min_lower_bound(net: BeliefNetwork,
@@ -124,10 +150,15 @@ def phi_min_lower_bound(net: BeliefNetwork,
     least this probability, by the chain rule. Empty set: 1.
     """
     net.validate_nodes(subset)
+    return _phi_floor(net, subset)
+
+
+def _phi_floor(net: BeliefNetwork, nodes: Sequence[str]) -> float:
+    """phi_min_lower_bound of checked nodes."""
     product = 1.0
-    for node in subset:
-        b = node_bounds(net, node, 1, {})
-        product *= min(b.lo, 1.0 - b.hi)
+    for node in nodes:
+        rows = net.cpt(node).rows
+        product *= min(min(rows), 1.0 - max(rows))
     return product
 
 
@@ -143,12 +174,18 @@ def predicted_cost(net: BeliefNetwork, evidence: Assignment,
     """
     check_disjoint(evidence, conditioning, "evidence and conditioning set")
     d = dependence_value(net, evidence, conditioning).value
+    return _cost(d, len(conditioning),
+                 phi_min_lower_bound(net, conditioning))
+
+
+def _cost(d: float, s_size: int, phi_bound: float) -> CostEstimate:
+    """predicted_cost from the dependence value D, |S| and phi_min's
+    bound."""
     try:
         d4 = d ** 4
     except OverflowError:  # float ** raises where * would give inf
         d4 = inf
-    scale = float(1 << len(conditioning))
-    phi_bound = phi_min_lower_bound(net, conditioning)
+    scale = float(1 << s_size)
     return CostEstimate(subproblem_term=scale * d4,
                         weight_term=scale / phi_bound if phi_bound else inf,
                         phi_min_bound=phi_bound)

@@ -13,9 +13,11 @@ from math import inf
 
 from .dependence import (
     CostEstimate,
+    DependenceReport,
+    _cost,
+    _phi_floor,
+    _value_given,
     dependence_value,
-    node_lambda,
-    predicted_cost,
 )
 from .errors import (
     BudgetExceededError,
@@ -129,7 +131,8 @@ class InferenceResult:
 
 def greedy_select(net: BeliefNetwork, evidence: Assignment,
                   exponent: float = 1.0, max_s: int = 12,
-                  exclude: tuple[str, ...] = ()
+                  exclude: tuple[str, ...] = (), *,
+                  report: DependenceReport | None = None
                   ) -> tuple[tuple[str, ...], GreedyTrace]:
     """Pick a conditioning set that shrinks the dependence value.
 
@@ -142,27 +145,37 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
     addition would push |S| past max_s, make the weight term infinite or
     not lower the total cost, subproblem plus weight term.
     Nodes in ``exclude`` never enter S, so query nodes can be kept out of
-    the conditioning set.
+    the conditioning set. Every lambda and cost comes from ``report``,
+    dependence_value(net, evidence), which is computed when not given.
     """
     _check_greedy_settings(exponent, max_s)
     net.validate_assignment(evidence)
+    if report is None:
+        report = dependence_value(net, evidence)
     bound = set(evidence)
     kept_out = set(exclude)
     selected: list[str] = []
     steps: list[GreedyStep] = []
-    cost_now = predicted_cost(net, evidence, ())
+
+    def cost(s_nodes):  # predicted_cost(net, evidence, s_nodes)
+        return _cost(_value_given(report, net, bound.union(s_nodes)),
+                     len(s_nodes), _phi_floor(net, s_nodes))
+
+    cost_now = cost(())
     reason = ""
     while True:
         if cost_now.weight_term >= cost_now.subproblem_term:
             reason = "weight term dominates"
             break
         best = None
-        for rank, name in enumerate(net.nodes):
-            lam = node_lambda(net, name, evidence, tuple(selected))
-            if lam <= 1.0:
-                continue
-            unbound = tuple(p for p in net.parents(name)
+        for rank, (name, cpt) in enumerate(zip(net.nodes, net.cpts)):
+            # node_lambda(net, name, evidence, selected): 1 once every
+            # parent is bound.
+            unbound = tuple(p for p in cpt.parents
                             if p not in bound and p not in selected)
+            lam = report.per_node[name][1]
+            if lam <= 1.0 or not unbound:
+                continue
             if any(p in kept_out for p in unbound):
                 continue
             subsets = float(1 << len(unbound))
@@ -182,7 +195,7 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
         if len(selected) + len(unbound) > max_s:
             reason = "size cap reached"
             break
-        after = predicted_cost(net, evidence, tuple(selected) + unbound)
+        after = cost(tuple(selected) + unbound)
         if after.weight_term == inf:
             reason = "weight term infinite"
             break
@@ -303,7 +316,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     check_disjoint(query, evidence, "query and evidence")
     net = ancestral_network(net, (*query, *evidence))
     root = RandomSource(seed)
-    dependence_before = dependence_value(net, evidence).value
+    report = dependence_value(net, evidence)
 
     scored = 0
 
@@ -320,8 +333,8 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     selected: tuple[str, ...] = ()
     if strategy != "direct":
         selected, trace = greedy_select(net, evidence, config.greedy_exponent,
-                                        config.max_s,
-                                        exclude=tuple(query))
+                                        config.max_s, exclude=tuple(query),
+                                        report=report)
     use_selective = (strategy == "selective"
                      or (strategy == "auto" and bool(selected)))
 
@@ -345,8 +358,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                 config.rejection_cap)
             pairs.append((fractions["numerator"], fractions["denominator"]))
             scored += sum(est.trials for est in fractions.values())
-        dependence_after = dependence_value(net, evidence,
-                                            conditioning=selected).value
+        dependence_after = _value_given(report, net, {*evidence, *selected})
     else:
         # One subproblem of weight 1 whose denominator is exactly 1.
         mu_s, weight_trials = (1.0,), 0
@@ -357,7 +369,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                             sample_cap=config.sample_cap,
                             attempt_cap=config.rejection_cap),
                   RasEstimate(1.0, epsilon, delta, 0, 0))]
-        dependence_after = dependence_before
+        dependence_after = report.value
     numerator = combine_weighted([num.value for num, _ in pairs], mu_s)
     denominator = combine_weighted([den.value for _, den in pairs], mu_s)
     estimate, clamped = bayes_ratio(numerator, denominator)
@@ -367,7 +379,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
         selected_s=selected, mu_s=mu_s, weight_trials=weight_trials,
         subproblem_estimates=tuple(pairs), numerator=numerator,
         denominator=denominator, clamped=clamped,
-        dependence_before=dependence_before,
+        dependence_before=report.value,
         dependence_after=dependence_after, nodes_kept=net.n,
         trials_total=weight_trials + sum(num.trials + den.trials
                                          for num, den in pairs),

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .dependence import phi_min_lower_bound
+from .dependence import _phi_floor
 from .errors import (
     NetworkTooLargeError,
     NonPositivePhiMinError,
@@ -70,7 +70,8 @@ class RandomSource:
     sample sequences on every platform. Consuming draws advances internal
     state; ``derive`` ignores that state and mixes the original seed with
     a stream number, so substream layouts are reproducible regardless of
-    how much the parent stream has been used.
+    how much the parent stream has been used. The generator is built at
+    the first draw or skip, so a source that only derives builds none.
     """
 
     __slots__ = ("seed", "_gen")
@@ -80,7 +81,12 @@ class RandomSource:
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 unsigned bits: {seed!r}")
         self.seed = seed
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+        self._gen = None
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        return self._gen
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
@@ -93,12 +99,12 @@ class RandomSource:
 
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` doubles drawn uniformly from [0, 1)."""
-        return self._gen.random(count)
+        return self._generator().random(count)
 
     def skip(self, count: int) -> None:
         """Advance past ``count`` doubles without drawing them."""
         # A PCG64 double uses one 64-bit output.
-        self._gen.bit_generator.advance(count)
+        self._generator().bit_generator.advance(count)
 
 
 @dataclass(frozen=True)
@@ -480,9 +486,6 @@ class _GibbsStream(_Stream):
 def _make_stream(net: BeliefNetwork, condition: Assignment,
                  kind: TrialGeneratorKind, rng: RandomSource,
                  attempt_cap: int, keep: tuple[int, ...]):
-    net.validate_assignment(condition)
-    if len(condition) >= net.n:
-        raise ValueError("condition must leave at least one node unbound")
     if kind.kind == "rejection":
         return _RejectionStream(net, condition, rng, attempt_cap, keep)
     return _GibbsStream(net, condition, rng, kind.burn_in_sweeps, keep)
@@ -496,6 +499,9 @@ def conditioned_sample_batch(net: BeliefNetwork, condition: Assignment,
     """``count`` conditioned trials as a (count, n) array."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count!r}")
+    net.validate_assignment(condition)
+    if len(condition) >= net.n:
+        raise ValueError("condition must leave at least one node unbound")
     stream = _make_stream(net, condition, kind, rng, attempt_cap,
                           tuple(range(net.n)))
     return np.ascontiguousarray(stream.take(count).T)
@@ -532,7 +538,7 @@ class _Reader:
         self.phase = "distribution" if category is None else "fraction"
         try:
             self.bound = worst_case_sample_bound(
-                s_size, epsilon, delta, phi_min_lower_bound(net, nodes))
+                s_size, epsilon, delta, _phi_floor(net, nodes))
         except NonPositivePhiMinError as exc:
             if sample_cap is None:
                 raise SampleBudgetExceededError(_named(
@@ -559,7 +565,9 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
     certifies only once all its categories have been observed. A
     checkpoint past an unfinished reader's cap raises, as does the
     stream's attempt cap; the error names the first such reader and
-    counts every reader's trials.
+    counts every reader's trials. Each row falls in exactly one category,
+    so every reader's posterior has the same n, and its counts, made
+    here, need no checks.
     """
     k = len(readers[0].counts)
     # Each W that is not already a checkpoint, largest first.
@@ -593,8 +601,10 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
             for r in live:
                 r.counts += r.classify(rows)
             trials += m
+        n = trials + k * prior.pseudocount
         for r in live:
-            posterior = DirichletPosterior(tuple(r.counts), prior)
+            posterior = DirichletPosterior._trusted(tuple(r.counts.tolist()),
+                                                    prior, n)
             if should_stop(posterior, epsilon, delta, category=r.category):
                 r.posterior, r.trials = posterior, trials
         live = [r for r in live if r.posterior is None]
@@ -650,8 +660,41 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
     default sample cap bounds phi_min over target and condition together:
     Pr[target | condition] >= Pr[target, condition] >= that bound.
     """
+    _check_risk_params(epsilon, delta)
+    net.validate_assignment(condition)
+    net.validate_assignment(target)
+    check_disjoint(target, condition, "target and condition")
     return _fractions(net, {"": target}, condition, epsilon, delta, kind,
                       rng, prior, sample_cap, attempt_cap)[""]
+
+
+def _match_all(at: list[int], values: list[int]):
+    """Count the rows whose slots ``at`` hold ``values``: the returned
+    classify(rows) gives (misses, hits)."""
+    if at == list(range(at[0], at[0] + len(at))):
+        at = slice(at[0], at[0] + len(at))  # a view, not a copy
+    want = np.array([[v] for v in values], dtype=np.uint8)
+
+    def classify(rows):
+        hits = np.count_nonzero(np.all(rows[at] == want, axis=0))
+        return rows.shape[1] - hits, hits
+    return classify
+
+
+def _match_one(at: int, value: int):
+    """_match_all for one slot: its row of 0s and 1s counts its 1s."""
+    def classify(rows):
+        ones = np.count_nonzero(rows[at])
+        hits = ones if value else rows.shape[1] - ones
+        return rows.shape[1] - hits, hits
+    return classify
+
+
+def _classifier(at: list[int], values: list[int]):
+    """_match_one for one slot, _match_all for more."""
+    if len(at) == 1:
+        return _match_one(at[0], values[0])
+    return _match_all(at, values)
 
 
 def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
@@ -662,31 +705,16 @@ def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
     """Certified Pr[t | condition] for each named target t, every one
     read from one conditioned stream, as estimate_conditional_fraction
     certifies one. Each target is a reader of the stream, and its name
-    prefixes its budget errors."""
+    prefixes its budget errors. The caller has checked the bindings: each
+    target is disjoint from the condition, and all name known nodes."""
     _check_risk_params(epsilon, delta)
-    net.validate_assignment(condition)
-    for target in targets.values():
-        net.validate_assignment(target)
-        check_disjoint(target, condition, "target and condition")
     keep = tuple(dict.fromkeys(net.index(x) for target in targets.values()
                                for x in target))
     slot = {col: i for i, col in enumerate(keep)}
-
-    def scorer(target):
-        bound = _pairs(net, target)
-        at = [slot[col] for col, _ in bound]
-        if at == list(range(at[0], at[0] + len(at))):
-            at = slice(at[0], at[0] + len(at))  # a view, not a copy
-        want = np.array([[v] for _, v in bound], dtype=np.uint8)
-
-        def classify(rows):
-            hits = np.count_nonzero(np.all(rows[at] == want, axis=0))
-            return rows.shape[1] - hits, hits
-        return classify
-
-    readers = {name: _Reader(scorer(target), 1, net, (*target, *condition),
-                             epsilon, delta, sample_cap, category=1,
-                             name=name)
+    readers = {name: _Reader(_classifier([slot[net.index(x)] for x in target],
+                                         list(target.values())),
+                             1, net, (*target, *condition), epsilon, delta,
+                             sample_cap, category=1, name=name)
                for name, target in targets.items() if target}
     if readers:
         stream = _make_stream(net, condition, kind, rng, attempt_cap, keep)

@@ -18,7 +18,7 @@ bracket cannot tell the bound from delta does it evaluate the bound.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -51,6 +51,8 @@ class DirichletPosterior:
 
     counts: tuple[int, ...]
     prior: PriorChoice = PriorChoice.UNBIASED
+    # Effective sample size, observations plus pseudocounts.
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.counts) < 2:
@@ -58,16 +60,23 @@ class DirichletPosterior:
         if any(c < 0 or c != int(c) for c in self.counts):
             raise ValueError(f"counts must be nonnegative integers: "
                              f"{self.counts!r}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        counts = tuple(int(c) for c in self.counts)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n", sum(counts)
+                           + len(counts) * self.prior.pseudocount)
+
+    @classmethod
+    def _trusted(cls, counts: tuple[int, ...], prior: PriorChoice,
+                 n: int) -> "DirichletPosterior":
+        """The posterior of counts its caller made: at least two
+        nonnegative ints whose n it knows. Nothing is checked."""
+        self = object.__new__(cls)
+        self.__dict__.update(counts=counts, prior=prior, n=n)
+        return self
 
     @property
     def k(self) -> int:
         return len(self.counts)
-
-    @property
-    def n(self) -> int:
-        """Effective sample size, observations plus pseudocounts."""
-        return sum(self.counts) + self.k * self.prior.pseudocount
 
     def alpha(self, category: int) -> int:
         return self.counts[category] + self.prior.pseudocount

@@ -1,7 +1,11 @@
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condsim import (
     dependence_value,
@@ -13,7 +17,10 @@ from condsim import (
     predicted_cost,
     satisfies_ras,
 )
+from condsim.dependence import _value_given
 from condsim.errors import OverlappingSetsError
+from condsim.network import conditional_row
+from condsim.reformulate import greedy_select
 
 from helpers import arcless_network, random_network
 
@@ -156,3 +163,49 @@ def test_lambda_at_least_one_everywhere():
                  for name in net.nodes if gen.random() < 0.3}
         for name in net.nodes:
             assert node_lambda(net, name, fixed) >= 1.0
+
+
+@st.composite
+def bound_networks(draw):
+    """A network of 1 to 7 nodes with up to 3 parents each, evidence, and
+    a conditioning set disjoint from it."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    net = random_network(gen, draw(st.integers(1, 7)), max_parents=3,
+                         lo=0.01, hi=0.99)
+    bound = draw(st.lists(st.sampled_from(net.nodes), unique=True))
+    split = draw(st.integers(0, len(bound)))
+    evidence = {name: draw(st.integers(0, 1)) for name in bound[:split]}
+    return net, evidence, tuple(bound[split:])
+
+
+def _brute_bounds(net, node, fixed):
+    """Extremes of Pr[node = 1 | parents] over every parent row that
+    agrees with ``fixed``, by table lookups."""
+    parents = net.parents(node)
+    ps = [conditional_row(net, node, 1, dict(zip(parents, values)))
+          for values in itertools.product((0, 1), repeat=len(parents))
+          if all(fixed.get(p, v) == v for p, v in zip(parents, values))]
+    return min(ps), max(ps)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(bound_networks())
+def test_one_dependence_pass_is_the_per_node_functions(case):
+    # Floats compare exactly, so each equality holds bit for bit.
+    net, fixed, conditioning = case
+    report = dependence_value(net, fixed, conditioning)
+    for v in net.nodes:
+        bounds, lam = report.per_node[v]
+        assert (bounds, lam) == (node_bounds(net, v, 1, fixed),
+                                 node_lambda(net, v, fixed, conditioning))
+        assert (bounds.lo, bounds.hi) == _brute_bounds(net, v, fixed)
+    # Greedy and infer price a set from the report without it.
+    alone = dependence_value(net, fixed)
+    assert _value_given(alone, net, {*fixed, *conditioning}) == report.value
+    selected, trace = greedy_select(net, fixed)
+    chosen: tuple[str, ...] = ()
+    for step in trace.steps:
+        assert step.cost_before == predicted_cost(net, fixed, chosen)
+        chosen += step.added
+        assert step.cost_after == predicted_cost(net, fixed, chosen)
+    assert trace.final_cost == predicted_cost(net, fixed, selected)

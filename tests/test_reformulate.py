@@ -32,6 +32,7 @@ from condsim.sampling import (
     estimate_conditional_fraction,
     mix_seed,
 )
+from condsim.stopping import DirichletPosterior, should_stop
 
 from helpers import BARREN_SOURCE, arcless_network, random_network
 
@@ -493,3 +494,47 @@ def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
     else:
         got = (result.estimate, result.trials_total, result.mu_s)
     assert got == pinned
+
+
+def test_an_answer_builds_a_generator_only_for_the_streams_it_reads(
+        net_c, monkeypatch):
+    # infer's root source only derives the sources that draw: one for a
+    # direct answer, and for a selective one the weights' and one per
+    # subproblem.
+    built = []
+    generator = np.random.Generator
+
+    def counted(bits):
+        built.append(bits)
+        return generator(bits)
+
+    monkeypatch.setattr(np.random, "Generator", counted)
+    infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1, "direct", seed=11)
+    assert len(built) == 1
+    built.clear()
+    result = infer(net_c, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective", seed=12)
+    assert len(built) == 1 + 2 ** len(result.selected_s) == 3
+
+
+def test_the_certify_loop_checks_no_posterior_it_builds(net_c, monkeypatch):
+    checked = []
+    post_init = DirichletPosterior.__post_init__
+
+    def counted(self):
+        checked.append(self.counts)
+        post_init(self)
+
+    monkeypatch.setattr(DirichletPosterior, "__post_init__", counted)
+    result = infer(net_c, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective", seed=12)
+    assert result.trials_total == 301568
+    assert checked == []
+    # A posterior that a caller builds is still checked, and so are the
+    # rule's inputs.
+    with pytest.raises(ValueError):
+        DirichletPosterior((-1, 2))
+    assert checked == [(-1, 2)]
+    posterior = DirichletPosterior((3, 4))
+    for epsilon, delta, category in ((0.0, 0.1, None), (0.2, 0.0, None),
+                                     (0.2, 0.1, 2)):
+        with pytest.raises(ValueError):
+            should_stop(posterior, epsilon, delta, category)

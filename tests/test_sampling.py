@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condsim import sampling
 from condsim.dependence import phi_min_lower_bound, satisfies_ras
@@ -28,6 +30,8 @@ from condsim.sampling import (
     _GibbsStream,
     _RejectionStream,
     _make_stream,
+    _match_all,
+    _match_one,
     _sample_batch,
     _schedule,
     conditioned_sample_batch,
@@ -1024,3 +1028,17 @@ def test_gibbs_on_a_one_node_kept_component_is_exact():
         phi = exact_conditional(net, {query: 1}, condition)
         se = math.sqrt(phi * (1 - phi) / count)
         assert abs(rows[0].mean() - phi) < 5 * se, (case, phi)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 300), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_one_slot_classifier_counts_as_the_general_one(width, count, seed,
+                                                       data):
+    # Streams return rows of 0s and 1s, often as a view of a wider batch.
+    batch = np.random.default_rng(seed).integers(0, 2, (width, count + 7),
+                                                 dtype=np.uint8)
+    rows = batch[:, :count]
+    at = data.draw(st.integers(0, width - 1))
+    value = data.draw(st.integers(0, 1))
+    assert _match_one(at, value)(rows) == _match_all([at], [value])(rows)
