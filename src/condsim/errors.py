@@ -49,7 +49,8 @@ class MissingParentBindingError(CondsimError):
 
 
 class NetworkTooLargeError(CondsimError):
-    """The exact oracle was asked to enumerate an oversized network."""
+    """A table would pass its size limit: the exact oracle's frontier,
+    or a distribution estimate's categories."""
 
 
 class EmptyPosteriorError(CondsimError):

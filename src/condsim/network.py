@@ -97,6 +97,7 @@ class BeliefNetwork:
     nodes: tuple[str, ...]
     cpts: tuple[Cpt, ...]
     _index: dict = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.cpts):
@@ -117,6 +118,13 @@ class BeliefNetwork:
                         "declared yet")
             index[node] = i
         object.__setattr__(self, "_index", index)
+        # Networks key the sampler's and the oracle's caches: hash every
+        # table's rows once here, not at each lookup.
+        object.__setattr__(self, "_hash",
+                           hash((self.name, self.nodes, self.cpts)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -119,6 +119,16 @@ def arcless_network(n: int, p: float = 0.4) -> BeliefNetwork:
     return BeliefNetwork("arcless", names, cpts)
 
 
+def wide_network(roots: int) -> BeliefNetwork:
+    """``roots`` roots declared first, then one child per root, so that
+    along declaration order every root stays live until its child."""
+    names = tuple(f"R{i}" for i in range(roots)) + tuple(
+        f"C{i}" for i in range(roots))
+    cpts = tuple(Cpt((), (0.3,)) for _ in range(roots)) + tuple(
+        Cpt((f"R{i}",), (0.2, 0.7)) for i in range(roots))
+    return BeliefNetwork("wide", names, cpts)
+
+
 def expected_stop_n(probs, epsilon: float, delta: float, start: int) -> int:
     """First geometric checkpoint whose expected counts clear the rule.
 

@@ -8,13 +8,22 @@ import pytest
 
 from condsim import __version__, cli
 from condsim.errors import SampleBudgetExceededError
-from condsim.exact import MAX_NODES, exact_conditional
-from condsim.network import ancestral_network, parse_network
+from condsim.exact import exact_conditional
+from condsim.network import (
+    ancestral_network,
+    parse_network,
+    serialize_network,
+)
 from condsim.reformulate import InferConfig, InferenceResult, infer
 from condsim.sampling import RandomSource, estimate_distribution_over
 from condsim.stopping import PriorChoice
 
-from helpers import BARREN_SOURCE, NET_C_SOURCE, random_network
+from helpers import (
+    BARREN_SOURCE,
+    NET_C_SOURCE,
+    random_network,
+    wide_network,
+)
 
 
 def run_cli(capsys, argv):
@@ -431,18 +440,19 @@ def _priors(n, p):
 
 
 @pytest.mark.parametrize("report", ["text", "json"])
-@pytest.mark.parametrize("source,evidence,message", [
-    (_priors(30, 0.5), ",".join(f"N{i}=1" for i in range(1, 30)),
-     f"n = 30 > {MAX_NODES} nodes"),
-    (_priors(3, 5e-324), "N1=1,N2=1", "Pr[evidence] underflows to 0"),
+@pytest.mark.parametrize("source,query,evidence,message", [
+    (serialize_network(wide_network(21)), "C0=1",
+     ",".join(f"C{i}=1" for i in range(1, 21)), "21 > 20 live nodes"),
+    (_priors(3, 5e-324), "N0=1", "N1=1,N2=1",
+     "Pr[evidence] underflows to 0"),
 ], ids=["too-many-nodes", "evidence-underflows"])
 def test_exact_oracle_that_cannot_run_is_a_usage_error(
-        capsys, tmp_path, source, evidence, message, report):
+        capsys, tmp_path, source, query, evidence, message, report):
     # Gibbs answers both queries; the oracle cannot, and that is known
     # before any sampling.
     code, out, err = run_cli(
         capsys, ["infer", "--network", _write(tmp_path, source),
-                 "--query", "N0=1", "--evidence", evidence,
+                 "--query", query, "--evidence", evidence,
                  "--epsilon", "0.2", "--delta", "0.1",
                  "--generator", "gibbs", "--burn-in-sweeps", "1",
                  "--exact", "--report", report])
@@ -485,6 +495,27 @@ def test_exact_oracle_on_the_closure_keeps_its_value(capsys, tmp_path):
         exact_conditional(net, {"Q": 1}, {"E": 1}), rel=1e-12, abs=0)
 
 
+def test_exact_oracle_reaches_a_long_chain(capsys, tmp_path):
+    # The closure of N0 and N59 is the whole 60-node chain; elimination
+    # keeps one node live at a time. Pr[N0=1 | N59=1] from the chain's
+    # transfer matrices, whose links are steep enough that N59 still
+    # moves N0. The direct strategy keeps the sampling short.
+    source = "network chain\nnode N0\nprior N0 : 0.4\n" + "".join(
+        f"node N{i}\nparents N{i} : N{i - 1}\ncpt N{i} : 0.02 0.99\n"
+        for i in range(1, 60))
+    step = np.array([[0.98, 0.02], [0.01, 0.99]])
+    joint = np.diag([0.6, 0.4]) @ np.linalg.matrix_power(step, 59)
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", _write(tmp_path, source),
+                 "--query", "N0=1", "--evidence", "N59=1", "--epsilon",
+                 "0.2", "--delta", "0.1", "--strategy", "direct",
+                 "--exact"])
+    assert code == 0
+    assert report["result"]["nodes_kept"] == 60
+    assert report["exact"]["oracle"] == pytest.approx(
+        joint[1, 1] / joint[:, 1].sum(), rel=1e-12, abs=0)
+
+
 def _source(net):
     lines = [f"network {net.name}"]
     for x in net.nodes:
@@ -505,7 +536,7 @@ def test_exact_oracle_on_random_closures_keeps_its_value(capsys, tmp_path):
     gen = np.random.Generator(np.random.PCG64(113))
     cases = 0
     while cases < 12:
-        net = random_network(gen, int(gen.integers(4, MAX_NODES + 1)),
+        net = random_network(gen, int(gen.integers(4, 25 + 1)),
                              max_parents=2, lo=0.2, hi=0.8)
         q, e = (net.nodes[i] for i in gen.choice(net.n, 2, replace=False))
         query, evidence = {q: int(gen.integers(0, 2))}, {e: 1}

@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,10 +13,15 @@ from condsim.errors import (
     OverlappingSetsError,
     ZeroDenominatorError,
 )
-from condsim.exact import _CHUNK_BITS
 from condsim.network import BeliefNetwork, Cpt, parse_network
 
-from helpers import arcless_network, brute_marginal, random_network
+from helpers import (
+    arcless_network,
+    brute_marginal,
+    random_chain,
+    random_network,
+    wide_network,
+)
 
 
 def test_marginal_reference_values(net_a):
@@ -95,10 +99,14 @@ def test_chain_rule_identity():
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_size_guard():
-    big = arcless_network(26)
-    with pytest.raises(NetworkTooLargeError):
-        exact_marginal(big, {})
+def test_width_guard():
+    with pytest.raises(NetworkTooLargeError, match="21 > 20 live nodes"):
+        exact_marginal(wide_network(21), {})
+    # Binding a root takes its axis off the frontier.
+    assert exact_marginal(wide_network(21), {"R0": 1}) == pytest.approx(
+        0.3, rel=1e-12)
+    assert exact_marginal(wide_network(20), {}) == pytest.approx(
+        1.0, rel=1e-12)
 
 
 def test_chunked_enumeration_matches_closed_form():
@@ -109,6 +117,13 @@ def test_chunked_enumeration_matches_closed_form():
         0.4 * 0.6 * 0.4, abs=1e-12)
     assert exact_distribution_over(net, ["Z20", "Z0"]) == pytest.approx(
         (0.36, 0.24, 0.24, 0.16), abs=1e-12)
+
+
+def test_projection_of_twenty_nodes_answers():
+    net = arcless_network(22)
+    dist = exact_distribution_over(net, list(net.nodes)[:20])
+    assert len(dist) == 2 ** 20
+    assert dist[-1] == pytest.approx(0.4 ** 20, rel=1e-12, abs=0)
 
 
 def test_projection_guard():
@@ -130,31 +145,6 @@ def _reversed_parents(net):
         Cpt(cpt.parents[::-1], cpt.rows) for cpt in net.cpts))
 
 
-def _enumerated(net, bound):
-    """Pr[bound] in the oracle's order of additions, from the products of
-    single states that brute_marginal forms in declaration order.
-
-    Unbound nodes among the first n - _CHUNK_BITS are added state by
-    state in binary order. Within each, the other unbound nodes are
-    summed pairwise, the first one splitting the sum in two.
-    """
-    high = max(0, net.n - _CHUNK_BITS)
-
-    def tree(partial, free):
-        if not free:
-            return brute_marginal(net, partial)
-        head, rest = free[0], free[1:]
-        return (tree({**partial, head: 0}, rest)
-                + tree({**partial, head: 1}, rest))
-
-    prefix = [x for x in net.nodes[:high] if x not in bound]
-    rest = [x for x in net.nodes[high:] if x not in bound]
-    total = 0.0
-    for values in itertools.product((0, 1), repeat=len(prefix)):
-        total += tree({**bound, **dict(zip(prefix, values))}, rest)
-    return total
-
-
 def test_every_state_is_the_declaration_order_product():
     gen = np.random.Generator(np.random.PCG64(41))
     for n in range(1, 13):
@@ -167,13 +157,13 @@ def test_every_state_is_the_declaration_order_product():
             assert p == brute_marginal(net, state), (n, i)
 
 
-def test_chunked_entries_are_brute_force_products_and_sums():
-    # 21 to 23 nodes take 2 to 8 chunks, each fixing the first n - 20
-    # nodes. Kept and bound nodes fall on both sides of that prefix.
+def test_entries_past_twenty_nodes_match_brute_force():
+    # 21 to 23 nodes, with kept and bound nodes drawn both from the first
+    # n - 20 nodes and from the rest.
     gen = np.random.Generator(np.random.PCG64(43))
     for n in (21, 22, 23):
         net = _reversed_parents(random_network(gen, n, max_parents=3))
-        high = n - _CHUNK_BITS
+        high = n - 20
         inside = [int(c) for c in gen.permutation(high)]
         outside = [int(c) for c in gen.permutation(range(high, n))]
         picks = [inside[0], *outside[:14]]
@@ -182,14 +172,55 @@ def test_chunked_entries_are_brute_force_products_and_sums():
         for i in gen.choice(len(dist), size=6, replace=False):
             entry = {x: (int(i) >> (len(subset) - 1 - k)) & 1
                      for k, x in enumerate(subset)}
-            assert dist[i] == _enumerated(net, entry), (n, i)
+            assert dist[i] == pytest.approx(
+                brute_marginal(net, entry), rel=1e-12, abs=0), (n, i)
         bound = {net.nodes[c]: int(gen.integers(0, 2))
                  for c in (*inside[-1:], *outside[-13:])}
         target = dict([bound.popitem()])
-        assert exact_marginal(net, bound) == _enumerated(net, bound), n
-        assert exact_conditional(net, target, bound) == (
-            _enumerated(net, {**target, **bound})
-            / _enumerated(net, bound)), n
+        assert exact_marginal(net, bound) == pytest.approx(
+            brute_marginal(net, bound), rel=1e-12, abs=0), n
+        assert exact_conditional(net, target, bound) == pytest.approx(
+            brute_marginal(net, {**target, **bound})
+            / brute_marginal(net, bound), rel=1e-12, abs=0), n
+
+
+def _transfer(net, first, last):
+    """Entry (a, b) is Pr[N<first> = a, N<last> = b] on a chain, from its
+    2x2 transfer matrices."""
+    prior = net.cpts[0].rows[0]
+    marginal = np.array([1.0 - prior, prior])
+    steps = [np.array([[1.0 - p, p] for p in cpt.rows])
+             for cpt in net.cpts[1:]]
+    for step in steps[:first]:
+        marginal = marginal @ step
+    joint = np.diag(marginal)
+    for step in steps[first:last]:
+        joint = joint @ step
+    return joint
+
+
+def test_long_chain_matches_transfer_matrices():
+    net = random_chain(np.random.Generator(np.random.PCG64(53)), 200)
+    joint = _transfer(net, 0, 199)
+    assert exact_distribution_over(net, ["N0", "N199"]) == pytest.approx(
+        tuple(joint.ravel()), rel=1e-12, abs=0)
+    assert exact_conditional(net, {"N0": 1}, {"N199": 1}) == pytest.approx(
+        joint[1, 1] / joint[:, 1].sum(), rel=1e-12, abs=0)
+    # Four links apart, N100 and N104 are still strongly dependent.
+    near = _transfer(net, 100, 104)
+    assert exact_distribution_over(net, ["N104", "N100"]) == pytest.approx(
+        tuple(near.T.ravel()), rel=1e-12, abs=0)
+
+
+def test_arcless_network_of_300_nodes_matches_closed_form():
+    net = arcless_network(300)
+    bound = {f"Z{i}": i % 2 for i in range(0, 300, 3)}
+    assert exact_marginal(net, bound) == pytest.approx(
+        0.4 ** 50 * 0.6 ** 50, rel=1e-12, abs=0)
+    assert exact_conditional(net, {"Z1": 1}, bound) == pytest.approx(
+        0.4, rel=1e-12, abs=0)
+    assert exact_distribution_over(net, ["Z299", "Z0"]) == pytest.approx(
+        (0.36, 0.24, 0.24, 0.16), rel=1e-12, abs=0)
 
 
 def test_calls_hold_no_state_arrays():

@@ -209,6 +209,21 @@ def test_ancestral_network_keeps_the_marginals_of_its_nodes():
                 brute_marginal(net, partial), rel=1e-12)
 
 
+def test_equal_networks_hash_equal(net_c, monkeypatch):
+    rebuilt = BeliefNetwork(net_c.name, net_c.nodes, tuple(
+        Cpt(cpt.parents, cpt.rows) for cpt in net_c.cpts))
+    closure = ancestral_network(net_c, ["B"])
+    pair = BeliefNetwork(net_c.name, net_c.nodes[:2], net_c.cpts[:2])
+    assert rebuilt == net_c and hash(rebuilt) == hash(net_c)
+    assert closure == pair and hash(closure) == hash(pair)
+    # A built network's hash walks no table.
+    def refuse(cpt):
+        raise AssertionError("Cpt hashed")
+    monkeypatch.setattr(Cpt, "__hash__", refuse)
+    assert {rebuilt: 1}[net_c] == 1
+    assert hash(closure) == hash(pair)
+
+
 def _ancestors(net, node):
     parents = set(net.parents(node))
     return parents.union(*(_ancestors(net, p) for p in parents))
