@@ -5,7 +5,7 @@ and estimate conditional probabilities to a requested relative error with
 a certified failure probability.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .errors import (
     BnetSyntaxError,
@@ -21,7 +21,7 @@ from .errors import (
     NonPositiveShapeError,
     OverlappingSetsError,
     ProbabilityOutOfRangeError,
-    RejectionBudgetExceededError,
+    RowBudgetExceededError,
     SampleBudgetExceededError,
     UndeclaredParentError,
     UnknownNodeError,

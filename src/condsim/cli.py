@@ -197,7 +197,7 @@ def _infer_config(cfg: Mapping) -> InferConfig:
         generator=TrialGeneratorKind(cfg["generator"],
                                      cfg["burn_in_sweeps"]),
         sample_cap=cfg["sample_cap"],
-        rejection_cap=cfg["rejection_cap"])
+        row_budget=cfg["row_budget"])
 
 
 def cmd_infer(args: argparse.Namespace, source: str) -> int:
@@ -221,7 +221,7 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
                    "generator": args.generator,
                    "burn_in_sweeps": args.burn_in_sweeps,
                    "sample_cap": args.sample_cap,
-                   "rejection_cap": args.rejection_cap},
+                   "row_budget": args.row_budget},
         "seed": args.seed,
     }
     config = _infer_config(report["config"])
@@ -335,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--burn-in-sweeps", type=int,
                      default=defaults.generator.burn_in_sweeps)
     run.add_argument("--sample-cap", type=int, default=defaults.sample_cap)
-    run.add_argument("--rejection-cap", type=int,
-                     default=defaults.rejection_cap)
+    run.add_argument("--row-budget", type=int, default=defaults.row_budget)
     run.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"64-bit seed (default {DEFAULT_SEED})")
     run.add_argument("--exact", action="store_true",

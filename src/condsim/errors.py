@@ -68,8 +68,10 @@ class NonPositivePhiMinError(CondsimError):
 class BudgetExceededError(CondsimError):
     """A sampling run hit a hard resource cap before certifying.
 
-    Instances carry partial diagnostics: the phase that failed, the number
-    of scored trials, and the cap that was hit.
+    Instances carry partial diagnostics: the phase that failed
+    ("distribution" for the weights, "fraction" for a conditioned
+    estimate, empty outside an estimate), the number of scored trials,
+    and the cap that was hit.
     """
 
     def __init__(self, message: str, *, phase: str = "", trials: int = 0,
@@ -84,8 +86,12 @@ class SampleBudgetExceededError(BudgetExceededError):
     """The stopping rule was still unsatisfied at the trial cap."""
 
 
-class RejectionBudgetExceededError(BudgetExceededError):
-    """Rejection sampling ran too long without an accepted trial."""
+class RowBudgetExceededError(BudgetExceededError):
+    """A stream's next batch would pass its raw-row budget.
+
+    Every forward row counts, accepted or rejected, and a Gibbs chain
+    counts as one row per sweep.
+    """
 
 
 class LengthMismatchError(CondsimError):

@@ -32,7 +32,8 @@ from .network import (
     check_disjoint,
 )
 from .sampling import (
-    DEFAULT_REJECTION_CAP,
+    DEFAULT_ROW_BUDGET,
+    _MAX_CATEGORY_NODES,
     RandomSource,
     RasEstimate,
     TrialGeneratorKind,
@@ -52,8 +53,9 @@ def _check_greedy_settings(exponent: float, max_s: int) -> None:
     """greedy_select's settings rule, which InferConfig applies too."""
     if not exponent >= 1.0:
         raise ValueError(f"exponent must be at least 1, got {exponent!r}")
-    if max_s < 0:
-        raise ValueError(f"max_s must be nonnegative, got {max_s!r}")
+    if not 0 <= max_s <= _MAX_CATEGORY_NODES:
+        raise ValueError(f"max_s must lie in 0..{_MAX_CATEGORY_NODES}, "
+                         f"got {max_s!r}")
 
 
 @dataclass(frozen=True)
@@ -65,16 +67,16 @@ class InferConfig:
     prior: PriorChoice = PriorChoice.UNBIASED
     generator: TrialGeneratorKind = TrialGeneratorKind.rejection()
     sample_cap: int | None = None
-    rejection_cap: int = DEFAULT_REJECTION_CAP
+    row_budget: int = DEFAULT_ROW_BUDGET
 
     def __post_init__(self) -> None:
         _check_greedy_settings(self.greedy_exponent, self.max_s)
         if self.sample_cap is not None and self.sample_cap < 1:
             raise ValueError("sample_cap (--sample-cap) must be at least 1, "
                              f"got {self.sample_cap!r}")
-        if self.rejection_cap < 0:
-            raise ValueError("rejection_cap (--rejection-cap) must be "
-                             f"nonnegative, got {self.rejection_cap!r}")
+        if self.row_budget < 1:
+            raise ValueError("row_budget (--row-budget) must be at least 1, "
+                             f"got {self.row_budget!r}")
 
 
 @dataclass(frozen=True)
@@ -343,7 +345,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                                                     len(selected))
         mu_s, weight_trials = estimate_distribution_over(
             net, selected, stage_eps, delta_w, config.prior, root.derive(0),
-            sample_cap=config.sample_cap)
+            sample_cap=config.sample_cap, row_budget=config.row_budget)
         scored = weight_trials
         pairs = []
         for sub in decompose(net, query, evidence, selected):
@@ -355,7 +357,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                  "denominator": sub.denominator_target},
                 sub.instantiation, stage_eps, delta_s, config.generator,
                 root.derive(sub.index + 1), config.prior, config.sample_cap,
-                config.rejection_cap)
+                config.row_budget)
             pairs.append((fractions["numerator"], fractions["denominator"]))
             scored += sum(est.trials for est in fractions.values())
         dependence_after = _value_given(report, net, {*evidence, *selected})
@@ -367,7 +369,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                             evidence, epsilon, delta, config.generator,
                             root.derive(1), prior=config.prior,
                             sample_cap=config.sample_cap,
-                            attempt_cap=config.rejection_cap),
+                            row_budget=config.row_budget),
                   RasEstimate(1.0, epsilon, delta, 0, 0))]
         dependence_after = report.value
     numerator = combine_weighted([num.value for num, _ in pairs], mu_s)

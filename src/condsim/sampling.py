@@ -11,7 +11,8 @@ Estimators feed trial categories into a Dirichlet posterior and stop at
 the first checkpoint (the powers of two and the worst-case bound) that
 the stopping rule certifies, on every category for the weights and on
 the consistent category for a fraction. Several fractions can read one
-conditioned stream, each certified on its own.
+conditioned stream, each certified on its own. Each stream stops at its
+raw-row budget, so every estimate ends.
 """
 
 import math
@@ -25,7 +26,7 @@ from .dependence import _phi_floor
 from .errors import (
     NetworkTooLargeError,
     NonPositivePhiMinError,
-    RejectionBudgetExceededError,
+    RowBudgetExceededError,
     SampleBudgetExceededError,
 )
 from .network import Assignment, BeliefNetwork, check_disjoint
@@ -36,7 +37,7 @@ from .stopping import (
     worst_case_sample_bound,
 )
 
-DEFAULT_REJECTION_CAP = 10 ** 7
+DEFAULT_ROW_BUDGET = 2 ** 32
 _GENERATOR_KINDS = ("rejection", "gibbs")
 
 _MASK64 = (1 << 64) - 1
@@ -222,8 +223,7 @@ def _schedule(net: BeliefNetwork, keep: tuple[int, ...] | None,
 def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
                   keep: tuple[int, ...] | None = None,
                   condition: tuple[tuple[int, int], ...] = (),
-                  clamp: tuple[tuple[int, int], ...] = ()
-                  ) -> tuple[np.ndarray, np.ndarray | None]:
+                  clamp: tuple[tuple[int, int], ...] = ()) -> np.ndarray:
     """Forward-sample ``count`` rows, computing only what the caller reads.
 
     ``keep`` lists the columns returned (None: all, in declaration order);
@@ -236,16 +236,14 @@ def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
     value. The batch is held one contiguous row of values per node, in
     walk order, so dropping rows moves only the nodes already drawn.
 
-    Returns ``(rows, hits)``: the kept columns, one row each, of the
-    forward rows at positions ``hits`` that satisfy the condition;
-    ``hits`` is None when there is no condition and every row is kept.
+    Returns the kept columns, one row each, of the forward rows that
+    satisfy the condition.
     """
     fixes, draws, out = _schedule(net, keep, condition, clamp)
     first = len(fixes)
     batch = np.empty((first + len(draws), count), dtype=np.uint8)
     for i, (_, value) in enumerate(fixes):
         batch[i] = value
-    pos = None  # positions of the surviving rows once one is dropped
     m = count
     for i, (_, pslots, rows, want) in enumerate(draws, first):
         if m == 0:
@@ -255,11 +253,9 @@ def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
         if want >= 0:
             sel = np.flatnonzero(batch[i, :m] == want)
             if len(sel) < m:
-                pos, m = sel if pos is None else pos[sel], len(sel)
+                m = len(sel)
                 batch[first:i + 1, :m] = batch[first:i + 1].take(sel, axis=1)
-    if condition and pos is None:
-        pos = np.arange(count)
-    return batch[list(out), :m], pos
+    return batch[list(out), :m]
 
 
 def logic_sample_batch(net: BeliefNetwork, rng: RandomSource,
@@ -267,7 +263,7 @@ def logic_sample_batch(net: BeliefNetwork, rng: RandomSource,
     """``count`` joint samples as a (count, n) array, declaration order."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count!r}")
-    return np.ascontiguousarray(_sample_batch(net, rng, count)[0].T)
+    return np.ascontiguousarray(_sample_batch(net, rng, count).T)
 
 
 def _pairs(net: BeliefNetwork,
@@ -290,16 +286,24 @@ class _Stream:
     sampling, Gibbs, rejection on a clamped condition) ends a batch on
     each power-of-two checkpoint from _FIRST_RAW_BATCH on, and one that
     rejects ends a batch near it.
+
+    Every raw row is made here, so the stream's one work bound is kept
+    here too: a batch that would take the raw rows drawn past
+    ``row_budget`` raises RowBudgetExceededError before it draws. A
+    Gibbs chain counts as ``_sweeps`` rows.
     """
 
+    _sweeps = 1
+
     def __init__(self, net: BeliefNetwork, condition: Assignment,
-                 rng: RandomSource, keep: tuple[int, ...]) -> None:
+                 rng: RandomSource, row_budget: int,
+                 keep: tuple[int, ...]) -> None:
         self._net = net
         self._condition = _pairs(net, condition)
         self._rng = rng
+        self._budget = row_budget
         self._keep = keep
         self._rest = np.empty((len(keep), 0), dtype=np.uint8)
-        self._taken = 0
         self._made = 0
         self._drawn = 0
 
@@ -312,13 +316,16 @@ class _Stream:
             rate = (self._made + 1) / (self._drawn + 1)
             spread = 2.0 * math.sqrt(wanted * (1.0 - rate))
             m = min(math.ceil((wanted + spread) / rate), _MAX_RAW_BATCH)
+            if (self._drawn + m) * self._sweeps > self._budget:
+                raise RowBudgetExceededError(
+                    f"next batch would pass the row budget of "
+                    f"{self._budget} raw rows", cap=self._budget)
             self._drawn += m
             parts.append(self._next(m))
             self._made += parts[-1].shape[1]
             have += parts[-1].shape[1]
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         self._rest = rows[:, count:]
-        self._taken += count
         return rows[:, :count]
 
 
@@ -327,20 +334,15 @@ class _RejectionStream(_Stream):
 
     A condition node whose parents are all clamped is clamped too: its
     factor is the same on every row, so the accepted rows keep their law,
-    and only the other condition nodes are rejected on. More than
-    ``attempt_cap`` rejected rows in a row raise, wherever the run falls
-    across batches; the error's ``trials`` counts the rows already taken
-    from the stream. With no condition left to reject on, no row is
-    rejected and the cap never applies (logic sampling, when the
+    and only the other condition nodes are rejected on. With no condition
+    left to reject on, no row is rejected (logic sampling, when the
     condition is empty).
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
-                 rng: RandomSource, attempt_cap: int,
+                 rng: RandomSource, row_budget: int,
                  keep: tuple[int, ...]) -> None:
-        super().__init__(net, condition, rng, keep)
-        self._cap = attempt_cap
-        self._since_accept = 0
+        super().__init__(net, condition, rng, row_budget, keep)
         rejected, clamped = dict(self._condition), {}
         for col, pcols, _ in _plan(net):
             if col in rejected and all(p in clamped for p in pcols):
@@ -349,22 +351,8 @@ class _RejectionStream(_Stream):
         self._clamped = tuple(clamped.items())
 
     def _next(self, m: int) -> np.ndarray:
-        accepted, hits = _sample_batch(self._net, self._rng, m, self._keep,
-                                       self._rejected, self._clamped)
-        if hits is not None:
-            # Lengths of the runs of rejected rows before, between and
-            # after the hits, the first continuing the previous batch's;
-            # none is longer than that run through the whole batch.
-            if self._since_accept + m > self._cap:
-                runs = np.diff(np.concatenate(
-                    ([-1 - self._since_accept], hits, [m]))) - 1
-                if runs.max() > self._cap:
-                    raise RejectionBudgetExceededError(
-                        f"no accepted trial within {self._cap} attempts",
-                        phase="rejection", trials=self._taken, cap=self._cap)
-            self._since_accept = (m - 1 - int(hits[-1]) if len(hits)
-                                  else self._since_accept + m)
-        return accepted
+        return _sample_batch(self._net, self._rng, m, self._keep,
+                             self._rejected, self._clamped)
 
 
 def _unbound_blanket(col: int, pcols: tuple[int, ...], kids: tuple,
@@ -434,9 +422,9 @@ class _GibbsStream(_Stream):
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
-                 rng: RandomSource, sweeps: int,
+                 rng: RandomSource, sweeps: int, row_budget: int,
                  keep: tuple[int, ...]) -> None:
-        super().__init__(net, condition, rng, keep)
+        super().__init__(net, condition, rng, row_budget, keep)
         self._sweeps = sweeps
         clamped = dict(self._condition)
         plan = _plan(net)
@@ -470,8 +458,7 @@ class _GibbsStream(_Stream):
                     np.less(draws[i - start], update(column), out=flags[col])
 
     def _next(self, m: int) -> np.ndarray:
-        state, _ = _sample_batch(self._net, self._rng, m,
-                                 clamp=self._condition)
+        state = _sample_batch(self._net, self._rng, m, clamp=self._condition)
         column = state.__getitem__
         flags = [row.view(bool) for row in state]
         if self._every:
@@ -485,16 +472,17 @@ class _GibbsStream(_Stream):
 
 def _make_stream(net: BeliefNetwork, condition: Assignment,
                  kind: TrialGeneratorKind, rng: RandomSource,
-                 attempt_cap: int, keep: tuple[int, ...]):
+                 row_budget: int, keep: tuple[int, ...]):
     if kind.kind == "rejection":
-        return _RejectionStream(net, condition, rng, attempt_cap, keep)
-    return _GibbsStream(net, condition, rng, kind.burn_in_sweeps, keep)
+        return _RejectionStream(net, condition, rng, row_budget, keep)
+    return _GibbsStream(net, condition, rng, kind.burn_in_sweeps, row_budget,
+                        keep)
 
 
 def conditioned_sample_batch(net: BeliefNetwork, condition: Assignment,
                              kind: TrialGeneratorKind, rng: RandomSource,
                              count: int,
-                             attempt_cap: int = DEFAULT_REJECTION_CAP
+                             row_budget: int = DEFAULT_ROW_BUDGET
                              ) -> np.ndarray:
     """``count`` conditioned trials as a (count, n) array."""
     if count < 0:
@@ -502,7 +490,7 @@ def conditioned_sample_batch(net: BeliefNetwork, condition: Assignment,
     net.validate_assignment(condition)
     if len(condition) >= net.n:
         raise ValueError("condition must leave at least one node unbound")
-    stream = _make_stream(net, condition, kind, rng, attempt_cap,
+    stream = _make_stream(net, condition, kind, rng, row_budget,
                           tuple(range(net.n)))
     return np.ascontiguousarray(stream.take(count).T)
 
@@ -525,10 +513,10 @@ class _Reader:
     ``classify(rows)`` counts rows in 2^s_size categories, and the rule
     certifies ``category`` (phase "fraction"), or every category when it
     is None (phase "distribution"). Its worst-case bound W bounds phi_min
-    over ``nodes`` (None when phi_min underflows), and a None cap is ten
-    times W; when W cannot be sized, that raises, and the error says to
-    set a cap. The phase and ``name`` label its budget errors.
-    ``posterior`` and ``trials`` are set when it is certified.
+    over ``nodes``, and is None when it has no finite value. ``cap`` is
+    the caller's ``sample_cap``, None for no cap. The phase and ``name``
+    label its budget errors. ``posterior`` and ``trials`` are set when
+    it is certified.
     """
 
     def __init__(self, classify, s_size: int, net: BeliefNetwork,
@@ -539,14 +527,9 @@ class _Reader:
         try:
             self.bound = worst_case_sample_bound(
                 s_size, epsilon, delta, _phi_floor(net, nodes))
-        except NonPositivePhiMinError as exc:
-            if sample_cap is None:
-                raise SampleBudgetExceededError(_named(
-                    name, f"default sample cap cannot be sized ({exc}); set "
-                    "one with sample_cap (--sample-cap)"),
-                    phase=self.phase) from exc
+        except NonPositivePhiMinError:
             self.bound = None
-        self.cap = 10 * self.bound if sample_cap is None else sample_cap
+        self.cap = sample_cap
         self.classify, self.category, self.name = classify, category, name
         self.counts = np.zeros(1 << s_size, dtype=np.int64)
         self.trials = 0
@@ -563,11 +546,12 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
     k. Checkpoints double from k, and each reader's W is a checkpoint
     too; at each one every unfinished reader is evaluated, and it
     certifies only once all its categories have been observed. A
-    checkpoint past an unfinished reader's cap raises, as does the
-    stream's attempt cap; the error names the first such reader and
-    counts every reader's trials. Each row falls in exactly one category,
-    so every reader's posterior has the same n, and its counts, made
-    here, need no checks.
+    checkpoint past an unfinished reader's cap raises, as does a batch
+    past the stream's row budget; the error names the first such reader
+    and its phase, and counts every reader's trials. With no cap, only
+    the budget bounds the rows drawn. Each row falls in exactly one
+    category, so every reader's posterior has the same n, and its
+    counts, made here, need no checks.
     """
     k = len(readers[0].counts)
     # Each W that is not already a checkpoint, largest first.
@@ -576,10 +560,11 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
                    reverse=True)
     live, trials, checkpoint = list(readers), 0, k
 
-    def fail(reader, error, message, phase, cap):
-        return error(_named(reader.name, message), phase=phase, cap=cap,
-                     trials=sum(trials if r.posterior is None else r.trials
-                                for r in readers))
+    def fail(reader, error, message, cap):
+        scored = sum(trials if r.posterior is None else r.trials
+                     for r in readers)
+        return error(_named(reader.name, message), phase=reader.phase,
+                     trials=scored, cap=cap)
 
     while live:
         if marks and marks[-1] < checkpoint:
@@ -587,17 +572,16 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
         else:
             stop, checkpoint = checkpoint, 2 * checkpoint
         for r in live:
-            if stop > r.cap:
+            if r.cap is not None and stop > r.cap:
                 raise fail(r, SampleBudgetExceededError,
                            f"stopping rule unsatisfied at {trials} trials",
-                           r.phase, r.cap)
+                           r.cap)
         while trials < stop:
             m = min(stop - trials, _MAX_CHUNK)
             try:
                 rows = draw(m)
-            except RejectionBudgetExceededError as exc:
-                raise fail(live[0], type(exc), exc, exc.phase,
-                           exc.cap) from exc
+            except RowBudgetExceededError as exc:
+                raise fail(live[0], type(exc), exc, exc.cap) from exc
             for r in live:
                 r.counts += r.classify(rows)
             trials += m
@@ -613,7 +597,8 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
 def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
                                epsilon: float, delta: float,
                                prior: PriorChoice, rng: RandomSource,
-                               sample_cap: int | None = None
+                               sample_cap: int | None = None,
+                               row_budget: int = DEFAULT_ROW_BUDGET
                                ) -> tuple[tuple[float, ...], int]:
     """Certified estimate of the joint distribution over ``s_nodes``.
 
@@ -638,7 +623,7 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
                                                      positions),
                                               minlength=1 << len(s)),
                      len(s), net, s, epsilon, delta, sample_cap)
-    _certify(_RejectionStream(net, {}, rng, DEFAULT_REJECTION_CAP, cols).take,
+    _certify(_RejectionStream(net, {}, rng, row_budget, cols).take,
              (reader,), epsilon, delta, prior)
     return reader.posterior.mu, reader.trials
 
@@ -649,7 +634,7 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
                                   rng: RandomSource, *,
                                   prior: PriorChoice = PriorChoice.UNBIASED,
                                   sample_cap: int | None = None,
-                                  attempt_cap: int = DEFAULT_REJECTION_CAP
+                                  row_budget: int = DEFAULT_ROW_BUDGET
                                   ) -> RasEstimate:
     """Certified estimate of Pr[target | condition] by scored trials.
 
@@ -657,15 +642,15 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
     ``target``. The answer reads only the consistent fraction, so the
     stopping rule certifies that category alone, once both have been
     observed. The empty target needs no trials and estimates 1. The
-    default sample cap bounds phi_min over target and condition together:
-    Pr[target | condition] >= Pr[target, condition] >= that bound.
+    worst-case bound W, a checkpoint, is sized over target and condition
+    together, since Pr[target | condition] >= Pr[target, condition].
     """
     _check_risk_params(epsilon, delta)
     net.validate_assignment(condition)
     net.validate_assignment(target)
     check_disjoint(target, condition, "target and condition")
     return _fractions(net, {"": target}, condition, epsilon, delta, kind,
-                      rng, prior, sample_cap, attempt_cap)[""]
+                      rng, prior, sample_cap, row_budget)[""]
 
 
 def _match_all(at: list[int], values: list[int]):
@@ -701,7 +686,7 @@ def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
                condition: Assignment, epsilon: float, delta: float,
                kind: TrialGeneratorKind, rng: RandomSource,
                prior: PriorChoice, sample_cap: int | None,
-               attempt_cap: int) -> dict[str, RasEstimate]:
+               row_budget: int) -> dict[str, RasEstimate]:
     """Certified Pr[t | condition] for each named target t, every one
     read from one conditioned stream, as estimate_conditional_fraction
     certifies one. Each target is a reader of the stream, and its name
@@ -717,7 +702,7 @@ def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
                              sample_cap, category=1, name=name)
                for name, target in targets.items() if target}
     if readers:
-        stream = _make_stream(net, condition, kind, rng, attempt_cap, keep)
+        stream = _make_stream(net, condition, kind, rng, row_budget, keep)
         _certify(stream.take, tuple(readers.values()), epsilon, delta, prior)
     estimates = {}
     for name in targets:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from condsim import __version__, cli
-from condsim.errors import SampleBudgetExceededError
+from condsim.dependence import satisfies_ras
+from condsim.errors import RowBudgetExceededError
 from condsim.exact import exact_conditional
 from condsim.network import (
     ancestral_network,
@@ -185,7 +186,9 @@ def test_overlapping_query_and_evidence_is_a_usage_error(capsys,
     ["--greedy-exponent", "0.5"],
     ["--greedy-exponent", "nan"],
     ["--max-s", "-3"],
-], ids=["exponent-below-1", "nan-exponent", "negative-max-s"])
+    ["--max-s", "21"],
+], ids=["exponent-below-1", "nan-exponent", "negative-max-s",
+        "max-s-above-20"])
 def test_every_strategy_refuses_the_same_greedy_settings(capsys, net_c_path,
                                                          strategy, flags):
     # direct never runs the greedy search, yet its report would record
@@ -403,9 +406,9 @@ def test_nan_parameter_is_a_usage_error(capsys, net_a_path, argv):
     ["--epsilon", "inf"],
     ["--sample-cap", "0"],
     ["--sample-cap", "-5"],
-    ["--rejection-cap", "-1"],
+    ["--row-budget", "0"],
 ], ids=["infinite-epsilon", "zero-sample-cap", "negative-sample-cap",
-        "negative-rejection-cap"])
+        "zero-row-budget"])
 def test_out_of_range_parameter_is_a_usage_error(capsys, net_c_path, flags):
     # Each of these used to reach sampling and exit 5 with a cap of 0 or
     # less; it is refused before the first trial.
@@ -418,20 +421,43 @@ def test_out_of_range_parameter_is_a_usage_error(capsys, net_c_path, flags):
     assert "must" in err and flags[1] in err
 
 
-@pytest.mark.parametrize("epsilon,delta", [("1e-300", "0.1"),
-                                           ("0.2", "1e-320")])
-def test_unsizable_cap_names_every_risk_parameter(capsys, net_c_path,
-                                                  epsilon, delta):
-    # phi_min is 0.1 here: the tiny epsilon or delta is what leaves the
-    # worst-case bound without a finite value, and the message says so.
+_ROW_BUDGET = ["--row-budget", str(1 << 20)]
+
+
+def test_removed_rejection_cap_flag_is_a_usage_error(capsys, net_c_path):
+    code, out, err = run_cli(
+        capsys, ["infer", "--network", net_c_path, "--query", "A=1",
+                 "--epsilon", "0.2", "--delta", "0.1",
+                 "--rejection-cap", "10"])
+    assert code == 2
+    assert out == ""
+    assert "--rejection-cap" in err
+
+
+def test_epsilon_without_a_finite_bound_ends_at_the_row_budget(
+        capsys, net_c_path):
+    # phi_min is 0.1 here: epsilon 1e-300 leaves the worst-case bound
+    # without a finite value, and no certificate is within reach.
     code, report, err = run_json(
         capsys, ["infer", "--network", net_c_path, "--query", "A=1",
-                 "--evidence", "C=1", "--epsilon", epsilon,
-                 "--delta", delta, "--strategy", "direct"])
+                 "--evidence", "C=1", "--epsilon", "1e-300",
+                 "--delta", "0.1", "--strategy", "direct", *_ROW_BUDGET])
     assert code == 5
-    assert report["error"]["trials"] == 0
-    assert (f"epsilon {float(epsilon)!r}, delta {float(delta)!r} and "
-            "phi_min 0.0999") in err
+    assert report["error"]["kind"] == "RowBudgetExceededError"
+    assert report["error"]["cap"] == 1 << 20
+    assert "row budget" in err
+
+
+def test_delta_without_a_finite_bound_answers(capsys, net_c_path):
+    # delta 1e-320 leaves the worst-case bound without a finite value;
+    # the rule certifies all the same.
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", net_c_path, "--query", "A=1",
+                 "--evidence", "C=1", "--epsilon", "0.2",
+                 "--delta", "1e-320", "--strategy", "direct", "--exact",
+                 *_ROW_BUDGET])
+    assert code == 0
+    assert report["exact"]["satisfies_ras"]
 
 
 def _priors(n, p):
@@ -583,41 +609,57 @@ def _write(tmp_path, source):
     return str(path)
 
 
-@pytest.mark.parametrize("source,query,strategy", [
-    (_TINY_PAIR.format(p="1e-160"), "A=1,B=1", "direct"),
-    (_TINY_PAIR.format(p="1e-200"), "A=1,B=1", "direct"),
+@pytest.mark.parametrize("source,query,strategy,phase", [
+    (_TINY_PAIR.format(p="1e-160"), "A=1,B=1", "direct", "fraction"),
+    (_TINY_PAIR.format(p="1e-200"), "A=1,B=1", "direct", "fraction"),
     # D's rows are steep enough that D^4 overflows, so greedy takes the
     # step to S = [A, B, C] although its weight term is 8e306.
     (_TINY_TRIPLE.replace("1e-120", "1e-102").replace("0.01", "1e-80"),
-     "D=1", "auto"),
-    (_TINY_ROW, "B=1", "direct"),
-], ids=["bound-overflows", "phi-underflows", "weight-bound-overflows",
-        "row-overflows"])
+     "D=1", "auto", "distribution"),
+], ids=["bound-overflows", "phi-underflows", "weight-bound-overflows"])
 def test_unsizable_default_cap_is_a_budget_error(capsys, tmp_path, source,
-                                                 query, strategy):
-    # phi_min is too small to size the default sample cap: the run stops
-    # before any trial, with a partial report that names --sample-cap.
+                                                 query, strategy, phase):
+    # phi_min is too small for a finite worst-case bound W, the bound the
+    # default sample cap was sized from until the row budget replaced it,
+    # and the target (or a weight category) is too rare to observe: the
+    # row budget ends the run, with a partial report.
     code, report, err = run_json(
         capsys, ["infer", "--network", _write(tmp_path, source),
                  "--query", query, "--strategy", strategy,
-                 "--epsilon", "0.2", "--delta", "0.1"])
+                 "--epsilon", "0.2", "--delta", "0.1", *_ROW_BUDGET])
     assert code == 5
-    assert report["error"]["kind"] == "SampleBudgetExceededError"
-    assert report["error"]["trials"] == 0
-    assert "--sample-cap" in report["error"]["message"]
-    assert "--sample-cap" in err
+    assert report["error"]["kind"] == "RowBudgetExceededError"
+    assert report["error"]["phase"] == phase
+    assert report["error"]["cap"] == 1 << 20
+    assert "row budget" in report["error"]["message"]
+    assert "row budget" in err
 
 
 def test_unsizable_weight_cap_is_a_budget_error():
-    # The three priors' product underflows, so the weight phase's default
-    # cap cannot be sized.
-    with pytest.raises(SampleBudgetExceededError) as einfo:
+    # The three priors' product underflows, so the weight phase has no
+    # finite worst-case bound, and its rarest categories never appear.
+    with pytest.raises(RowBudgetExceededError) as einfo:
         estimate_distribution_over(
             parse_network(_TINY_TRIPLE), ("A", "B", "C"), 0.2, 0.1,
-            PriorChoice.UNBIASED, RandomSource(1))
+            PriorChoice.UNBIASED, RandomSource(1), row_budget=1 << 16)
     assert einfo.value.phase == "distribution"
-    assert einfo.value.trials == 0
-    assert "--sample-cap" in str(einfo.value)
+    assert einfo.value.cap == 1 << 16
+    # Every scored trial is a checkpoint's, within the budget.
+    trials = einfo.value.trials
+    assert 0 < trials <= 1 << 16 and trials & (trials - 1) == 0
+
+
+def test_underflowing_row_answers_within_epsilon(capsys, tmp_path):
+    # B's row 1e-320 leaves no finite worst-case bound over B and A; the
+    # rule certifies Pr[B=1] (about 0.4995) all the same.
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", _write(tmp_path, _TINY_ROW),
+                 "--query", "B=1", "--strategy", "direct",
+                 "--epsilon", "0.2", "--delta", "0.1", "--exact",
+                 *_ROW_BUDGET])
+    assert code == 0
+    assert report["exact"]["satisfies_ras"]
+
 
 
 def test_analyze_reports_an_infinite_weight_term(capsys, tmp_path):
@@ -743,3 +785,58 @@ def test_explicit_sample_cap_answers_when_the_default_cannot_be_sized(
                  "--sample-cap", "100000"])
     assert code == 0
     assert report["result"]["estimate"] == pytest.approx(0.4995, rel=0.2)
+
+
+def _chain(n, prior, rows):
+    return f"network chain\nnode N0\nprior N0 : {prior}\n" + "".join(
+        f"node N{i}\nparents N{i} : N{i - 1}\ncpt N{i} : {rows}\n"
+        for i in range(1, n))
+
+
+@pytest.mark.parametrize("source,flags,phase", [
+    # Auto conditions on A, and rejection cannot observe B=1 given A=0.
+    (_STEEP, ["--query", "B=1"], "fraction"),
+    (_STEEP.replace("1e-40 0.5", "1e-40 1e-40"),
+     ["--query", "B=1", "--strategy", "direct"], "fraction"),
+    # Greedy takes S = N1..N12, whose 4,096 weight categories include
+    # ones far too rare to observe.
+    (_chain(60, 0.4, "0.3 0.8"), ["--query", "N0=1", "--evidence", "N59=1"],
+     "distribution"),
+], ids=["steep-auto", "flat-direct", "chain-auto"])
+def test_runs_that_used_to_stall_end_at_the_row_budget(capsys, tmp_path,
+                                                       source, flags, phase):
+    code, report, err = run_json(
+        capsys, ["infer", "--network", _write(tmp_path, source), *flags,
+                 "--epsilon", "0.2", "--delta", "0.1", *_ROW_BUDGET])
+    assert code == 5
+    assert report["error"]["kind"] == "RowBudgetExceededError"
+    assert report["error"]["phase"] == phase
+    assert "row budget" in err
+
+
+def test_gibbs_chains_past_the_row_budget_end_at_zero_trials(capsys,
+                                                             net_c_path):
+    # One chain of 10^9 sweeps costs 10^9 rows, so the first batch of
+    # 256 chains is refused before it draws.
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", net_c_path, "--query", "A=1",
+                 "--evidence", "C=1", "--epsilon", "0.2", "--delta", "0.1",
+                 "--strategy", "direct", "--generator", "gibbs",
+                 "--burn-in-sweeps", str(10 ** 9), *_ROW_BUDGET])
+    assert code == 5
+    assert report["error"]["kind"] == "RowBudgetExceededError"
+    assert report["error"]["trials"] == 0
+
+
+def test_a_rare_query_answers_at_a_wide_epsilon(capsys, tmp_path):
+    # Pr[A=1] = 0.01 at epsilon 5: the worst-case bound is 24 trials, but
+    # the rule needs A=1 observed, which takes about 100. A default cap
+    # of ten times the bound refused most of these seeds.
+    path = _write(tmp_path, "network one\nnode A\nprior A : 0.01\n")
+    for seed in range(200):
+        code, report, _ = run_json(
+            capsys, ["infer", "--network", path, "--query", "A=1",
+                     "--strategy", "direct", "--epsilon", "5",
+                     "--delta", "0.1", "--seed", str(seed), *_ROW_BUDGET])
+        assert code == 0, seed
+        assert report["result"]["trials_total"] > 0

@@ -5,9 +5,12 @@ Networks of 1-8 nodes are generated as ``.bnet`` text with rows drawn
 from the extremes of the open unit interval, and each one is run through
 ``infer`` with random flags and through ``analyze``; both also take a
 random ``--max-s`` and ``--greedy-exponent``, including exponents at
-which a candidate's strength overflows a float. Both caps stay at or
-below 1e5 so that every case ends quickly. Every JSON report must parse
-as strict JSON (RFC 8259), with no NaN or Infinity constant.
+which a candidate's strength overflows a float. The sample cap and the
+row budget are drawn from [1, 1e5], so that every case ends quickly; the
+two networks whose default runs never ended before the row budget
+existed run under that budget alone, with no sample cap. Every JSON
+report must parse as strict JSON (RFC 8259), with no NaN or Infinity
+constant.
 """
 
 import contextlib
@@ -75,7 +78,7 @@ def cases(draw):
              "--epsilon", repr(draw(st.sampled_from((0.1, 0.2, 0.5)))),
              "--delta", repr(draw(st.sampled_from((0.05, 0.1, 0.5)))),
              "--sample-cap", str(draw(_cap(1))),
-             "--rejection-cap", str(draw(_cap(0))),
+             "--row-budget", str(draw(_cap(1))),
              "--seed", str(draw(st.integers(0, 2 ** 64 - 1)))]
     if draw(st.booleans()):
         flags += ["--generator", "gibbs",
@@ -92,7 +95,7 @@ def cases(draw):
 def _reproducer(source, query, *flags, greedy=()):
     return Case(source, query, "",
                 ("--epsilon", "0.2", "--delta", "0.1",
-                 "--sample-cap", "100000", "--rejection-cap", "100000",
+                 "--sample-cap", "100000", "--row-budget", "100000",
                  *flags), "json", greedy)
 
 
@@ -134,6 +137,12 @@ def _refuse(constant):
 @example(_reproducer(_OVERFLOW, "C=1", greedy=("--greedy-exponent", "40")))
 @example(_reproducer(_STEEP, "B=1", "--generator", "gibbs",
                      "--burn-in-sweeps", "2", "--exact"))
+@example(Case(_STEEP, "B=1", "",
+              ("--epsilon", "0.2", "--delta", "0.1", "--row-budget", "100000"),
+              "json"))
+@example(Case(_STEEP.replace("1e-40 0.5", "1e-40 1e-40"), "B=1", "",
+              ("--epsilon", "0.2", "--delta", "0.1", "--strategy", "direct",
+               "--row-budget", "100000"), "json"))
 @example(Case("network fuzz\nnode A\nprior A : 5e-324\nnode B\n"
               "prior B : 5e-324\nnode C\nprior C : 0.1\n",
               "C=0", "A=1,B=1",

@@ -8,7 +8,7 @@ from condsim.errors import (
     BudgetExceededError,
     LengthMismatchError,
     OverlappingSetsError,
-    RejectionBudgetExceededError,
+    RowBudgetExceededError,
     SampleBudgetExceededError,
     ZeroDenominatorError,
 )
@@ -348,18 +348,18 @@ def test_infer_selective_propagates_sample_budget(net_c):
     assert einfo.value.phase == "distribution"
 
 
+# Under the row budget, subproblem 0's stream (acceptance 0.5) scores
+# the 8,192-trial checkpoint and cannot draw the next; its numerator and
+# denominator, both unfinished, count 8,192 each. Under the sample cap,
+# the numerator runs on to the cap; its denominator reads the same
+# stream and certified at 16,384 trials, which count too.
 @pytest.mark.parametrize("config,error,phase,subproblem_trials", [
-    (InferConfig(rejection_cap=3), RejectionBudgetExceededError,
-     "rejection", 0),
+    (InferConfig(row_budget=1 << 15), RowBudgetExceededError, "fraction",
+     1 << 14),
     (InferConfig(sample_cap=1 << 16), SampleBudgetExceededError,
-     "fraction", 1 << 16)])
+     "fraction", (1 << 16) + (1 << 14))])
 def test_infer_budget_error_counts_the_run_s_scored_trials(
         net_c, config, error, phase, subproblem_trials):
-    if phase == "fraction":
-        # Subproblem 0's numerator runs on to the cap. Its denominator
-        # reads the same stream and certified at 16,384 trials, which
-        # count too.
-        subproblem_trials += 1 << 14
     for seed in range(3):
         weight_trials = infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1,
                               "selective", seed=seed).weight_trials
@@ -441,8 +441,8 @@ def test_many_independent_components_report_a_finite_dependence():
 
 _GIBBS_3 = InferConfig(generator=TrialGeneratorKind.gibbs(3))
 _CAP_100 = InferConfig(sample_cap=100)
-_RUNS_8 = InferConfig(rejection_cap=8)
-_RUNS_10 = InferConfig(rejection_cap=10)
+_ROWS_1000 = InferConfig(row_budget=1000)
+_ROWS_10000 = InferConfig(row_budget=10000)
 
 
 @pytest.mark.parametrize(
@@ -461,19 +461,24 @@ _RUNS_10 = InferConfig(rejection_cap=10)
      ({"C": 1}, {"A": 1}, 0.2, "selective", _CAP_100, 14,
       ("SampleBudgetExceededError", "distribution", 64, 100,
        "stopping rule unsatisfied at 64 trials")),
-     ({"A": 1}, {"C": 1}, 0.05, "direct", _RUNS_8, 11,
-      ("RejectionBudgetExceededError", "rejection", 64, 8,
-       "subproblem 0 numerator: no accepted trial within 8 attempts")),
-     ({"C": 1}, {"A": 1}, 0.2, "selective", _RUNS_10, 11,
-      ("RejectionBudgetExceededError", "rejection", 8192, 10,
-       "subproblem 0 numerator: no accepted trial within 10 attempts")),
+     ({"A": 1}, {"C": 1}, 0.05, "direct", _ROWS_1000, 11,
+      ("RowBudgetExceededError", "fraction", 256, 1000,
+       "subproblem 0 numerator: next batch would pass the row budget of "
+       "1000 raw rows")),
+     ({"C": 1}, {"A": 1}, 0.2, "selective", _ROWS_10000, 11,
+      ("RowBudgetExceededError", "fraction", 12288, 10000,
+       "subproblem 0 numerator: next batch would pass the row budget of "
+       "10000 raw rows")),
+     ({"C": 1}, {"A": 1}, 0.2, "selective", _ROWS_1000, 11,
+      ("RowBudgetExceededError", "distribution", 512, 1000,
+       "next batch would pass the row budget of 1000 raw rows")),
      ({"C": 1}, {"A": 1}, 0.2, "direct", None, 15,
       (0.84375, 32, (1.0,))),
      ({"A": 1}, {"B": 1}, 0.2, "direct", _GIBBS_3, 16,
       (0.84375, 32, (1.0,)))],
     ids=["rejection", "selective", "gibbs-past-2^18", "rejection-past-2^18",
-         "cap-fraction", "cap-distribution", "attempts-fraction",
-         "attempts-subproblem", "clamped-condition",
+         "cap-fraction", "cap-distribution", "budget-fraction",
+         "budget-subproblem", "budget-distribution", "clamped-condition",
          "gibbs-barren"])
 def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
                                    config, seed, pinned):
@@ -482,7 +487,9 @@ def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
     # next checkpoint; the Gibbs and clamped-condition cases and the
     # first rejection case are unchanged since 0.6.0, and the two sample
     # cap errors since 0.3.0 (their types and messages were added at
-    # 0.7.0, with the two attempt-cap errors). The past-2^18 cases run at
+    # 0.7.0). The three row-budget errors were added at 0.8.0, whose
+    # budget replaced 0.7.0's attempt cap; no answer or stop point of
+    # the other cases moved. The past-2^18 cases run at
     # epsilon 0.001 so that a checkpoint still spans several 2^18-trial
     # chunks. A change that fails this changes a random stream or a stop
     # point, so it bumps the version and says so in CHANGES.md.

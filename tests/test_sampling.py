@@ -12,7 +12,7 @@ from condsim.dependence import phi_min_lower_bound, satisfies_ras
 from condsim.errors import (
     NetworkTooLargeError,
     OverlappingSetsError,
-    RejectionBudgetExceededError,
+    RowBudgetExceededError,
     SampleBudgetExceededError,
     UnknownNodeError,
 )
@@ -23,7 +23,7 @@ from condsim.exact import (
 )
 from condsim.network import BeliefNetwork, Cpt, parse_network
 from condsim.sampling import (
-    DEFAULT_REJECTION_CAP,
+    DEFAULT_ROW_BUDGET,
     RandomSource,
     RasEstimate,
     TrialGeneratorKind,
@@ -332,56 +332,82 @@ def test_fraction_budget_error_carries_partial_state(net_a):
     assert err.cap == 2
 
 
-def test_rejection_attempt_cap_raises_with_phase():
-    # B is a child, so the condition B=1 (probability 1e-6) is rejected on.
+def test_row_budget_raises_with_phase():
+    # B is a child, so the condition B=1 (probability 1e-6) is rejected on,
+    # and 2^20 raw rows hold about one accepted row: at most the first
+    # checkpoint, 2 trials, is scored.
     net = parse_network(
         "network rare\n"
         "node A\nprior A : 0.5\n"
         "node B\nparents B : A\ncpt B : 0.000001 0.000001\n")
-    with pytest.raises(RejectionBudgetExceededError) as einfo:
+    with pytest.raises(RowBudgetExceededError) as einfo:
         estimate_conditional_fraction(
             net, {"A": 1}, {"B": 1}, 0.2, 0.1,
             TrialGeneratorKind.rejection(), RandomSource(37),
-            attempt_cap=100)
-    assert einfo.value.phase == "rejection"
-    assert einfo.value.cap == 100
+            row_budget=1 << 20)
+    assert einfo.value.phase == "fraction"
+    assert einfo.value.cap == 1 << 20
+    assert einfo.value.trials in (0, 2)
 
 
 def test_rare_root_condition_is_clamped_not_rejected():
     # A is a root, so the condition A=1 (probability 1e-6) is clamped and
-    # no row is rejected, however small the attempt cap.
+    # no row is rejected: a budget of the rows the estimate scores is
+    # enough, and it gives the same estimate.
     net = parse_network(
         "network rare\n"
         "node A\nprior A : 0.000001\n"
         "node B\nparents B : A\ncpt B : 0.4 0.6\n")
-    est = estimate_conditional_fraction(
-        net, {"B": 1}, {"A": 1}, 0.2, 0.1, TrialGeneratorKind.rejection(),
-        RandomSource(37), attempt_cap=100)
-    assert satisfies_ras(0.6, est.value, 0.2)
+
+    def estimate(**budget):
+        return estimate_conditional_fraction(
+            net, {"B": 1}, {"A": 1}, 0.1, 0.1,
+            TrialGeneratorKind.rejection(), RandomSource(37), **budget)
+
+    est = estimate()
+    assert satisfies_ras(0.6, est.value, 0.1)
+    # Past the first batch of 256, a stream that rejects nothing makes
+    # exactly the rows its checkpoints score.
+    assert est.trials >= sampling._FIRST_RAW_BATCH
+    assert estimate(row_budget=est.trials) == est
 
 
-def test_rejection_cap_counts_runs_inside_a_batch(net_c):
-    # Half the rows have C=1, so the stream's first 4096 forward rows hold
-    # a run of more than 5 rejected rows; no batch ends in a run that long.
-    with pytest.raises(RejectionBudgetExceededError) as einfo:
-        conditioned_sample_batch(net_c, {"C": 1},
-                                 TrialGeneratorKind.rejection(),
-                                 RandomSource(1), 4096, attempt_cap=5)
+def test_row_budget_bounds_the_raw_rows_a_take_draws(net_c):
+    # Half the rows have C=1, so 4,096 accepted rows need about 8,192 raw
+    # rows: the take raises before its stream draws past 4,096, and a
+    # budget of 2^14 lets it through.
+    kind = TrialGeneratorKind.rejection()
+    stream = _RejectionStream(net_c, {"C": 1}, RandomSource(1), 4096,
+                              tuple(range(net_c.n)))
+    with pytest.raises(RowBudgetExceededError) as einfo:
+        stream.take(4096)
     assert einfo.value.trials == 0
+    assert einfo.value.cap == 4096
+    assert 0 < stream._drawn <= 4096
+    with pytest.raises(RowBudgetExceededError):
+        conditioned_sample_batch(net_c, {"C": 1}, kind, RandomSource(1),
+                                 4096, row_budget=4096)
+    rows = conditioned_sample_batch(net_c, {"C": 1}, kind, RandomSource(1),
+                                    4096, row_budget=1 << 14)
+    assert np.array_equal(rows, conditioned_sample_batch(
+        net_c, {"C": 1}, kind, RandomSource(1), 4096))
 
 
 def test_rejection_budget_error_counts_scored_trials(net_c):
     scored = []
     for seed in range(8):
-        with pytest.raises(RejectionBudgetExceededError) as einfo:
+        with pytest.raises(RowBudgetExceededError) as einfo:
             estimate_conditional_fraction(
-                net_c, {"A": 1}, {"C": 1}, 0.02, 0.1,
+                net_c, {"A": 1}, {"C": 1}, 0.01, 0.1,
                 TrialGeneratorKind.rejection(), RandomSource(seed),
-                attempt_cap=5)
+                row_budget=1 << 13)
+        assert einfo.value.phase == "fraction"
+        assert einfo.value.cap == 1 << 13
         scored.append(einfo.value.trials)
-    # Trials are scored a checkpoint at a time, and checkpoints double.
+    # Trials are scored a checkpoint at a time, and checkpoints double;
+    # each scored trial is one of the budget's raw rows.
     assert all(t & (t - 1) == 0 for t in scored)
-    assert max(scored) > 0
+    assert all(0 < t <= 1 << 13 for t in scored)
 
 
 def _banded_fractions(seed, lo, hi, count):
@@ -524,18 +550,14 @@ def _pruned_cases(seed, cases):
 
 def test_pruned_batch_matches_a_filtered_full_batch():
     # Drawing only for live rows, in walk order, must leave every drawn
-    # value, every hit position and the stream's position as the
+    # value, every surviving row and the stream's position as the
     # reference walk, which filters its rows after each condition node.
     for case, (net, keep, condition, clamp, count) in enumerate(
             _pruned_cases(59, 60)):
         rng, ref = RandomSource(case), RandomSource(case)
-        rows, hits = _sample_batch(net, rng, count, keep, condition, clamp)
+        rows = _sample_batch(net, rng, count, keep, condition, clamp)
         full, alive = _survivor_rows(net, ref, count, keep, condition,
                                      dict(clamp))
-        if condition:
-            assert np.array_equal(hits, alive)
-        else:
-            assert hits is None
         assert np.array_equal(rows, full[alive][:, keep].T)
         assert np.array_equal(rng.uniforms(4), ref.uniforms(4))
 
@@ -567,49 +589,33 @@ def _wide_parent_cases(seed, cases):
 
 def test_wide_parent_sets_match_the_reference_walk():
     # A CPT of 2^9 to 2^12 rows is looked up with every parent's bit;
-    # kept rows, hit positions and the stream position must be those of
-    # the reference walk.
+    # kept rows and the stream position must be those of the reference
+    # walk.
     for case, (net, keep, condition, clamp, count) in enumerate(
             _wide_parent_cases(131, 12)):
         rng, ref = RandomSource(case), RandomSource(case)
-        rows, hits = _sample_batch(net, rng, count, keep, condition, clamp)
+        rows = _sample_batch(net, rng, count, keep, condition, clamp)
         full, alive = _survivor_rows(net, ref, count, keep, condition,
                                      dict(clamp))
-        assert 0 < len(hits) < count, case
-        assert np.array_equal(hits, alive), case
+        assert 0 < len(alive) < count, case
         assert np.array_equal(rows, full[alive][:, keep].T), case
         assert np.array_equal(rng.uniforms(4), ref.uniforms(4)), case
 
 
-def test_rejection_cap_raises_where_a_run_crossing_batches_ends():
-    # B=1 holds on about one row in ten, so runs of rejected rows span
-    # 16-row batches. With the cap one below a run longer than every
-    # earlier run and than a batch, the stream raises in the batch that
-    # holds the run's last row; one above it, that batch passes.
-    net = parse_network("network runs\nnode A\nprior A : 0.5\nnode B\n"
-                        "parents B : A\ncpt B : 0.05 0.15\n")
-    keep, condition, m = (0, 1), ((1, 1),), 16
-    for seed in range(6):
-        ref = RandomSource(seed)
-        hits = np.concatenate([
-            b * m + _survivor_rows(net, ref, m, keep, condition, {})[1]
-            for b in range(400)])
-        runs = np.diff(np.concatenate(([-1], hits))) - 1
-        before = np.concatenate(([-1], np.maximum.accumulate(runs)[:-1]))
-        record = (runs > m + 1) & (runs > before)
-        assert record.any()
-        i = int(np.argmax(record))
-        last_batch = (hits[i] - 1) // m
-        for cap, raises in ((runs[i] - 1, True), (runs[i], False)):
-            stream = _RejectionStream(net, {"B": 1}, RandomSource(seed),
-                                      int(cap), keep)
-            for _ in range(last_batch):
-                stream._next(m)
-            if raises:
-                with pytest.raises(RejectionBudgetExceededError):
-                    stream._next(m)
-            else:
-                stream._next(m)
+def test_gibbs_chains_count_one_row_per_sweep(net_c):
+    # A first batch of 256 chains of 4 sweeps each costs 1,024 rows. One
+    # row less refuses it before any uniform is drawn.
+    kind = TrialGeneratorKind.gibbs(4)
+    for budget, passes in ((4 * 256, True), (4 * 256 - 1, False)):
+        rng = _CountingSource(3)
+        stream = _make_stream(net_c, {"C": 1}, kind, rng, budget, (0,))
+        if passes:
+            assert stream.take(256).shape == (1, 256)
+            continue
+        with pytest.raises(RowBudgetExceededError) as einfo:
+            stream.take(256)
+        assert einfo.value.cap == budget
+        assert rng.sizes == [] and rng.skipped == []
 
 
 def _ancestors(net, col):
@@ -662,16 +668,17 @@ def test_rejected_rows_draw_no_more_uniforms(net_c):
     a, b, c = (net_c.index(x) for x in "ABC")
     # B is walked after A and rejects; C then draws for B's survivors.
     rng = _CountingSource(79)
-    _, hits = _sample_batch(net_c, rng, 1000, (c,), ((b, 1),))
-    assert rng.sizes == [1000, 1000, len(hits)]
+    hits = _sample_batch(net_c, rng, 1000, (c,), ((b, 1),)).shape[1]
+    assert rng.sizes == [1000, 1000, hits]
     # The evidence A comes first; B and C draw for A's survivors only.
     rng = _CountingSource(79)
-    _, hits = _sample_batch(net_c, rng, 1000, (c,), ((a, 0),))
-    assert rng.sizes == [1000, len(hits), len(hits)]
+    hits = _sample_batch(net_c, rng, 1000, (c,), ((a, 0),)).shape[1]
+    assert rng.sizes == [1000, hits, hits]
     for case, (net, keep, condition, clamp, count) in enumerate(
             _pruned_cases(83, 60)):
         rng = _CountingSource(case)
-        _, hits = _sample_batch(net, rng, count, keep, condition, clamp)
+        hits = _sample_batch(net, rng, count, keep, condition,
+                             clamp).shape[1]
         _, draws, _ = _schedule(net, keep, condition, clamp)
         assert len(rng.sizes) <= len(draws)
         assert rng.sizes[0] == count
@@ -682,9 +689,9 @@ def test_rejected_rows_draw_no_more_uniforms(net_c):
             else:
                 assert 0 < rng.sizes[j] <= rng.sizes[j - 1]
         if condition and len(rng.sizes) == len(draws):
-            assert len(hits) <= rng.sizes[-1]
+            assert hits <= rng.sizes[-1]
             if draws[-1][3] < 0:
-                assert len(hits) == rng.sizes[-1]
+                assert hits == rng.sizes[-1]
 
 
 def _mixed_conditions(seed, cases):
@@ -768,7 +775,7 @@ def test_streams_ignore_how_takes_are_split(net_c, condition, kind):
 
     def stream():
         return _make_stream(net_c, condition, kind, RandomSource(89),
-                            DEFAULT_REJECTION_CAP, keep)
+                            DEFAULT_ROW_BUDGET, keep)
 
     for a, b in ((1, 300), (255, 2), (256, 256), (300, 400), (511, 600)):
         split = stream()
@@ -786,7 +793,7 @@ def test_rejection_batches_stop_near_each_checkpoint():
                         "parents B : A\ncpt B : 0.02 0.04\n")
     for seed in range(3):
         stream = _RejectionStream(net, {"B": 1}, RandomSource(seed),
-                                  DEFAULT_REJECTION_CAP, (0,))
+                                  DEFAULT_ROW_BUDGET, (0,))
         taken, checkpoint, unscored = 0, 256, []
         while checkpoint <= 1 << 17:
             stream.take(checkpoint - taken)
@@ -939,7 +946,7 @@ def test_kept_column_streams_match_full_sweeps():
         col = net.index(target)
         rng = RandomSource(case)
         kept = _make_stream(net, condition, kind, rng,
-                            DEFAULT_REJECTION_CAP, (col,)).take(700)
+                            DEFAULT_ROW_BUDGET, (col,)).take(700)
         full_rng = RandomSource(case)
         full = conditioned_sample_batch(net, condition, kind, full_rng, 700)
         assert np.array_equal(kept[0], full[:, col]), case
@@ -956,7 +963,7 @@ def test_wide_gibbs_sweeps_draw_at_most_the_bound(monkeypatch):
 
     def batch(rng):
         return _make_stream(net, condition, TrialGeneratorKind.gibbs(2),
-                            rng, DEFAULT_REJECTION_CAP,
+                            rng, DEFAULT_ROW_BUDGET,
                             tuple(range(net.n)))._next(m)
 
     rng = _CountingSource(127)
@@ -1001,7 +1008,7 @@ cpt E : 0.1 0.8
 """)
     rng = _CountingSource(43)
     _make_stream(net, {"A": 1, "C": 0}, TrialGeneratorKind.gibbs(128), rng,
-                 DEFAULT_REJECTION_CAP, (net.index("B"),)).take(256)
+                 DEFAULT_ROW_BUDGET, (net.index("B"),)).take(256)
     # The start state draws once per unbound node, then the last sweep
     # draws once; the 127 sweeps before it are skipped, not drawn.
     assert rng.sizes == [256, 256, 256, 3 * 256]
@@ -1023,7 +1030,7 @@ def test_gibbs_on_a_one_node_kept_component_is_exact():
         condition = {x: int(gen.integers(0, 2)) for x in sorted(blanket)}
         assert len(_components(net, condition)[query]) == 1
         rows = _make_stream(net, condition, TrialGeneratorKind.gibbs(1),
-                            RandomSource(case), DEFAULT_REJECTION_CAP,
+                            RandomSource(case), DEFAULT_ROW_BUDGET,
                             (net.index(query),)).take(count)
         phi = exact_conditional(net, {query: 1}, condition)
         se = math.sqrt(phi * (1 - phi) / count)
