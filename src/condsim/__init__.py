@@ -5,7 +5,7 @@ and estimate conditional probabilities to a requested relative error with
 a certified failure probability.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import (
     BnetSyntaxError,
@@ -22,7 +22,6 @@ from .errors import (
     OverlappingSetsError,
     ProbabilityOutOfRangeError,
     RowBudgetExceededError,
-    SampleBudgetExceededError,
     UndeclaredParentError,
     UnknownNodeError,
     WrongRowCountError,

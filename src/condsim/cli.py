@@ -196,7 +196,6 @@ def _infer_config(cfg: Mapping) -> InferConfig:
         prior=PriorChoice(cfg["prior"]),
         generator=TrialGeneratorKind(cfg["generator"],
                                      cfg["burn_in_sweeps"]),
-        sample_cap=cfg["sample_cap"],
         row_budget=cfg["row_budget"])
 
 
@@ -220,7 +219,6 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
                    "prior": args.prior,
                    "generator": args.generator,
                    "burn_in_sweeps": args.burn_in_sweeps,
-                   "sample_cap": args.sample_cap,
                    "row_budget": args.row_budget},
         "seed": args.seed,
     }
@@ -334,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=defaults.generator.kind)
     run.add_argument("--burn-in-sweeps", type=int,
                      default=defaults.generator.burn_in_sweeps)
-    run.add_argument("--sample-cap", type=int, default=defaults.sample_cap)
     run.add_argument("--row-budget", type=int, default=defaults.row_budget)
     run.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"64-bit seed (default {DEFAULT_SEED})")

@@ -66,12 +66,12 @@ class NonPositivePhiMinError(CondsimError):
 
 
 class BudgetExceededError(CondsimError):
-    """A sampling run hit a hard resource cap before certifying.
+    """A sampling run hit its work bound before certifying.
 
     Instances carry partial diagnostics: the phase that failed
     ("distribution" for the weights, "fraction" for a conditioned
     estimate, empty outside an estimate), the number of scored trials,
-    and the cap that was hit.
+    and the bound that was hit (``cap``, the row budget).
     """
 
     def __init__(self, message: str, *, phase: str = "", trials: int = 0,
@@ -80,10 +80,6 @@ class BudgetExceededError(CondsimError):
         self.trials = trials
         self.cap = cap
         super().__init__(message)
-
-
-class SampleBudgetExceededError(BudgetExceededError):
-    """The stopping rule was still unsatisfied at the trial cap."""
 
 
 class RowBudgetExceededError(BudgetExceededError):

@@ -58,7 +58,7 @@ def _check_greedy_settings(exponent: float, max_s: int) -> None:
                          f"got {max_s!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class InferConfig:
     """Tunables for infer; defaults suit networks of desk scale."""
 
@@ -66,14 +66,10 @@ class InferConfig:
     max_s: int = 12
     prior: PriorChoice = PriorChoice.UNBIASED
     generator: TrialGeneratorKind = TrialGeneratorKind.rejection()
-    sample_cap: int | None = None
     row_budget: int = DEFAULT_ROW_BUDGET
 
     def __post_init__(self) -> None:
         _check_greedy_settings(self.greedy_exponent, self.max_s)
-        if self.sample_cap is not None and self.sample_cap < 1:
-            raise ValueError("sample_cap (--sample-cap) must be at least 1, "
-                             f"got {self.sample_cap!r}")
         if self.row_budget < 1:
             raise ValueError("row_budget (--row-budget) must be at least 1, "
                              f"got {self.row_budget!r}")
@@ -300,7 +296,9 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     runs on the ancestral closure of the query and evidence
     (``nodes_kept`` nodes); the rest is barren.
 
-    A :class:`BudgetExceededError` from a subproblem estimate is raised
+    A selective run whose stage epsilon or delta underflows to 0 is
+    refused with a ValueError before it draws. A
+    :class:`BudgetExceededError` from a subproblem estimate is raised
     again with the trials the whole run had scored, its message naming
     the subproblem and its first unfinished reader, the numerator or the
     denominator.
@@ -343,9 +341,15 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     if use_selective:
         stage_eps, delta_w, delta_s = _budget_split(epsilon, delta,
                                                     len(selected))
+        if not (stage_eps > 0.0 and delta_s > 0.0):
+            raise ValueError(
+                f"epsilon {epsilon!r} and delta {delta!r} split over "
+                f"|S| = {len(selected)} give a stage epsilon of "
+                f"{stage_eps!r} and a subproblem delta of {delta_s!r}; "
+                "both must be positive")
         mu_s, weight_trials = estimate_distribution_over(
             net, selected, stage_eps, delta_w, config.prior, root.derive(0),
-            sample_cap=config.sample_cap, row_budget=config.row_budget)
+            row_budget=config.row_budget)
         scored = weight_trials
         pairs = []
         for sub in decompose(net, query, evidence, selected):
@@ -356,8 +360,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                 {"numerator": sub.numerator_target,
                  "denominator": sub.denominator_target},
                 sub.instantiation, stage_eps, delta_s, config.generator,
-                root.derive(sub.index + 1), config.prior, config.sample_cap,
-                config.row_budget)
+                root.derive(sub.index + 1), config.prior, config.row_budget)
             pairs.append((fractions["numerator"], fractions["denominator"]))
             scored += sum(est.trials for est in fractions.values())
         dependence_after = _value_given(report, net, {*evidence, *selected})
@@ -368,7 +371,6 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                             estimate_conditional_fraction, net, query,
                             evidence, epsilon, delta, config.generator,
                             root.derive(1), prior=config.prior,
-                            sample_cap=config.sample_cap,
                             row_budget=config.row_budget),
                   RasEstimate(1.0, epsilon, delta, 0, 0))]
         dependence_after = report.value

@@ -27,7 +27,6 @@ from .errors import (
     NetworkTooLargeError,
     NonPositivePhiMinError,
     RowBudgetExceededError,
-    SampleBudgetExceededError,
 )
 from .network import Assignment, BeliefNetwork, check_disjoint
 from .stopping import (
@@ -503,33 +502,26 @@ def _check_risk_params(epsilon: float, delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
 
 
-def _named(name: str, message) -> str:
-    return f"{name}: {message}" if name else str(message)
-
-
 class _Reader:
     """One estimate certified on a stream, with its own counts and stop.
 
     ``classify(rows)`` counts rows in 2^s_size categories, and the rule
     certifies ``category`` (phase "fraction"), or every category when it
     is None (phase "distribution"). Its worst-case bound W bounds phi_min
-    over ``nodes``, and is None when it has no finite value. ``cap`` is
-    the caller's ``sample_cap``, None for no cap. The phase and ``name``
-    label its budget errors. ``posterior`` and ``trials`` are set when
-    it is certified.
+    over ``nodes``, and is None when it has no finite value. The phase
+    and ``name`` label a budget error raised while it is unfinished.
+    ``posterior`` and ``trials`` are set when it is certified.
     """
 
     def __init__(self, classify, s_size: int, net: BeliefNetwork,
                  nodes: tuple[str, ...], epsilon: float, delta: float,
-                 sample_cap: int | None, category: int | None = None,
-                 name: str = "") -> None:
+                 category: int | None = None, name: str = "") -> None:
         self.phase = "distribution" if category is None else "fraction"
         try:
             self.bound = worst_case_sample_bound(
                 s_size, epsilon, delta, _phi_floor(net, nodes))
         except NonPositivePhiMinError:
             self.bound = None
-        self.cap = sample_cap
         self.classify, self.category, self.name = classify, category, name
         self.counts = np.zeros(1 << s_size, dtype=np.int64)
         self.trials = 0
@@ -545,13 +537,13 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
     the last reader is certified. The readers share their category count
     k. Checkpoints double from k, and each reader's W is a checkpoint
     too; at each one every unfinished reader is evaluated, and it
-    certifies only once all its categories have been observed. A
-    checkpoint past an unfinished reader's cap raises, as does a batch
-    past the stream's row budget; the error names the first such reader
-    and its phase, and counts every reader's trials. With no cap, only
-    the budget bounds the rows drawn. Each row falls in exactly one
-    category, so every reader's posterior has the same n, and its
-    counts, made here, need no checks.
+    certifies only once all its categories have been observed. The
+    stream's row budget is the one bound on the rows drawn: a batch past
+    it raises again, naming the first unfinished reader and its phase,
+    and counting every reader's trials, those at which it certified or
+    else all drawn. Each row falls in exactly one category, so every
+    reader's posterior has the same n, and its counts, made here, need
+    no checks.
     """
     k = len(readers[0].counts)
     # Each W that is not already a checkpoint, largest first.
@@ -559,29 +551,22 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
                     and r.bound > k and r.bound & (r.bound - 1)},
                    reverse=True)
     live, trials, checkpoint = list(readers), 0, k
-
-    def fail(reader, error, message, cap):
-        scored = sum(trials if r.posterior is None else r.trials
-                     for r in readers)
-        return error(_named(reader.name, message), phase=reader.phase,
-                     trials=scored, cap=cap)
-
     while live:
         if marks and marks[-1] < checkpoint:
             stop = marks.pop()
         else:
             stop, checkpoint = checkpoint, 2 * checkpoint
-        for r in live:
-            if r.cap is not None and stop > r.cap:
-                raise fail(r, SampleBudgetExceededError,
-                           f"stopping rule unsatisfied at {trials} trials",
-                           r.cap)
         while trials < stop:
             m = min(stop - trials, _MAX_CHUNK)
             try:
                 rows = draw(m)
             except RowBudgetExceededError as exc:
-                raise fail(live[0], type(exc), exc, exc.cap) from exc
+                first = live[0]
+                scored = sum(trials if r.posterior is None else r.trials
+                             for r in readers)
+                raise RowBudgetExceededError(
+                    f"{first.name}: {exc}" if first.name else str(exc),
+                    phase=first.phase, trials=scored, cap=exc.cap) from exc
             for r in live:
                 r.counts += r.classify(rows)
             trials += m
@@ -596,8 +581,7 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
 
 def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
                                epsilon: float, delta: float,
-                               prior: PriorChoice, rng: RandomSource,
-                               sample_cap: int | None = None,
+                               prior: PriorChoice, rng: RandomSource, *,
                                row_budget: int = DEFAULT_ROW_BUDGET
                                ) -> tuple[tuple[float, ...], int]:
     """Certified estimate of the joint distribution over ``s_nodes``.
@@ -622,7 +606,7 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
     reader = _Reader(lambda rows: np.bincount(_index(rows.__getitem__,
                                                      positions),
                                               minlength=1 << len(s)),
-                     len(s), net, s, epsilon, delta, sample_cap)
+                     len(s), net, s, epsilon, delta)
     _certify(_RejectionStream(net, {}, rng, row_budget, cols).take,
              (reader,), epsilon, delta, prior)
     return reader.posterior.mu, reader.trials
@@ -633,7 +617,6 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
                                   delta: float, kind: TrialGeneratorKind,
                                   rng: RandomSource, *,
                                   prior: PriorChoice = PriorChoice.UNBIASED,
-                                  sample_cap: int | None = None,
                                   row_budget: int = DEFAULT_ROW_BUDGET
                                   ) -> RasEstimate:
     """Certified estimate of Pr[target | condition] by scored trials.
@@ -650,7 +633,7 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
     net.validate_assignment(target)
     check_disjoint(target, condition, "target and condition")
     return _fractions(net, {"": target}, condition, epsilon, delta, kind,
-                      rng, prior, sample_cap, row_budget)[""]
+                      rng, prior, row_budget)[""]
 
 
 def _match_all(at: list[int], values: list[int]):
@@ -685,21 +668,21 @@ def _classifier(at: list[int], values: list[int]):
 def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
                condition: Assignment, epsilon: float, delta: float,
                kind: TrialGeneratorKind, rng: RandomSource,
-               prior: PriorChoice, sample_cap: int | None,
-               row_budget: int) -> dict[str, RasEstimate]:
+               prior: PriorChoice, row_budget: int
+               ) -> dict[str, RasEstimate]:
     """Certified Pr[t | condition] for each named target t, every one
     read from one conditioned stream, as estimate_conditional_fraction
     certifies one. Each target is a reader of the stream, and its name
     prefixes its budget errors. The caller has checked the bindings: each
-    target is disjoint from the condition, and all name known nodes."""
-    _check_risk_params(epsilon, delta)
+    target is disjoint from the condition, all name known nodes, and
+    epsilon and delta are in range."""
     keep = tuple(dict.fromkeys(net.index(x) for target in targets.values()
                                for x in target))
     slot = {col: i for i, col in enumerate(keep)}
     readers = {name: _Reader(_classifier([slot[net.index(x)] for x in target],
                                          list(target.values())),
                              1, net, (*target, *condition), epsilon, delta,
-                             sample_cap, category=1, name=name)
+                             category=1, name=name)
                for name, target in targets.items() if target}
     if readers:
         stream = _make_stream(net, condition, kind, rng, row_budget, keep)

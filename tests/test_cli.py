@@ -254,23 +254,6 @@ def test_infer_text_report_mentions_estimate(capsys, net_a_path):
     assert "strategy" in out
 
 
-def test_sample_cap_produces_partial_report_and_exit_5(capsys,
-                                                       net_c_path):
-    code, out, err = run_cli(
-        capsys, ["infer", "--network", net_c_path, "--query", "C=1",
-                 "--epsilon", "0.2", "--delta", "0.1",
-                 "--strategy", "selective", "--sample-cap", "2",
-                 "--seed", "3", "--report", "json"])
-    assert code == 5
-    report = json.loads(out)
-    error = report["error"]
-    assert error["kind"] == "SampleBudgetExceededError"
-    assert error["phase"] == "distribution"
-    assert error["cap"] == 2
-    assert "result" not in report
-    assert err
-
-
 def test_infer_defaults_are_the_library_defaults(capsys, net_c_path):
     code, report, _ = run_json(
         capsys, ["infer", "--network", net_c_path, "--query", "A=1",
@@ -404,11 +387,9 @@ def test_nan_parameter_is_a_usage_error(capsys, net_a_path, argv):
 
 @pytest.mark.parametrize("flags", [
     ["--epsilon", "inf"],
-    ["--sample-cap", "0"],
-    ["--sample-cap", "-5"],
     ["--row-budget", "0"],
-], ids=["infinite-epsilon", "zero-sample-cap", "negative-sample-cap",
-        "zero-row-budget"])
+    ["--row-budget", "-5"],
+], ids=["infinite-epsilon", "zero-row-budget", "negative-row-budget"])
 def test_out_of_range_parameter_is_a_usage_error(capsys, net_c_path, flags):
     # Each of these used to reach sampling and exit 5 with a cap of 0 or
     # less; it is refused before the first trial.
@@ -421,17 +402,46 @@ def test_out_of_range_parameter_is_a_usage_error(capsys, net_c_path, flags):
     assert "must" in err and flags[1] in err
 
 
+@pytest.mark.parametrize("epsilon,delta", [("0.2", "1e-323"),
+                                           ("1e-17", "0.1")],
+                         ids=["delta", "epsilon"])
+def test_stage_budget_that_underflows_is_refused_before_sampling(
+        capsys, net_c_path, monkeypatch, epsilon, delta):
+    # Auto conditions on B, so each stage runs at (1 + epsilon)^(1/4) - 1
+    # and each subproblem estimate at delta / 8: here one of them is 0,
+    # a value the caller never gave. No stream is built.
+    built = []
+    generator = np.random.Generator
+
+    def counted(bits):
+        built.append(bits)
+        return generator(bits)
+
+    monkeypatch.setattr(np.random, "Generator", counted)
+    code, out, err = run_cli(
+        capsys, ["infer", "--network", net_c_path, "--query", "A=1",
+                 "--evidence", "C=1", "--epsilon", epsilon,
+                 "--delta", delta])
+    assert code == 2
+    assert out == ""
+    assert f"epsilon {epsilon} and delta {delta} split over |S| = 1" in err
+    assert built == []
+
+
 _ROW_BUDGET = ["--row-budget", str(1 << 20)]
 
 
-def test_removed_rejection_cap_flag_is_a_usage_error(capsys, net_c_path):
+@pytest.mark.parametrize("flag", ["--rejection-cap", "--sample-cap"],
+                         ids=["rejection-cap", "sample-cap"])
+def test_removed_cap_flag_is_a_usage_error(capsys, net_c_path, flag):
+    # The row budget replaced the attempt cap at 0.8.0 and the sample cap
+    # at 0.9.0.
     code, out, err = run_cli(
         capsys, ["infer", "--network", net_c_path, "--query", "A=1",
-                 "--epsilon", "0.2", "--delta", "0.1",
-                 "--rejection-cap", "10"])
+                 "--epsilon", "0.2", "--delta", "0.1", flag, "10"])
     assert code == 2
     assert out == ""
-    assert "--rejection-cap" in err
+    assert flag in err
 
 
 def test_epsilon_without_a_finite_bound_ends_at_the_row_budget(
@@ -617,12 +627,11 @@ def _write(tmp_path, source):
     (_TINY_TRIPLE.replace("1e-120", "1e-102").replace("0.01", "1e-80"),
      "D=1", "auto", "distribution"),
 ], ids=["bound-overflows", "phi-underflows", "weight-bound-overflows"])
-def test_unsizable_default_cap_is_a_budget_error(capsys, tmp_path, source,
-                                                 query, strategy, phase):
-    # phi_min is too small for a finite worst-case bound W, the bound the
-    # default sample cap was sized from until the row budget replaced it,
-    # and the target (or a weight category) is too rare to observe: the
-    # row budget ends the run, with a partial report.
+def test_rare_target_without_a_finite_bound_ends_at_the_row_budget(
+        capsys, tmp_path, source, query, strategy, phase):
+    # phi_min is too small for a finite worst-case bound W, so W is no
+    # checkpoint, and the target (or a weight category) is too rare to
+    # observe: the row budget ends the run, with a partial report.
     code, report, err = run_json(
         capsys, ["infer", "--network", _write(tmp_path, source),
                  "--query", query, "--strategy", strategy,
@@ -635,7 +644,7 @@ def test_unsizable_default_cap_is_a_budget_error(capsys, tmp_path, source,
     assert "row budget" in err
 
 
-def test_unsizable_weight_cap_is_a_budget_error():
+def test_weights_without_a_finite_bound_end_at_the_row_budget():
     # The three priors' product underflows, so the weight phase has no
     # finite worst-case bound, and its rarest categories never appear.
     with pytest.raises(RowBudgetExceededError) as einfo:
@@ -704,7 +713,7 @@ def test_greedy_strength_that_overflows_is_infinite(capsys, tmp_path):
     code, report, err = run_json(
         capsys, ["infer", "--network", path, "--query", "C=1",
                  "--epsilon", "0.2", "--delta", "0.1",
-                 "--greedy-exponent", "40", "--sample-cap", "100000"])
+                 "--greedy-exponent", "40", "--row-budget", "100000"])
     assert code == 0
     assert report["result"]["selected_s"] == ["A"]
     assert "Traceback" not in err
@@ -771,20 +780,12 @@ def test_overflowing_subproblem_term_is_reported_as_infinite(capsys,
     assert code == 0
     assert report["cost_before"]["subproblem_term"] is None
     # Auto conditions on A, whose A=0 numerator (probability 1e-40)
-    # rejection cannot certify: the sample cap ends the run.
-    code, _, _ = run_json(capsys, query + ["--sample-cap", "100000"])
+    # rejection cannot certify: the row budget ends the run, and the
+    # partial report has no result.
+    code, report, _ = run_json(capsys, query + ["--row-budget", "100000"])
     assert code == 5
-
-
-def test_explicit_sample_cap_answers_when_the_default_cannot_be_sized(
-        capsys, tmp_path):
-    code, report, _ = run_json(
-        capsys, ["infer", "--network", _write(tmp_path, _TINY_ROW),
-                 "--query", "B=1", "--strategy", "direct",
-                 "--epsilon", "0.2", "--delta", "0.1",
-                 "--sample-cap", "100000"])
-    assert code == 0
-    assert report["result"]["estimate"] == pytest.approx(0.4995, rel=0.2)
+    assert report["error"]["kind"] == "RowBudgetExceededError"
+    assert "result" not in report
 
 
 def _chain(n, prior, rows):

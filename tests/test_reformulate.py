@@ -9,7 +9,6 @@ from condsim.errors import (
     LengthMismatchError,
     OverlappingSetsError,
     RowBudgetExceededError,
-    SampleBudgetExceededError,
     ZeroDenominatorError,
 )
 from condsim.exact import exact_conditional, exact_distribution_over, \
@@ -308,9 +307,9 @@ def test_infer_direct_certifies_at_stated_risk(net_a):
     assert covered >= 190
 
 
-def test_default_cap_covers_a_target_rarer_than_its_own_bound():
+def test_worst_case_checkpoint_covers_a_target_rarer_than_its_own_bound():
     # Pr[A=1 | B=1] = 0.001996 lies far below phi_min over A alone (0.5);
-    # the default cap is sized over A and B, whose bound is 0.0005.
+    # W, the checkpoint, is sized over A and B, whose bound is 0.0005.
     net = parse_network("network rare\nnode A\nprior A : 0.5\nnode B\n"
                         "parents B : A\ncpt B : 0.5 0.001\n")
     phi = exact_conditional(net, {"A": 1}, {"B": 1})
@@ -341,23 +340,17 @@ def test_infer_dependence_never_grows_under_conditioning():
         assert result.dependence_after <= result.dependence_before + 1e-9
 
 
-def test_infer_selective_propagates_sample_budget(net_c):
-    with pytest.raises(SampleBudgetExceededError) as einfo:
-        infer(net_c, {"C": 1}, {}, 0.2, 0.1, strategy="selective",
-              config=InferConfig(sample_cap=2), seed=3)
-    assert einfo.value.phase == "distribution"
-
-
-# Under the row budget, subproblem 0's stream (acceptance 0.5) scores
-# the 8,192-trial checkpoint and cannot draw the next; its numerator and
-# denominator, both unfinished, count 8,192 each. Under the sample cap,
-# the numerator runs on to the cap; its denominator reads the same
-# stream and certified at 16,384 trials, which count too.
+# At 2^15 rows, subproblem 0's stream (acceptance 0.5) scores the
+# 8,192-trial checkpoint and cannot draw the next; its numerator and
+# denominator, both unfinished, count 8,192 each. At 3 * 2^15 rows, the
+# numerator is unfinished at 32,768 trials; its denominator reads the
+# same stream and certified at 16,384 trials, which count in place of
+# the loop's.
 @pytest.mark.parametrize("config,error,phase,subproblem_trials", [
     (InferConfig(row_budget=1 << 15), RowBudgetExceededError, "fraction",
      1 << 14),
-    (InferConfig(sample_cap=1 << 16), SampleBudgetExceededError,
-     "fraction", (1 << 16) + (1 << 14))])
+    (InferConfig(row_budget=3 << 15), RowBudgetExceededError, "fraction",
+     (1 << 15) + (1 << 14))])
 def test_infer_budget_error_counts_the_run_s_scored_trials(
         net_c, config, error, phase, subproblem_trials):
     for seed in range(3):
@@ -440,7 +433,6 @@ def test_many_independent_components_report_a_finite_dependence():
 
 
 _GIBBS_3 = InferConfig(generator=TrialGeneratorKind.gibbs(3))
-_CAP_100 = InferConfig(sample_cap=100)
 _ROWS_1000 = InferConfig(row_budget=1000)
 _ROWS_10000 = InferConfig(row_budget=10000)
 
@@ -455,12 +447,6 @@ _ROWS_10000 = InferConfig(row_budget=10000)
       (0.6722016334533691, 2097152, (1.0,))),
      ({"A": 1}, {"C": 1}, 0.001, "direct", None, 11,
       (0.740147590637207, 1048576, (1.0,))),
-     ({"A": 1}, {"C": 1}, 0.05, "direct", _CAP_100, 14,
-      ("SampleBudgetExceededError", "fraction", 64, 100,
-       "subproblem 0 numerator: stopping rule unsatisfied at 64 trials")),
-     ({"C": 1}, {"A": 1}, 0.2, "selective", _CAP_100, 14,
-      ("SampleBudgetExceededError", "distribution", 64, 100,
-       "stopping rule unsatisfied at 64 trials")),
      ({"A": 1}, {"C": 1}, 0.05, "direct", _ROWS_1000, 11,
       ("RowBudgetExceededError", "fraction", 256, 1000,
        "subproblem 0 numerator: next batch would pass the row budget of "
@@ -477,7 +463,7 @@ _ROWS_10000 = InferConfig(row_budget=10000)
      ({"A": 1}, {"B": 1}, 0.2, "direct", _GIBBS_3, 16,
       (0.84375, 32, (1.0,)))],
     ids=["rejection", "selective", "gibbs-past-2^18", "rejection-past-2^18",
-         "cap-fraction", "cap-distribution", "budget-fraction",
+         "budget-fraction",
          "budget-subproblem", "budget-distribution", "clamped-condition",
          "gibbs-barren"])
 def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
@@ -485,11 +471,11 @@ def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
     # Recorded at version 0.7.0, whose subproblem numerators and
     # denominators read one stream and whose rejection batches aim at the
     # next checkpoint; the Gibbs and clamped-condition cases and the
-    # first rejection case are unchanged since 0.6.0, and the two sample
-    # cap errors since 0.3.0 (their types and messages were added at
-    # 0.7.0). The three row-budget errors were added at 0.8.0, whose
-    # budget replaced 0.7.0's attempt cap; no answer or stop point of
-    # the other cases moved. The past-2^18 cases run at
+    # first rejection case are unchanged since 0.6.0. The three
+    # row-budget errors were added at 0.8.0, whose budget replaced
+    # 0.7.0's attempt cap; no answer or stop point of the other cases
+    # moved, nor at 0.9.0, which removed the sample cap and its two
+    # pinned errors. The past-2^18 cases run at
     # epsilon 0.001 so that a checkpoint still spans several 2^18-trial
     # chunks. A change that fails this changes a random stream or a stop
     # point, so it bumps the version and says so in CHANGES.md.

@@ -13,7 +13,6 @@ from condsim.errors import (
     NetworkTooLargeError,
     OverlappingSetsError,
     RowBudgetExceededError,
-    SampleBudgetExceededError,
     UnknownNodeError,
 )
 from condsim.exact import (
@@ -175,14 +174,16 @@ def test_estimate_distribution_never_exceeds_published_bound(net_a):
 
 
 def test_estimate_distribution_budget_error_carries_partial_state(net_a):
-    with pytest.raises(SampleBudgetExceededError) as einfo:
+    # No row is rejected, so the 512-trial checkpoint takes 512 rows and
+    # the next batch of 512 would pass 1,000.
+    with pytest.raises(RowBudgetExceededError) as einfo:
         estimate_distribution_over(
             net_a, ["A", "B"], 0.05, 0.01, PriorChoice.UNBIASED,
-            RandomSource(3), sample_cap=4)
+            RandomSource(3), row_budget=1000)
     err = einfo.value
     assert err.phase == "distribution"
-    assert err.trials == 4
-    assert err.cap == 4
+    assert err.trials == 512
+    assert err.cap == 1000
 
 
 def test_estimate_distribution_rejects_oversized_subsets():
@@ -322,14 +323,15 @@ def test_fraction_stops_at_first_two_sided_checkpoint(net_a):
 
 
 def test_fraction_budget_error_carries_partial_state(net_a):
-    with pytest.raises(SampleBudgetExceededError) as einfo:
+    with pytest.raises(RowBudgetExceededError) as einfo:
         estimate_conditional_fraction(
             net_a, {"B": 1}, {}, 0.05, 0.01,
-            TrialGeneratorKind.rejection(), RandomSource(31), sample_cap=2)
+            TrialGeneratorKind.rejection(), RandomSource(31),
+            row_budget=1000)
     err = einfo.value
     assert err.phase == "fraction"
-    assert err.trials == 2
-    assert err.cap == 2
+    assert err.trials == 512
+    assert err.cap == 1000
 
 
 def test_row_budget_raises_with_phase():
