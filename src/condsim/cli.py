@@ -40,7 +40,6 @@ from .reformulate import (
     infer,
 )
 from .sampling import _GENERATOR_KINDS, TrialGeneratorKind
-from .stopping import PriorChoice
 
 
 def parse_assignment_text(text: str) -> dict[str, int]:
@@ -139,9 +138,8 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
     net = ancestral_network(full, (*query, *evidence)) if query else full
     started = time.perf_counter()
     dep = dependence_value(net, evidence)
-    selected, trace = greedy_select(net, evidence, args.greedy_exponent,
-                                    args.max_s, exclude=tuple(query),
-                                    report=dep)
+    selected, trace = greedy_select(net, evidence, max_s=args.max_s,
+                                    exclude=tuple(query), report=dep)
     cost_before, cost_after = _costs(trace, dep.value)
     dep_after = _value_given(dep, net, {*evidence, *selected})
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -188,12 +186,8 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
 
 def _infer_config(cfg: Mapping) -> InferConfig:
     """The InferConfig that a report's ``config`` dict records."""
-    # The only exponent that a report writes as null is infinity.
-    exponent = cfg["greedy_exponent"]
     return InferConfig(
-        greedy_exponent=math.inf if exponent is None else exponent,
         max_s=cfg["max_s"],
-        prior=PriorChoice(cfg["prior"]),
         generator=TrialGeneratorKind(cfg["generator"],
                                      cfg["burn_in_sweeps"]),
         row_budget=cfg["row_budget"])
@@ -214,9 +208,7 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
         "epsilon": args.epsilon,
         "delta": args.delta,
         "strategy": args.strategy,
-        "config": {"greedy_exponent": args.greedy_exponent,
-                   "max_s": args.max_s,
-                   "prior": args.prior,
+        "config": {"max_s": args.max_s,
                    "generator": args.generator,
                    "burn_in_sweeps": args.burn_in_sweeps,
                    "row_budget": args.row_budget},
@@ -278,7 +270,15 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
 
 
 def rerun_report(report: Mapping) -> InferenceResult:
-    """Re-execute an infer run from its own JSON report."""
+    """Re-execute an infer run from its own JSON report.
+
+    The random stream and the settings a report records are fixed only
+    within a version, so a report that another version wrote is refused
+    with a ValueError.
+    """
+    if report["version"] != __version__:
+        raise ValueError(f"report written by condsim {report['version']} "
+                         f"cannot replay under condsim {__version__}")
     net = parse_network(report["network_source"])
     config = _infer_config(report["config"])
     return infer(net, {k: int(v) for k, v in report["query"].items()},
@@ -300,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--network", required=True,
                         help="path to a .bnet file")
-    shared.add_argument("--greedy-exponent", type=float,
-                        default=defaults.greedy_exponent)
     shared.add_argument("--max-s", type=int, default=defaults.max_s)
     shared.add_argument("--report", choices=("text", "json"),
                         default="text")
@@ -326,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--delta", type=float, required=True,
                      help="failure probability target in (0, 1]")
     run.add_argument("--strategy", choices=_STRATEGIES, default="auto")
-    run.add_argument("--prior", choices=[p.value for p in PriorChoice],
-                     default=defaults.prior.value)
     run.add_argument("--generator", choices=_GENERATOR_KINDS,
                      default=defaults.generator.kind)
     run.add_argument("--burn-in-sweeps", type=int,
@@ -361,9 +357,6 @@ def main(argv: "list[str] | None" = None) -> int:
     except (UnknownNodeError, OverlappingSetsError, ValueError) as exc:
         print(f"condsim: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
-        print(f"condsim: {exc}", file=sys.stderr)
-        return 5
     except CondsimError as exc:
         print(f"condsim: {exc}", file=sys.stderr)
         return 4

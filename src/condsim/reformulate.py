@@ -42,17 +42,14 @@ from .sampling import (
     estimate_conditional_fraction,
     estimate_distribution_over,
 )
-from .stopping import PriorChoice
 
 DEFAULT_SEED = 271828182845
 
 _STRATEGIES = ("direct", "selective", "auto")
 
 
-def _check_greedy_settings(exponent: float, max_s: int) -> None:
+def _check_greedy_settings(max_s: int) -> None:
     """greedy_select's settings rule, which InferConfig applies too."""
-    if not exponent >= 1.0:
-        raise ValueError(f"exponent must be at least 1, got {exponent!r}")
     if not 0 <= max_s <= _MAX_CATEGORY_NODES:
         raise ValueError(f"max_s must lie in 0..{_MAX_CATEGORY_NODES}, "
                          f"got {max_s!r}")
@@ -62,14 +59,12 @@ def _check_greedy_settings(exponent: float, max_s: int) -> None:
 class InferConfig:
     """Tunables for infer; defaults suit networks of desk scale."""
 
-    greedy_exponent: float = 1.0
     max_s: int = 12
-    prior: PriorChoice = PriorChoice.UNBIASED
     generator: TrialGeneratorKind = TrialGeneratorKind.rejection()
     row_budget: int = DEFAULT_ROW_BUDGET
 
     def __post_init__(self) -> None:
-        _check_greedy_settings(self.greedy_exponent, self.max_s)
+        _check_greedy_settings(self.max_s)
         if self.row_budget < 1:
             raise ValueError("row_budget (--row-budget) must be at least 1, "
                              f"got {self.row_budget!r}")
@@ -127,17 +122,16 @@ class InferenceResult:
     greedy_trace: "GreedyTrace | None"
 
 
-def greedy_select(net: BeliefNetwork, evidence: Assignment,
-                  exponent: float = 1.0, max_s: int = 12,
-                  exclude: tuple[str, ...] = (), *,
+def greedy_select(net: BeliefNetwork, evidence: Assignment, *,
+                  max_s: int = 12, exclude: tuple[str, ...] = (),
                   report: DependenceReport | None = None
                   ) -> tuple[tuple[str, ...], GreedyTrace]:
     """Pick a conditioning set that shrinks the dependence value.
 
     Each round scores every node i whose conditioned lambda exceeds 1:
     with u' its parents not yet bound, i is eligible when 2^|u'| is less
-    than lambda^exponent, and the eligible candidate with the largest
-    lambda^exponent / 2^|u'| wins (declaration order breaks ties). The
+    than lambda, and the eligible candidate with the largest
+    lambda / 2^|u'| wins (declaration order breaks ties). The
     search stops when estimating the weights would cost at least as much
     as the subproblems, when no candidate is eligible, or when the next
     addition would push |S| past max_s, make the weight term infinite or
@@ -146,7 +140,7 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
     the conditioning set. Every lambda and cost comes from ``report``,
     dependence_value(net, evidence), which is computed when not given.
     """
-    _check_greedy_settings(exponent, max_s)
+    _check_greedy_settings(max_s)
     net.validate_assignment(evidence)
     if report is None:
         report = dependence_value(net, evidence)
@@ -177,13 +171,9 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment,
             if any(p in kept_out for p in unbound):
                 continue
             subsets = float(1 << len(unbound))
-            try:
-                strength = lam ** exponent
-            except OverflowError:  # float ** raises where * would give inf
-                strength = inf
-            if not subsets < strength:
+            if not subsets < lam:
                 continue
-            key = (strength / subsets, -rank)
+            key = (lam / subsets, -rank)
             if best is None or key > best[0]:
                 best = (key, name, unbound, lam)
         if best is None:
@@ -332,9 +322,8 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     trace: GreedyTrace | None = None
     selected: tuple[str, ...] = ()
     if strategy != "direct":
-        selected, trace = greedy_select(net, evidence, config.greedy_exponent,
-                                        config.max_s, exclude=tuple(query),
-                                        report=report)
+        selected, trace = greedy_select(net, evidence, max_s=config.max_s,
+                                        exclude=tuple(query), report=report)
     use_selective = (strategy == "selective"
                      or (strategy == "auto" and bool(selected)))
 
@@ -348,7 +337,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                 f"{stage_eps!r} and a subproblem delta of {delta_s!r}; "
                 "both must be positive")
         mu_s, weight_trials = estimate_distribution_over(
-            net, selected, stage_eps, delta_w, config.prior, root.derive(0),
+            net, selected, stage_eps, delta_w, root.derive(0),
             row_budget=config.row_budget)
         scored = weight_trials
         pairs = []
@@ -360,7 +349,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                 {"numerator": sub.numerator_target,
                  "denominator": sub.denominator_target},
                 sub.instantiation, stage_eps, delta_s, config.generator,
-                root.derive(sub.index + 1), config.prior, config.row_budget)
+                root.derive(sub.index + 1), config.row_budget)
             pairs.append((fractions["numerator"], fractions["denominator"]))
             scored += sum(est.trials for est in fractions.values())
         dependence_after = _value_given(report, net, {*evidence, *selected})
@@ -370,8 +359,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
         pairs = [(certified("subproblem 0 numerator: ",
                             estimate_conditional_fraction, net, query,
                             evidence, epsilon, delta, config.generator,
-                            root.derive(1), prior=config.prior,
-                            row_budget=config.row_budget),
+                            root.derive(1), row_budget=config.row_budget),
                   RasEstimate(1.0, epsilon, delta, 0, 0))]
         dependence_after = report.value
     numerator = combine_weighted([num.value for num, _ in pairs], mu_s)

@@ -31,7 +31,6 @@ from .errors import (
 from .network import Assignment, BeliefNetwork, check_disjoint
 from .stopping import (
     DirichletPosterior,
-    PriorChoice,
     should_stop,
     worst_case_sample_bound,
 )
@@ -529,7 +528,7 @@ class _Reader:
 
 
 def _certify(draw, readers: Sequence[_Reader], epsilon: float,
-             delta: float, prior: PriorChoice) -> None:
+             delta: float) -> None:
     """Classify drawn rows until the stopping rule certifies every reader.
 
     ``draw(m)`` is a _Stream's ``take``, the next ``m`` rows. Every
@@ -570,10 +569,9 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
             for r in live:
                 r.counts += r.classify(rows)
             trials += m
-        n = trials + k * prior.pseudocount
         for r in live:
             posterior = DirichletPosterior._trusted(tuple(r.counts.tolist()),
-                                                    prior, n)
+                                                    trials)
             if should_stop(posterior, epsilon, delta, category=r.category):
                 r.posterior, r.trials = posterior, trials
         live = [r for r in live if r.posterior is None]
@@ -581,7 +579,7 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
 
 def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
                                epsilon: float, delta: float,
-                               prior: PriorChoice, rng: RandomSource, *,
+                               rng: RandomSource, *,
                                row_budget: int = DEFAULT_ROW_BUDGET
                                ) -> tuple[tuple[float, ...], int]:
     """Certified estimate of the joint distribution over ``s_nodes``.
@@ -608,7 +606,7 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
                                               minlength=1 << len(s)),
                      len(s), net, s, epsilon, delta)
     _certify(_RejectionStream(net, {}, rng, row_budget, cols).take,
-             (reader,), epsilon, delta, prior)
+             (reader,), epsilon, delta)
     return reader.posterior.mu, reader.trials
 
 
@@ -616,7 +614,6 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
                                   condition: Assignment, epsilon: float,
                                   delta: float, kind: TrialGeneratorKind,
                                   rng: RandomSource, *,
-                                  prior: PriorChoice = PriorChoice.UNBIASED,
                                   row_budget: int = DEFAULT_ROW_BUDGET
                                   ) -> RasEstimate:
     """Certified estimate of Pr[target | condition] by scored trials.
@@ -633,7 +630,7 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
     net.validate_assignment(target)
     check_disjoint(target, condition, "target and condition")
     return _fractions(net, {"": target}, condition, epsilon, delta, kind,
-                      rng, prior, row_budget)[""]
+                      rng, row_budget)[""]
 
 
 def _match_all(at: list[int], values: list[int]):
@@ -668,8 +665,7 @@ def _classifier(at: list[int], values: list[int]):
 def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
                condition: Assignment, epsilon: float, delta: float,
                kind: TrialGeneratorKind, rng: RandomSource,
-               prior: PriorChoice, row_budget: int
-               ) -> dict[str, RasEstimate]:
+               row_budget: int) -> dict[str, RasEstimate]:
     """Certified Pr[t | condition] for each named target t, every one
     read from one conditioned stream, as estimate_conditional_fraction
     certifies one. Each target is a reader of the stream, and its name
@@ -686,7 +682,7 @@ def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
                for name, target in targets.items() if target}
     if readers:
         stream = _make_stream(net, condition, kind, rng, row_budget, keep)
-        _certify(stream.take, tuple(readers.values()), epsilon, delta, prior)
+        _certify(stream.take, tuple(readers.values()), epsilon, delta)
     estimates = {}
     for name in targets:
         r = readers.get(name)

@@ -66,12 +66,11 @@ class DirichletPosterior:
                            + len(counts) * self.prior.pseudocount)
 
     @classmethod
-    def _trusted(cls, counts: tuple[int, ...], prior: PriorChoice,
-                 n: int) -> "DirichletPosterior":
-        """The posterior of counts its caller made: at least two
-        nonnegative ints whose n it knows. Nothing is checked."""
+    def _trusted(cls, counts: tuple[int, ...], n: int) -> "DirichletPosterior":
+        """The unbiased posterior of counts its caller made: at least two
+        nonnegative ints whose sum n it knows. Nothing is checked."""
         self = object.__new__(cls)
-        self.__dict__.update(counts=counts, prior=prior, n=n)
+        self.__dict__.update(counts=counts, prior=PriorChoice.UNBIASED, n=n)
         return self
 
     @property

@@ -17,7 +17,6 @@ from condsim.network import (
 )
 from condsim.reformulate import InferConfig, InferenceResult, infer
 from condsim.sampling import RandomSource, estimate_distribution_over
-from condsim.stopping import PriorChoice
 
 from helpers import (
     BARREN_SOURCE,
@@ -183,12 +182,9 @@ def test_overlapping_query_and_evidence_is_a_usage_error(capsys,
 
 @pytest.mark.parametrize("strategy", ["direct", "selective", "auto"])
 @pytest.mark.parametrize("flags", [
-    ["--greedy-exponent", "0.5"],
-    ["--greedy-exponent", "nan"],
     ["--max-s", "-3"],
     ["--max-s", "21"],
-], ids=["exponent-below-1", "nan-exponent", "negative-max-s",
-        "max-s-above-20"])
+], ids=["negative-max-s", "max-s-above-20"])
 def test_every_strategy_refuses_the_same_greedy_settings(capsys, net_c_path,
                                                          strategy, flags):
     # direct never runs the greedy search, yet its report would record
@@ -277,6 +273,23 @@ def test_rerun_report_reproduces_the_estimate(capsys, net_c_path):
     assert replay.estimate == report["result"]["estimate"]
     assert replay.trials_total == report["result"]["trials_total"]
     assert list(replay.mu_s) == report["result"]["mu_s"]
+
+
+def test_rerun_report_refuses_another_version(capsys, net_c_path):
+    # A report replays only under the version that wrote it: another
+    # version may draw other streams or read its config otherwise.
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", net_c_path, "--query", "C=1",
+                 "--evidence", "A=0", "--epsilon", "0.25", "--delta", "0.1",
+                 "--seed", "99"])
+    assert code == 0
+    assert report["version"] == __version__
+    with pytest.raises(ValueError) as einfo:
+        cli.rerun_report({**report, "version": "0.9.0"})
+    assert "0.9.0" in str(einfo.value) and __version__ in str(einfo.value)
+    replay = cli.rerun_report(report)
+    assert replay.estimate == report["result"]["estimate"]
+    assert replay.trials_total == report["result"]["trials_total"]
 
 
 def test_rerun_report_round_trips_through_serialized_text(capsys,
@@ -373,11 +386,7 @@ def test_missing_subcommand_is_a_usage_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["infer", "--query", "B=1", "--epsilon", "nan", "--delta", "0.1"],
     ["infer", "--query", "B=1", "--epsilon", "0.2", "--delta", "nan"],
-    ["infer", "--query", "B=1", "--epsilon", "0.2", "--delta", "0.1",
-     "--greedy-exponent", "nan"],
-    ["analyze", "--greedy-exponent", "nan"],
-], ids=["epsilon", "delta", "infer-greedy-exponent",
-        "analyze-greedy-exponent"])
+], ids=["epsilon", "delta"])
 def test_nan_parameter_is_a_usage_error(capsys, net_a_path, argv):
     code, _, err = run_cli(capsys,
                            argv[:1] + ["--network", net_a_path] + argv[1:])
@@ -442,6 +451,22 @@ def test_removed_cap_flag_is_a_usage_error(capsys, net_c_path, flag):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "--query", "A=1", "--epsilon", "0.2", "--delta", "0.1",
+     "--prior", "uniform"],
+    ["infer", "--query", "A=1", "--epsilon", "0.2", "--delta", "0.1",
+     "--greedy-exponent", "2"],
+    ["analyze", "--greedy-exponent", "2"],
+], ids=["infer-prior", "infer-greedy-exponent", "analyze-greedy-exponent"])
+def test_removed_setting_flag_is_a_usage_error(capsys, net_c_path, argv):
+    # 0.10.0 removed the stopping rule's prior and greedy's exponent.
+    code, out, err = run_cli(
+        capsys, argv[:1] + ["--network", net_c_path] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert argv[-2] in err
 
 
 def test_epsilon_without_a_finite_bound_ends_at_the_row_budget(
@@ -650,7 +675,7 @@ def test_weights_without_a_finite_bound_end_at_the_row_budget():
     with pytest.raises(RowBudgetExceededError) as einfo:
         estimate_distribution_over(
             parse_network(_TINY_TRIPLE), ("A", "B", "C"), 0.2, 0.1,
-            PriorChoice.UNBIASED, RandomSource(1), row_budget=1 << 16)
+            RandomSource(1), row_budget=1 << 16)
     assert einfo.value.phase == "distribution"
     assert einfo.value.cap == 1 << 16
     # Every scored trial is a checkpoint's, within the budget.
@@ -696,24 +721,19 @@ cpt C : 0.2 0.7
 
 
 def test_greedy_strength_that_overflows_is_infinite(capsys, tmp_path):
-    # B's lambda is 9e9, and 9e9 ** 40 overflows a float. B's strength
-    # is then inf (null in the report), so greedy takes it first, as
-    # under the default.
+    # B's lambda is 9e9, so greedy takes A, B's parent, first.
     path = _write(tmp_path, _OVERFLOW)
-    code, report, _ = run_json(
-        capsys, ["analyze", "--network", path, "--greedy-exponent", "40"])
+    code, report, _ = run_json(capsys, ["analyze", "--network", path])
     assert code == 0
-    first = report["greedy_trace"]["steps"][0]
-    assert (first["node"], first["candidate_ratio"]) == ("B", None)
-    _, default, _ = run_json(capsys, ["analyze", "--network", path])
+    assert report["greedy_trace"]["steps"][0]["node"] == "B"
     # The next step, C adding B, would trade a subproblem term of 45,037.5
     # for a weight term of 8e10, so greedy stops before it.
-    assert report["selected_s"] == default["selected_s"] == ["A"]
-    assert default["greedy_trace"]["stop_reason"] == "total cost not lowered"
+    assert report["selected_s"] == ["A"]
+    assert report["greedy_trace"]["stop_reason"] == "total cost not lowered"
     code, report, err = run_json(
         capsys, ["infer", "--network", path, "--query", "C=1",
                  "--epsilon", "0.2", "--delta", "0.1",
-                 "--greedy-exponent", "40", "--row-budget", "100000"])
+                 "--row-budget", "100000"])
     assert code == 0
     assert report["result"]["selected_s"] == ["A"]
     assert "Traceback" not in err
@@ -736,14 +756,14 @@ def test_json_reports_write_values_that_are_not_finite_as_null(capsys,
     assert report["cost_before"]["subproblem_term"] is None
     code, out, _ = run_cli(capsys, ["analyze", "--network", path])
     assert "subproblem inf" in out
-    # A report written as null replays: the exponent null is infinity.
+    # An infer report that holds a null replays.
     code, out, _ = run_cli(
         capsys, ["infer", "--network", path, "--query", "B=1",
                  "--epsilon", "0.2", "--delta", "0.1", "--strategy",
-                 "direct", "--greedy-exponent", "inf", "--report", "json"])
+                 "direct", "--report", "json"])
     assert code == 0
     report = _strict_json(out)
-    assert report["config"]["greedy_exponent"] is None
+    assert report["cost_before"]["subproblem_term"] is None
     assert (cli.rerun_report(report).estimate
             == report["result"]["estimate"])
 

@@ -4,9 +4,8 @@ error, a parse error or a budget error, never a traceback or exit 4.
 Networks of 1-8 nodes are generated as ``.bnet`` text with rows drawn
 from the extremes of the open unit interval, and each one is run through
 ``infer`` with random flags and through ``analyze``; both also take a
-random ``--max-s`` and ``--greedy-exponent``, including exponents at
-which a candidate's strength overflows a float. The row budget, the one
-work bound, is drawn from [1, 1e5], so that every case ends quickly.
+random ``--max-s``. The row budget, the one work bound, is drawn from
+[1, 1e5], so that every case ends quickly.
 Every flag the gate generates must parse: a run that argparse refuses
 tests nothing past the parser, so it fails the gate. Every JSON report
 must parse as strict JSON (RFC 8259), with no NaN or Infinity constant.
@@ -15,7 +14,6 @@ must parse as strict JSON (RFC 8259), with no NaN or Infinity constant.
 import contextlib
 import io
 import json
-import math
 from dataclasses import dataclass
 
 from hypothesis import example, given, settings
@@ -33,9 +31,6 @@ _ROWS = st.one_of(
 _EXIT_CODES = {0, 2, 3, 5}
 # Mostly the largest budget, so that most runs can answer.
 _BUDGETS = st.one_of(st.just(10 ** 5), st.integers(1, 10 ** 5))
-# A row of 1e-8 gives a lambda near 1e8, whose 40th power overflows.
-_EXPONENTS = st.one_of(st.sampled_from((1.0, 40.0, 1e3, math.inf)),
-                       st.floats(1.0, 64.0))
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,6 @@ def cases(draw):
     pairs = [f"{name}={value}" for name, value in zip(bound, values)]
     flags = ["--strategy", draw(st.sampled_from(("auto", "direct",
                                                  "selective"))),
-             "--prior", draw(st.sampled_from(("unbiased", "uniform"))),
              "--epsilon", repr(draw(st.sampled_from((0.1, 0.2, 0.5)))),
              "--delta", repr(draw(st.sampled_from((0.05, 0.1, 0.5)))),
              "--row-budget", str(draw(_BUDGETS)),
@@ -82,17 +76,16 @@ def cases(draw):
                   "--burn-in-sweeps", str(draw(st.integers(1, 4)))]
     if draw(st.booleans()):
         flags.append("--exact")
-    greedy = ("--greedy-exponent", repr(draw(_EXPONENTS)),
-              "--max-s", str(draw(st.integers(0, 8))))
+    greedy = ("--max-s", str(draw(st.integers(0, 8))))
     return Case("\n".join(lines) + "\n", ",".join(pairs[:split]),
                 ",".join(pairs[split:]), tuple(flags),
                 draw(st.sampled_from(("text", "json"))), greedy)
 
 
-def _reproducer(source, query, *flags, greedy=()):
+def _reproducer(source, query, *flags):
     return Case(source, query, "",
                 ("--epsilon", "0.2", "--delta", "0.1", "--row-budget",
-                 "100000", *flags), "json", greedy)
+                 "100000", *flags), "json")
 
 
 _PAIR = "network tiny\nnode A\nprior A : {p}\nnode B\nprior B : {p}\n"
@@ -104,9 +97,6 @@ _ROW = ("network tiny\nnode A\nprior A : 0.999\nnode B\nparents B : A\n"
         "cpt B : 1e-320 0.5\n")
 _STEEP = ("network steep\nnode A\nprior A : 0.5\nnode B\nparents B : A\n"
           "cpt B : 1e-40 0.5\n")
-_OVERFLOW = ("network overflow\nnode A\nprior A : 0.5\nnode B\n"
-             "parents B : A\ncpt B : 1e-10 0.9\nnode C\nparents C : B\n"
-             "cpt C : 0.2 0.7\n")
 
 
 def _run(argv):
@@ -130,7 +120,6 @@ def _refuse(constant):
 @example(_reproducer(_TRIPLE.replace("1e-120", "1e-102"), "D=1"))
 @example(_reproducer(_ROW, "B=1", "--strategy", "direct"))
 @example(_reproducer(_STEEP, "B=1"))
-@example(_reproducer(_OVERFLOW, "C=1", greedy=("--greedy-exponent", "40")))
 @example(_reproducer(_STEEP, "B=1", "--generator", "gibbs",
                      "--burn-in-sweeps", "2", "--exact"))
 @example(_reproducer(_STEEP.replace("1e-40 0.5", "1e-40 1e-40"), "B=1",

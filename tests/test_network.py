@@ -32,7 +32,6 @@ from condsim.sampling import (
     estimate_conditional_fraction,
     estimate_distribution_over,
 )
-from condsim.stopping import PriorChoice
 
 from helpers import NET_A_SOURCE, brute_marginal, random_network
 
@@ -288,8 +287,7 @@ def _fraction(net, target, condition):
 
 
 def _distribution(net, nodes):
-    return estimate_distribution_over(net, nodes, 0.2, 0.1,
-                                      PriorChoice.UNBIASED, RandomSource(1))
+    return estimate_distribution_over(net, nodes, 0.2, 0.1, RandomSource(1))
 
 
 @pytest.mark.parametrize("call,error,message", [

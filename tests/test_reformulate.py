@@ -29,9 +29,10 @@ from condsim.sampling import (
     TrialGeneratorKind,
     conditioned_sample_batch,
     estimate_conditional_fraction,
+    estimate_distribution_over,
     mix_seed,
 )
-from condsim.stopping import DirichletPosterior, should_stop
+from condsim.stopping import DirichletPosterior, PriorChoice, should_stop
 
 from helpers import BARREN_SOURCE, arcless_network, random_network
 
@@ -99,9 +100,27 @@ def test_greedy_respects_the_size_cap(net_c):
 
 def test_greedy_parameter_validation(net_a):
     with pytest.raises(ValueError):
-        greedy_select(net_a, {}, exponent=0.5)
-    with pytest.raises(ValueError):
         greedy_select(net_a, {}, max_s=-1)
+
+
+def test_removed_settings_fail_loudly(net_a):
+    # 0.10.0 removed the stopping rule's prior and greedy's exponent.
+    # Their old call shapes raise instead of binding an argument to
+    # another parameter.
+    calls = (
+        lambda: InferConfig(prior=PriorChoice.UNIFORM),
+        lambda: InferConfig(greedy_exponent=2.0),
+        lambda: greedy_select(net_a, {}, 2.0),
+        lambda: estimate_distribution_over(net_a, ("A",), 0.2, 0.1,
+                                           PriorChoice.UNBIASED,
+                                           RandomSource(1)),
+        lambda: estimate_conditional_fraction(
+            net_a, {"B": 1}, {}, 0.2, 0.1, TrialGeneratorKind.rejection(),
+            RandomSource(1), prior=PriorChoice.UNBIASED),
+    )
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_greedy_never_returns_excluded_or_bound_nodes():

@@ -39,7 +39,7 @@ from condsim.sampling import (
     logic_sample_batch,
     mix_seed,
 )
-from condsim.stopping import PriorChoice, worst_case_sample_bound
+from condsim.stopping import worst_case_sample_bound
 
 from helpers import arcless_network, random_network
 
@@ -136,7 +136,7 @@ def test_logic_sample_marginals_converge_across_seeds():
 
 def test_estimate_distribution_empty_subset_is_trivial(net_a):
     probs, trials = estimate_distribution_over(
-        net_a, [], 0.2, 0.1, PriorChoice.UNBIASED, RandomSource(1))
+        net_a, [], 0.2, 0.1, RandomSource(1))
     assert probs == (1.0,)
     assert trials == 0
 
@@ -151,8 +151,7 @@ def test_estimate_distribution_certifies_at_stated_risk(net_a):
     covered = 0
     for rep in range(200):
         mu, trials = estimate_distribution_over(
-            net_a, ["A"], epsilon, delta, PriorChoice.UNBIASED,
-            RandomSource(mix_seed(909, rep)))
+            net_a, ["A"], epsilon, delta, RandomSource(mix_seed(909, rep)))
         assert trials >= 2 and (trials & (trials - 1) == 0
                                 or trials == bound)
         assert sum(mu) == pytest.approx(1.0)
@@ -168,8 +167,7 @@ def test_estimate_distribution_never_exceeds_published_bound(net_a):
     # evaluated at that bound, between the checkpoints 256 and 512.
     for rep in range(200):
         _, trials = estimate_distribution_over(
-            net_a, ["A"], 0.2, 0.1, PriorChoice.UNBIASED,
-            RandomSource(mix_seed(909, rep)))
+            net_a, ["A"], 0.2, 0.1, RandomSource(mix_seed(909, rep)))
         assert trials <= 500
 
 
@@ -178,8 +176,7 @@ def test_estimate_distribution_budget_error_carries_partial_state(net_a):
     # the next batch of 512 would pass 1,000.
     with pytest.raises(RowBudgetExceededError) as einfo:
         estimate_distribution_over(
-            net_a, ["A", "B"], 0.05, 0.01, PriorChoice.UNBIASED,
-            RandomSource(3), row_budget=1000)
+            net_a, ["A", "B"], 0.05, 0.01, RandomSource(3), row_budget=1000)
     err = einfo.value
     assert err.phase == "distribution"
     assert err.trials == 512
@@ -190,17 +187,14 @@ def test_estimate_distribution_rejects_oversized_subsets():
     net = arcless_network(21)
     with pytest.raises(NetworkTooLargeError):
         estimate_distribution_over(
-            net, list(net.nodes), 0.5, 0.5, PriorChoice.UNBIASED,
-            RandomSource(1))
+            net, list(net.nodes), 0.5, 0.5, RandomSource(1))
 
 
 def test_estimate_distribution_rejects_bad_risk_params(net_a):
     with pytest.raises(ValueError):
-        estimate_distribution_over(net_a, ["A"], 0.0, 0.1,
-                                   PriorChoice.UNBIASED, RandomSource(1))
+        estimate_distribution_over(net_a, ["A"], 0.0, 0.1, RandomSource(1))
     with pytest.raises(ValueError):
-        estimate_distribution_over(net_a, ["A"], 0.2, 0.0,
-                                   PriorChoice.UNBIASED, RandomSource(1))
+        estimate_distribution_over(net_a, ["A"], 0.2, 0.0, RandomSource(1))
 
 
 def test_conditioned_trial_respects_condition(net_a):
@@ -465,6 +459,26 @@ def test_fraction_coverage_against_the_oracle(epsilon, lo, hi, count, reps):
         f"{misses} misses in {runs} runs, threshold {threshold:.4f}")
 
 
+@pytest.mark.parametrize("epsilon", [0.2, 0.5])
+@pytest.mark.parametrize("mu", [0.9, 0.5, 0.1, 0.01])
+def test_fraction_coverage_holds_in_every_cell(mu, epsilon):
+    # Pooled runs can hide a cell that breaks delta, so each (mu, epsilon)
+    # cell is gated on its own. A one-node network makes the truth exact,
+    # and its worst-case bound W is a checkpoint like any other. The
+    # worst cell misses 92 of 1,500 runs (mu 0.5, epsilon 0.2).
+    delta, runs = 0.1, 1500
+    net = parse_network(f"network one\nnode A\nprior A : {mu!r}\n")
+    misses = 0
+    for rep in range(runs):
+        est = estimate_conditional_fraction(
+            net, {"A": 1}, {}, epsilon, delta, TrialGeneratorKind.rejection(),
+            RandomSource(rep))
+        misses += not satisfies_ras(mu, est.value, epsilon)
+    threshold = delta + 3 * math.sqrt(delta * (1 - delta) / runs)
+    assert misses / runs <= threshold, (
+        f"{misses} misses in {runs} runs, threshold {threshold:.4f}")
+
+
 def test_fraction_near_one_stops_on_its_own_category():
     net = parse_network(
         "network near_one\nnode A\nprior A : 0.5\n"
@@ -696,6 +710,22 @@ def test_rejected_rows_draw_no_more_uniforms(net_c):
                 assert hits == rng.sizes[-1]
 
 
+def test_a_batch_that_empties_draws_nothing_more():
+    # A, with its ancestor R, is drawn first and rejects every row, so
+    # its kept descendant B draws nothing.
+    net = parse_network("network empty\nnode R\nprior R : 0.5\nnode A\n"
+                        "parents A : R\ncpt A : 1e-12 1e-12\nnode B\n"
+                        "parents B : A\ncpt B : 0.3 0.6\n")
+    keep = (net.index("B"),)
+    rng, ref = _CountingSource(5), RandomSource(5)
+    rows = _sample_batch(net, rng, 1000, keep, ((net.index("A"), 1),))
+    assert rows.shape == (len(keep), 0)
+    assert rng.sizes == [1000, 1000]
+    ref.uniforms(1000)  # R
+    ref.uniforms(1000)  # A
+    assert np.array_equal(rng.uniforms(4), ref.uniforms(4))
+
+
 def _mixed_conditions(seed, cases):
     """Random nets with conditions that have closed and unclosed nodes.
 
@@ -825,8 +855,7 @@ def test_streams_make_only_what_the_checkpoints_score(net_c, monkeypatch):
     for epsilon in (0.2, 0.01):
         made.clear()
         _, trials = estimate_distribution_over(
-            net_c, ("A", "B"), epsilon, 0.1, PriorChoice.UNBIASED,
-            RandomSource(5))
+            net_c, ("A", "B"), epsilon, 0.1, RandomSource(5))
         assert trials >= 256
         assert sum(made) == trials
 
