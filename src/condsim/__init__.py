@@ -9,7 +9,6 @@ __version__ = "0.10.0"
 
 from .errors import (
     BnetSyntaxError,
-    BudgetExceededError,
     CondsimError,
     DuplicateNodeError,
     EmptyPosteriorError,
@@ -53,7 +52,6 @@ from .dependence import (
 )
 from .stopping import (
     DirichletPosterior,
-    PriorChoice,
     failure_probability_bound,
     regularized_incomplete_beta,
     should_stop,

@@ -19,11 +19,11 @@ from collections.abc import Mapping
 from . import __version__
 from .dependence import _cost, _value_given, dependence_value
 from .errors import (
-    BudgetExceededError,
     CondsimError,
     NetworkFormatError,
     NetworkTooLargeError,
     OverlappingSetsError,
+    RowBudgetExceededError,
     UnknownNodeError,
     ZeroDenominatorError,
 )
@@ -230,7 +230,7 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
     try:
         result = infer(net, query, evidence, args.epsilon, args.delta,
                        args.strategy, config, args.seed)
-    except BudgetExceededError as exc:
+    except RowBudgetExceededError as exc:
         report["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
         report["error"] = {"kind": type(exc).__name__,
                            "message": str(exc),

@@ -65,13 +65,15 @@ class NonPositivePhiMinError(CondsimError):
     """A probability lower bound is not positive, or too small to use."""
 
 
-class BudgetExceededError(CondsimError):
-    """A sampling run hit its work bound before certifying.
+class RowBudgetExceededError(CondsimError):
+    """A stream's next batch would pass its raw-row budget.
 
-    Instances carry partial diagnostics: the phase that failed
-    ("distribution" for the weights, "fraction" for a conditioned
-    estimate, empty outside an estimate), the number of scored trials,
-    and the bound that was hit (``cap``, the row budget).
+    Every forward row counts, accepted or rejected, and a Gibbs chain
+    counts as one row per sweep. Instances carry partial diagnostics:
+    the phase that failed ("distribution" for the weights, "fraction"
+    for a conditioned estimate, empty outside an estimate), the number
+    of scored trials, and the bound that was hit (``cap``, the row
+    budget).
     """
 
     def __init__(self, message: str, *, phase: str = "", trials: int = 0,
@@ -80,14 +82,6 @@ class BudgetExceededError(CondsimError):
         self.trials = trials
         self.cap = cap
         super().__init__(message)
-
-
-class RowBudgetExceededError(BudgetExceededError):
-    """A stream's next batch would pass its raw-row budget.
-
-    Every forward row counts, accepted or rejected, and a Gibbs chain
-    counts as one row per sweep.
-    """
 
 
 class LengthMismatchError(CondsimError):

@@ -20,9 +20,9 @@ from .dependence import (
     dependence_value,
 )
 from .errors import (
-    BudgetExceededError,
     LengthMismatchError,
     OverlappingSetsError,
+    RowBudgetExceededError,
     ZeroDenominatorError,
 )
 from .network import (
@@ -288,7 +288,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
 
     A selective run whose stage epsilon or delta underflows to 0 is
     refused with a ValueError before it draws. A
-    :class:`BudgetExceededError` from a subproblem estimate is raised
+    :class:`RowBudgetExceededError` from a subproblem estimate is raised
     again with the trials the whole run had scored, its message naming
     the subproblem and its first unfinished reader, the numerator or the
     denominator.
@@ -314,10 +314,10 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
         # A budget error counts the trials the whole run had scored.
         try:
             return estimate(*args, **kwargs)
-        except BudgetExceededError as exc:
-            raise type(exc)(f"{label}{exc}", phase=exc.phase,
-                            trials=scored + exc.trials,
-                            cap=exc.cap) from exc
+        except RowBudgetExceededError as exc:
+            raise RowBudgetExceededError(
+                f"{label}{exc}", phase=exc.phase,
+                trials=scored + exc.trials, cap=exc.cap) from exc
 
     trace: GreedyTrace | None = None
     selected: tuple[str, ...] = ()

@@ -1,10 +1,11 @@
 """Dirichlet posterior bookkeeping and the certified stopping rule.
 
-Multinomial counts with a Dirichlet prior give a Dirichlet posterior
-whose single-category marginals are Beta distributions. The stopping rule
-bounds the posterior probability that a category's true value escapes
-its relative-error interval by Beta tail masses, and certifies an
-estimate once that bound drops to the requested failure probability.
+Multinomial counts under the unbiased Dirichlet prior, which adds no
+pseudocounts, give a Dirichlet posterior whose single-category marginals
+are Beta distributions. The stopping rule bounds the posterior
+probability that a category's true value escapes its relative-error
+interval by Beta tail masses, and certifies an estimate once that bound
+drops to the requested failure probability.
 By default the bound sums every category's two tails, for callers that
 read the whole mean vector. A caller that reads one category's mean
 names it, and only that category's two tails are summed, each taken
@@ -19,7 +20,6 @@ bracket cannot tell the bound from delta does it evaluate the bound.
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import (
     CondsimError,
@@ -29,29 +29,16 @@ from .errors import (
 )
 
 
-class PriorChoice(Enum):
-    """Dirichlet prior: zero pseudocounts, or one per category."""
-
-    UNBIASED = "unbiased"
-    UNIFORM = "uniform"
-
-    @property
-    def pseudocount(self) -> int:
-        return 0 if self is PriorChoice.UNBIASED else 1
-
-
 @dataclass(frozen=True)
 class DirichletPosterior:
-    """Immutable category counts under a fixed prior choice.
+    """Immutable category counts under the unbiased prior.
 
-    The effective sample size n includes pseudocounts; the posterior mean
-    of category i is (counts[i] + pseudocount) / n, or all zeros when the
-    posterior is empty.
+    The sample size n is the sum of the counts; the posterior mean of
+    category i is counts[i] / n, or all zeros when the posterior is
+    empty.
     """
 
     counts: tuple[int, ...]
-    prior: PriorChoice = PriorChoice.UNBIASED
-    # Effective sample size, observations plus pseudocounts.
     n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -62,30 +49,26 @@ class DirichletPosterior:
                              f"{self.counts!r}")
         counts = tuple(int(c) for c in self.counts)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", sum(counts)
-                           + len(counts) * self.prior.pseudocount)
+        object.__setattr__(self, "n", sum(counts))
 
     @classmethod
     def _trusted(cls, counts: tuple[int, ...], n: int) -> "DirichletPosterior":
-        """The unbiased posterior of counts its caller made: at least two
+        """The posterior of counts its caller made: at least two
         nonnegative ints whose sum n it knows. Nothing is checked."""
         self = object.__new__(cls)
-        self.__dict__.update(counts=counts, prior=PriorChoice.UNBIASED, n=n)
+        self.__dict__.update(counts=counts, n=n)
         return self
 
     @property
     def k(self) -> int:
         return len(self.counts)
 
-    def alpha(self, category: int) -> int:
-        return self.counts[category] + self.prior.pseudocount
-
     @property
     def mu(self) -> tuple[float, ...]:
         n = self.n
         if n < 1:
             return (0.0,) * self.k
-        return tuple((c + self.prior.pseudocount) / n for c in self.counts)
+        return tuple(c / n for c in self.counts)
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
@@ -176,10 +159,10 @@ def _tails(posterior: DirichletPosterior, epsilon: float,
     """
     n = posterior.n
     if category is None:
-        alphas, shift = sorted(map(posterior.alpha, range(posterior.k))), 0
+        counts, shift = sorted(posterior.counts), 0
     else:
-        alphas, shift = (posterior.alpha(category),), 1
-    for a in alphas:
+        counts, shift = (posterior.counts[category],), 1
+    for a in counts:
         mu = a / n
         yield a, n - a + shift, mu / (1.0 + epsilon), False
         upper = mu * (1.0 + epsilon)
@@ -196,11 +179,11 @@ def failure_probability_bound(posterior: DirichletPosterior, epsilon: float,
     Returns 1 when a summed category still has a zero shape (nothing can
     be certified).
 
-    With ``category`` given only that category is summed, and each tail
-    takes one more pseudo-observation against the value it bounds: the
-    mass of Beta(alpha, n - alpha + 1) below the interval and that of
-    Beta(alpha + 1, n - alpha) above it. Under the unbiased prior these
-    are the exact binomial tails Pr[Bin(n, lower) >= alpha] and
+    With ``category`` given only that category, of count alpha, is
+    summed, and each tail takes one more pseudo-observation against the
+    value it bounds: the mass of Beta(alpha, n - alpha + 1) below the
+    interval and that of Beta(alpha + 1, n - alpha) above it. These are
+    the exact binomial tails Pr[Bin(n, lower) >= alpha] and
     Pr[Bin(n, upper) <= alpha] (Clopper and Pearson, 1934). The tails of
     Beta(alpha, n - alpha) alone, with no other category's tails added,
     are too narrow at small counts: a fraction near 0.9 would certify
@@ -210,7 +193,7 @@ def failure_probability_bound(posterior: DirichletPosterior, epsilon: float,
     n = posterior.n
     if n < 1:
         raise EmptyPosteriorError("posterior holds no observations")
-    # Each summed category has one lower tail, whose a is its alpha.
+    # Each summed category has one lower tail, whose a is its count.
     tails = list(_tails(posterior, epsilon, category))
     if any(not (above or 0 < a < n) for a, _, _, above in tails):
         return 1.0
@@ -267,11 +250,11 @@ def should_stop(posterior: DirichletPosterior, epsilon: float,
                 delta: float, category: int | None = None) -> bool:
     """Certify the posterior mean to relative error epsilon, risk delta.
 
-    Requires every category observed at least once (raw counts, not
-    pseudocounts) and the failure bound to be at most delta. The bound
-    covers every category's mean, or only ``category``'s when one is
-    given. The other categories must still have been observed, since
-    under the unbiased prior the category's Beta tails need n > alpha.
+    Requires every category observed at least once and the failure
+    bound to be at most delta. The bound covers every category's mean,
+    or only ``category``'s when one is given. The other categories must
+    still have been observed, since the category's Beta tails need n
+    above its count.
 
     The answer is always ``failure_probability_bound(posterior, epsilon,
     category=category) <= delta``, but the bound is evaluated only when

@@ -9,11 +9,7 @@ import itertools
 import numpy as np
 
 from condsim.network import BeliefNetwork, Cpt, conditional_row
-from condsim.stopping import (
-    DirichletPosterior,
-    PriorChoice,
-    failure_probability_bound,
-)
+from condsim.stopping import DirichletPosterior, failure_probability_bound
 
 NET_A_SOURCE = """\
 network net_a
@@ -139,7 +135,7 @@ def expected_stop_n(probs, epsilon: float, delta: float, start: int) -> int:
     for _ in range(60):
         counts = tuple(int(round(n * p)) for p in probs)
         if min(counts) >= 1:
-            post = DirichletPosterior(counts, PriorChoice.UNBIASED)
+            post = DirichletPosterior(counts)
             bound = failure_probability_bound(post, epsilon)
             if bound <= delta:
                 return n

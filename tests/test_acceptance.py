@@ -37,7 +37,6 @@ from condsim.sampling import (
 )
 from condsim.stopping import (
     DirichletPosterior,
-    PriorChoice,
     regularized_incomplete_beta,
     should_stop,
     worst_case_sample_bound,
@@ -293,11 +292,15 @@ def _coverage_experiment():
             counts += gen.multinomial(checkpoint - n, probs)
             n = checkpoint
             raw = tuple(int(c) for c in counts)
-            post_u = DirichletPosterior(raw, PriorChoice.UNBIASED)
-            post_f = DirichletPosterior(raw, PriorChoice.UNIFORM)
+            post_u = DirichletPosterior(raw)
+            # A uniform prior's posterior is the unbiased posterior of
+            # the counts plus one; the rule still waits for every raw
+            # count to reach one.
+            post_f = DirichletPosterior(tuple(c + 1 for c in raw))
             if stop_u is None and should_stop(post_u, eps, delta):
                 stop_u, mu_u = n, post_u.mu
-            if stop_f is None and should_stop(post_f, eps, delta):
+            if stop_f is None and min(raw) >= 1 and should_stop(
+                    post_f, eps, delta):
                 stop_f = n
             checkpoint *= 2
         covered = all(satisfies_ras(float(p), m, eps)

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -224,7 +227,8 @@ def test_infer_direct_strategy_omits_greedy_trace(capsys, net_a_path):
 def test_infer_selective_report_shape(capsys, net_c_path):
     code, report, _ = run_json(
         capsys, ["infer", "--network", net_c_path, "--query", "C=1",
-                 "--epsilon", "0.2", "--delta", "0.1", "--seed", "13"])
+                 "--strategy", "selective", "--epsilon", "0.2",
+                 "--delta", "0.1", "--seed", "13"])
     assert code == 0
     result = report["result"]
     assert list(result) == [
@@ -348,6 +352,25 @@ def test_failed_report_write_is_a_runtime_failure(capsys, monkeypatch,
     assert "cannot read network" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a /dev/full device")
+def test_report_write_to_a_full_device_ends_without_a_traceback(
+        net_a_path):
+    # A real descriptor whose every write fails: once the report write
+    # fails, stdout is pointed at the null device, so the flush at
+    # interpreter exit cannot fail again.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "condsim.cli", "analyze", "--network",
+             net_a_path], stdout=full, stderr=subprocess.PIPE, text=True,
+            env=env, timeout=120)
+    assert done.returncode == 4
+    assert done.stderr.startswith(
+        "condsim: cannot write report: [Errno 28] ")
+    assert "Traceback" not in done.stderr
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])
     assert code == 0
@@ -416,7 +439,7 @@ def test_out_of_range_parameter_is_a_usage_error(capsys, net_c_path, flags):
                          ids=["delta", "epsilon"])
 def test_stage_budget_that_underflows_is_refused_before_sampling(
         capsys, net_c_path, monkeypatch, epsilon, delta):
-    # Auto conditions on B, so each stage runs at (1 + epsilon)^(1/4) - 1
+    # Greedy selects B, so each stage runs at (1 + epsilon)^(1/4) - 1
     # and each subproblem estimate at delta / 8: here one of them is 0,
     # a value the caller never gave. No stream is built.
     built = []
@@ -429,8 +452,8 @@ def test_stage_budget_that_underflows_is_refused_before_sampling(
     monkeypatch.setattr(np.random, "Generator", counted)
     code, out, err = run_cli(
         capsys, ["infer", "--network", net_c_path, "--query", "A=1",
-                 "--evidence", "C=1", "--epsilon", epsilon,
-                 "--delta", delta])
+                 "--evidence", "C=1", "--strategy", "selective",
+                 "--epsilon", epsilon, "--delta", delta])
     assert code == 2
     assert out == ""
     assert f"epsilon {epsilon} and delta {delta} split over |S| = 1" in err
@@ -650,7 +673,7 @@ def _write(tmp_path, source):
     # D's rows are steep enough that D^4 overflows, so greedy takes the
     # step to S = [A, B, C] although its weight term is 8e306.
     (_TINY_TRIPLE.replace("1e-120", "1e-102").replace("0.01", "1e-80"),
-     "D=1", "auto", "distribution"),
+     "D=1", "selective", "distribution"),
 ], ids=["bound-overflows", "phi-underflows", "weight-bound-overflows"])
 def test_rare_target_without_a_finite_bound_ends_at_the_row_budget(
         capsys, tmp_path, source, query, strategy, phase):
@@ -799,10 +822,11 @@ def test_overflowing_subproblem_term_is_reported_as_infinite(capsys,
     code, report, _ = run_json(capsys, query + ["--strategy", "direct"])
     assert code == 0
     assert report["cost_before"]["subproblem_term"] is None
-    # Auto conditions on A, whose A=0 numerator (probability 1e-40)
+    # Selective conditions on A, whose A=0 numerator (probability 1e-40)
     # rejection cannot certify: the row budget ends the run, and the
     # partial report has no result.
-    code, report, _ = run_json(capsys, query + ["--row-budget", "100000"])
+    code, report, _ = run_json(capsys, query + ["--strategy", "selective",
+                                                "--row-budget", "100000"])
     assert code == 5
     assert report["error"]["kind"] == "RowBudgetExceededError"
     assert "result" not in report

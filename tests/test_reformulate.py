@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import inf
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from condsim.dependence import dependence_value, satisfies_ras
 from condsim.errors import (
-    BudgetExceededError,
     LengthMismatchError,
     OverlappingSetsError,
     RowBudgetExceededError,
@@ -32,7 +32,7 @@ from condsim.sampling import (
     estimate_distribution_over,
     mix_seed,
 )
-from condsim.stopping import DirichletPosterior, PriorChoice, should_stop
+from condsim.stopping import DirichletPosterior, should_stop
 
 from helpers import BARREN_SOURCE, arcless_network, random_network
 
@@ -104,23 +104,27 @@ def test_greedy_parameter_validation(net_a):
 
 
 def test_removed_settings_fail_loudly(net_a):
-    # 0.10.0 removed the stopping rule's prior and greedy's exponent.
-    # Their old call shapes raise instead of binding an argument to
-    # another parameter.
+    # 0.10.0 removed the stopping rule's prior and greedy's exponent,
+    # the prior's enum and the budget errors' base class. Their old call
+    # shapes raise instead of binding an argument to another parameter.
     calls = (
-        lambda: InferConfig(prior=PriorChoice.UNIFORM),
+        lambda: InferConfig(prior="uniform"),
         lambda: InferConfig(greedy_exponent=2.0),
         lambda: greedy_select(net_a, {}, 2.0),
         lambda: estimate_distribution_over(net_a, ("A",), 0.2, 0.1,
-                                           PriorChoice.UNBIASED,
-                                           RandomSource(1)),
+                                           "unbiased", RandomSource(1)),
         lambda: estimate_conditional_fraction(
             net_a, {"B": 1}, {}, 0.2, 0.1, TrialGeneratorKind.rejection(),
-            RandomSource(1), prior=PriorChoice.UNBIASED),
+            RandomSource(1), prior="unbiased"),
+        lambda: DirichletPosterior((1, 3), "uniform"),
     )
     for call in calls:
         with pytest.raises(TypeError):
             call()
+    with pytest.raises(ImportError):
+        from condsim import PriorChoice  # noqa: F401
+    with pytest.raises(ImportError):
+        from condsim import BudgetExceededError  # noqa: F401
 
 
 def test_greedy_never_returns_excluded_or_bound_nodes():
@@ -262,6 +266,18 @@ def test_infer_auto_falls_back_to_direct(net_a):
         1.0, 0.2, 0.1, 0, 0)
     assert result.greedy_trace is not None
     assert result.dependence_after == result.dependence_before
+
+
+def test_auto_takes_selective_exactly_when_greedy_selects(net_a, net_c):
+    # Auto runs selective when greedy's S is nonempty and direct when it
+    # is empty; only the greedy trace tells the direct answer apart.
+    selective = infer(net_c, {"C": 1}, {}, 0.2, 0.1, "selective", seed=13)
+    assert selective.selected_s == ("A", "B")
+    assert infer(net_c, {"C": 1}, {}, 0.2, 0.1, "auto", seed=13) == selective
+    auto = infer(net_a, {"B": 1}, {"A": 1}, 0.2, 0.1, "auto", seed=5)
+    assert auto.selected_s == () and auto.greedy_trace is not None
+    direct = infer(net_a, {"B": 1}, {"A": 1}, 0.2, 0.1, "direct", seed=5)
+    assert replace(auto, greedy_trace=None) == direct
 
 
 def test_infer_direct_strategy_skips_greedy(net_c):
@@ -501,7 +517,7 @@ def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
     try:
         result = infer(net_c, query, evidence, epsilon, 0.1, strategy,
                        config, seed)
-    except BudgetExceededError as exc:
+    except RowBudgetExceededError as exc:
         got = (type(exc).__name__, exc.phase, exc.trials, exc.cap, str(exc))
     else:
         got = (result.estimate, result.trials_total, result.mu_s)

@@ -16,7 +16,6 @@ from condsim.errors import (
 )
 from condsim.stopping import (
     DirichletPosterior,
-    PriorChoice,
     failure_probability_bound,
     regularized_incomplete_beta,
     should_stop,
@@ -24,26 +23,23 @@ from condsim.stopping import (
 )
 
 
-def test_posterior_uniform_prior_adds_pseudocounts():
-    post = DirichletPosterior((1, 3), PriorChoice.UNBIASED)
+def test_posterior_mean_is_counts_over_their_sum():
+    post = DirichletPosterior((1, 3))
     assert post.n == 4
     assert post.mu == pytest.approx((0.25, 0.75))
-    post = DirichletPosterior((1, 3), PriorChoice.UNIFORM)
-    assert post.n == 6
-    assert post.mu == pytest.approx((1 / 3, 2 / 3))
 
 
 def test_empty_unbiased_posterior_mu_is_zero_by_convention():
-    post = DirichletPosterior((0, 0), PriorChoice.UNBIASED)
+    post = DirichletPosterior((0, 0))
     assert post.n == 0
     assert post.mu == (0.0, 0.0)
 
 
 def test_posterior_validation():
     with pytest.raises(ValueError):
-        DirichletPosterior((3,), PriorChoice.UNBIASED)
+        DirichletPosterior((3,))
     with pytest.raises(ValueError):
-        DirichletPosterior((-1, 2), PriorChoice.UNBIASED)
+        DirichletPosterior((-1, 2))
 
 
 def test_incomplete_beta_uniform_cdf_is_identity():
@@ -86,7 +82,7 @@ def test_incomplete_beta_converges_near_the_mean_of_large_shapes(epsilon):
     for x in (mu / (1.0 + epsilon), mu * (1.0 + epsilon)):
         assert regularized_incomplete_beta(a, b, x) == pytest.approx(
             float(special.betainc(a, b, x)), abs=1e-8)
-    post = DirichletPosterior((430587, 617989), PriorChoice.UNBIASED)
+    post = DirichletPosterior((430587, 617989))
     assert 0.0 < failure_probability_bound(post, epsilon) <= 1.0
 
 
@@ -100,7 +96,7 @@ def test_incomplete_beta_guards():
 
 
 def test_failure_bound_flat_posterior_reference_value():
-    post = DirichletPosterior((1, 1), PriorChoice.UNBIASED)
+    post = DirichletPosterior((1, 1))
     # each Beta(1, 1) category leaves mass 0.25 below mu/2; upper
     # cutoffs hit 1 exactly and contribute nothing
     assert failure_probability_bound(post, 1.0) == pytest.approx(
@@ -108,43 +104,42 @@ def test_failure_bound_flat_posterior_reference_value():
 
 
 def test_failure_bound_vanishes_for_huge_epsilon():
-    post = DirichletPosterior((5, 5), PriorChoice.UNBIASED)
+    post = DirichletPosterior((5, 5))
     assert failure_probability_bound(post, 1e9) < 1e-12
 
 
 def test_failure_bound_concentrated_posterior():
-    post = DirichletPosterior((100, 100), PriorChoice.UNBIASED)
+    post = DirichletPosterior((100, 100))
     bound = failure_probability_bound(post, 0.2)
     assert bound < 0.05
     assert bound == pytest.approx(0.022075413594176, rel=1e-9)
 
 
 def test_failure_bound_zero_count_category_cannot_certify():
-    post = DirichletPosterior((0, 5), PriorChoice.UNBIASED)
+    post = DirichletPosterior((0, 5))
     assert failure_probability_bound(post, 5.0) == 1.0
 
 
 def test_failure_bound_guards():
     with pytest.raises(EmptyPosteriorError):
         failure_probability_bound(
-            DirichletPosterior((0, 0), PriorChoice.UNBIASED), 0.5)
+            DirichletPosterior((0, 0)), 0.5)
     for epsilon in (0.0, math.nan):
         with pytest.raises(ValueError):
             failure_probability_bound(
-                DirichletPosterior((1, 1), PriorChoice.UNBIASED), epsilon)
+                DirichletPosterior((1, 1)), epsilon)
     # The category is keyword-only: a third positional argument was once
     # an early-exit threshold, and must not be read as a category.
     with pytest.raises(TypeError):
         failure_probability_bound(
-            DirichletPosterior((1, 1), PriorChoice.UNBIASED), 0.5, 1)
+            DirichletPosterior((1, 1)), 0.5, 1)
 
 
 def test_failure_bound_non_increasing_in_n_at_fixed_mean():
     for eps in (0.15, 0.3, 0.6):
         previous = None
         for scale in (1, 2, 4, 8, 16):
-            post = DirichletPosterior((3 * scale, 7 * scale),
-                                      PriorChoice.UNBIASED)
+            post = DirichletPosterior((3 * scale, 7 * scale))
             bound = failure_probability_bound(post, eps)
             if previous is not None:
                 assert bound <= previous + 1e-12
@@ -166,8 +161,7 @@ def test_failure_bound_within_two_of_exact_outside_mass():
         total = int(gen.integers(20, 150))
         ones = int(gen.integers(int(0.2 * total), int(0.8 * total)) or 1)
         eps = float(gen.uniform(0.05, 0.25))
-        post = DirichletPosterior((ones, total - ones),
-                                  PriorChoice.UNBIASED)
+        post = DirichletPosterior((ones, total - ones))
         mu1, mu2 = post.mu
         lo = max(mu1 / (1 + eps), 1 - mu2 * (1 + eps))
         hi = min(mu1 * (1 + eps), 1 - mu2 / (1 + eps))
@@ -183,26 +177,20 @@ def test_failure_bound_within_two_of_exact_outside_mass():
 
 
 def test_should_stop_reference_values():
-    post = DirichletPosterior((1, 1), PriorChoice.UNBIASED)
+    post = DirichletPosterior((1, 1))
     assert should_stop(post, 1.0, 0.6)
     assert not should_stop(post, 1.0, 0.4)
-    assert not should_stop(DirichletPosterior((0, 5), PriorChoice.UNBIASED),
+    assert not should_stop(DirichletPosterior((0, 5)),
                            100.0, 0.99)
 
 
-def test_should_stop_uniform_prior_still_requires_raw_counts():
-    post = DirichletPosterior((0, 5), PriorChoice.UNIFORM)
-    assert not should_stop(post, 100.0, 0.99)
-
-
-@pytest.mark.parametrize("prior", list(PriorChoice))
-def test_one_category_bound_is_its_exact_binomial_tail_mass(prior):
+def test_one_category_bound_is_its_exact_binomial_tail_mass():
     sizes = (1, 2, 7, 40, 300, 5000)
     for counts in itertools.product(sizes, sizes):
-        post = DirichletPosterior(counts, prior)
+        post = DirichletPosterior(counts)
         n = post.n
         for category, epsilon in itertools.product((0, 1), (0.05, 0.2, 1.0)):
-            a = post.alpha(category)
+            a = counts[category]
             mu = a / n
             lower, upper = mu / (1 + epsilon), mu * (1 + epsilon)
             beta_tails = stats.beta.cdf(lower, a, n - a + 1)
@@ -215,15 +203,13 @@ def test_one_category_bound_is_its_exact_binomial_tail_mass(prior):
             bound = failure_probability_bound(post, epsilon,
                                               category=category)
             assert bound == pytest.approx(min(1.0, beta_tails), abs=1e-9)
-            if prior is PriorChoice.UNBIASED:
-                assert bound == pytest.approx(min(1.0, binomial_tails),
-                                              abs=1e-9)
+            assert bound == pytest.approx(min(1.0, binomial_tails),
+                                          abs=1e-9)
             # The exact tails bracket those of the Beta(a, n - a) marginal.
             assert bound >= min(1.0, plain) - 1e-12
 
 
-@pytest.mark.parametrize("prior", list(PriorChoice))
-def test_all_category_bound_is_its_beta_tail_mass(prior):
+def test_all_category_bound_is_its_beta_tail_mass():
     gen = np.random.Generator(np.random.PCG64(23))
     for k in range(3, 17):
         # Random counts, then one category above half of n, whose upper
@@ -232,16 +218,15 @@ def test_all_category_bound_is_its_beta_tail_mass(prior):
         rest = tuple(int(c) for c in gen.integers(5, 60, size=k - 1))
         dominant = (2 * sum(rest),) + rest
         for counts, epsilon in ((spread, 0.2), (dominant, 1.0)):
-            post = DirichletPosterior(counts, prior)
+            post = DirichletPosterior(counts)
             n = post.n
             expected = 0.0
-            for category in range(k):
-                a = post.alpha(category)
+            for a in counts:
                 mu = a / n
                 expected += stats.beta.cdf(mu / (1 + epsilon), a, n - a)
                 if mu * (1 + epsilon) < 1:
                     expected += stats.beta.sf(mu * (1 + epsilon), a, n - a)
-            assert (post.alpha(0) / n * (1 + epsilon) >= 1) is (
+            assert (counts[0] / n * (1 + epsilon) >= 1) is (
                 counts is dominant)
             assert failure_probability_bound(post, epsilon) == (
                 pytest.approx(min(1.0, expected), abs=1e-9))
@@ -249,30 +234,33 @@ def test_all_category_bound_is_its_beta_tail_mass(prior):
 
 # failure_probability_bound as float.hex at fixed posteriors. The sum
 # runs smallest category first; another order moves the last bits of
-# some of these values, (9, 1), (200, 50, 110) and the unsorted k = 8
-# posterior among them.
+# some of these values, (10, 2), (201, 51, 111) and the unsorted k = 8
+# posterior among them. The second field names the prior a row was
+# first pinned under. A "uniform" row pinned a one-pseudocount prior on
+# counts one lower in every category, whose posterior is the unbiased
+# posterior of the counts shown, to the last bit.
 _PINNED_BOUNDS = [
     ((30, 70), "unbiased", 0.3, None, "0x1.6a5c6d3271bfbp-4"),
-    ((70, 30), "uniform", 0.3, None, "0x1.52148f725fecdp-4"),
+    ((71, 31), "uniform", 0.3, None, "0x1.52148f725fecdp-4"),
     ((40, 160), "unbiased", 0.1, None, "0x1.05062fae7e5e3p-1"),
-    ((40, 160), "uniform", 0.1, None, "0x1.01fe728670737p-1"),
+    ((41, 161), "uniform", 0.1, None, "0x1.01fe728670737p-1"),
     ((1, 9), "unbiased", 0.2, None, "0x1.de80e0af0a8f6p-1"),
-    ((9, 1), "uniform", 0.5, None, "0x1.1fdd91ce3980ap-1"),
+    ((10, 2), "uniform", 0.5, None, "0x1.1fdd91ce3980ap-1"),
     ((3, 7), "unbiased", 0.2, 1, "0x1.18798dc159d5ep-1"),
-    ((3, 7), "uniform", 0.2, 1, "0x1.0c27e68c3876ep-1"),
+    ((4, 8), "uniform", 0.2, 1, "0x1.0c27e68c3876ep-1"),
     ((1, 31), "unbiased", 0.05, 1, "0x1.1ea149cf87620p-2"),
-    ((8, 248), "uniform", 0.05, 1, "0x1.22d08e85fa2e3p-9"),
+    ((9, 249), "uniform", 0.05, 1, "0x1.22d08e85fa2e3p-9"),
     ((700, 300), "unbiased", 0.05, 1, "0x1.50e3b9fd5b1cdp-2"),
-    ((1, 9), "uniform", 0.3, 1, "0x1.182b9be6e5b1dp-3"),
+    ((2, 10), "uniform", 0.3, 1, "0x1.182b9be6e5b1dp-3"),
     ((5, 11, 20), "unbiased", 0.3, None, "0x1.d31dae47db788p-1"),
-    ((5, 11, 20), "uniform", 0.3, None, "0x1.b1131fb616275p-1"),
-    ((200, 50, 110), "uniform", 0.2, None, "0x1.783e0078ea8d6p-3"),
+    ((6, 12, 21), "uniform", 0.3, None, "0x1.b1131fb616275p-1"),
+    ((201, 51, 111), "uniform", 0.2, None, "0x1.783e0078ea8d6p-3"),
     ((50, 2, 948), "unbiased", 1.0, None, "0x1.6bd62714954dcp-2"),
     ((5, 11, 20), "unbiased", 0.3, 1, "0x1.835f770d9347ap-2"),
-    ((12, 40, 3), "uniform", 0.25, 1, "0x1.3f96de3b2ad7fp-6"),
+    ((13, 41, 4), "uniform", 0.25, 1, "0x1.3f96de3b2ad7fp-6"),
     ((20, 40, 60, 100, 160, 260, 420, 680), "unbiased", 0.3, None,
      "0x1.8a3e094c20c2cp-2"),
-    ((680, 20, 420, 60, 260, 40, 160, 100), "uniform", 0.3, None,
+    ((681, 21, 421, 61, 261, 41, 161, 101), "uniform", 0.3, None,
      "0x1.781e17a409571p-2"),
     ((900, 100, 350, 4000, 70, 610, 1200, 180), "unbiased", 0.3, None,
      "0x1.36da643295a65p-5"),
@@ -282,10 +270,11 @@ _PINNED_BOUNDS = [
 ]
 
 
-@pytest.mark.parametrize("counts, prior, epsilon, category, pinned",
+@pytest.mark.parametrize("counts, first_prior, epsilon, category, pinned",
                          _PINNED_BOUNDS)
-def test_failure_bound_is_pinned(counts, prior, epsilon, category, pinned):
-    post = DirichletPosterior(counts, PriorChoice(prior))
+def test_failure_bound_is_pinned(counts, first_prior, epsilon, category,
+                                 pinned):
+    post = DirichletPosterior(counts)
     assert failure_probability_bound(post, epsilon,
                                      category=category).hex() == pinned
 
@@ -300,7 +289,7 @@ def test_should_stop_decides_the_pinned_bound_in_the_fallback_band(
         evaluated.append(args)
         return failure_probability_bound(*args, **kwargs)
     monkeypatch.setattr(stopping, "failure_probability_bound", bound_of)
-    post = DirichletPosterior((3000, 1000), PriorChoice.UNBIASED)
+    post = DirichletPosterior((3000, 1000))
     bound = float.fromhex("0x1.8aaa94f69d3c9p-4")
     assert should_stop(post, 0.0466, bound)
     assert not should_stop(post, 0.0466, math.nextafter(bound, 0.0))
@@ -309,14 +298,10 @@ def test_should_stop_decides_the_pinned_bound_in_the_fallback_band(
 
 def test_one_category_rule_needs_the_other_category_observed():
     for counts, category in (((0, 1000), 1), ((1000, 0), 0)):
-        post = DirichletPosterior(counts, PriorChoice.UNBIASED)
+        post = DirichletPosterior(counts)
         assert failure_probability_bound(post, 100.0,
                                          category=category) == 1.0
         assert not should_stop(post, 100.0, 0.99, category=category)
-    # The uniform prior gives the empty category a pseudocount, but the
-    # rule still waits for a raw observation.
-    post = DirichletPosterior((0, 1000), PriorChoice.UNIFORM)
-    assert not should_stop(post, 100.0, 0.99, category=1)
     with pytest.raises(ValueError):
         failure_probability_bound(post, 0.2, category=2)
 
@@ -324,7 +309,7 @@ def test_one_category_rule_needs_the_other_category_observed():
 def test_one_category_rule_does_not_certify_a_lucky_run():
     # 31 of 32: the Beta(31, 1) marginal leaves 0.082 below mu / 1.05,
     # under delta 0.1, but Pr[Bin(32, mu / 1.05) >= 31] is 0.28.
-    post = DirichletPosterior((1, 31), PriorChoice.UNBIASED)
+    post = DirichletPosterior((1, 31))
     mu = 31 / 32
     assert stats.beta.cdf(mu / 1.05, 31, 1) < 0.1
     assert not should_stop(post, 0.05, 0.1, category=1)
@@ -332,7 +317,7 @@ def test_one_category_rule_does_not_certify_a_lucky_run():
         pytest.approx(0.28, abs=0.01))
     # A run that the exact tails certify stops on one category long
     # before both categories are certified.
-    post = DirichletPosterior((8, 248), PriorChoice.UNBIASED)
+    post = DirichletPosterior((8, 248))
     assert should_stop(post, 0.05, 0.1, category=1)
     assert not should_stop(post, 0.05, 0.1)
 
@@ -353,7 +338,6 @@ def _rule_inputs(draw):
     of the total; the certifying total is found by bisection on the
     failure bound, and the counts are drawn within a few trials of it.
     """
-    prior = draw(st.sampled_from(PriorChoice))
     category = draw(st.sampled_from((None, 1)))
     k = 2 if category is not None else draw(st.integers(2, 16))
     shares = draw(st.lists(st.integers(1, 1000), min_size=k, max_size=k))
@@ -362,8 +346,7 @@ def _rule_inputs(draw):
 
     def posterior(total):
         return DirichletPosterior(
-            tuple(max(1, round(total * s / sum(shares))) for s in shares),
-            prior)
+            tuple(max(1, round(total * s / sum(shares))) for s in shares))
 
     def certifies(total):
         return _bound_decides(posterior(total), epsilon, delta, category)
@@ -381,21 +364,21 @@ def _rule_inputs(draw):
 
 _EDGES = (
     # alpha = 1, in the bound over every category and alone
-    ((1, 500), PriorChoice.UNBIASED, 0.2, 0.1, None),
-    ((500, 1), PriorChoice.UNBIASED, 5.0, 0.5, 1),
-    # alpha = n - 1
-    ((1, 500), PriorChoice.UNBIASED, 0.01, 0.1, 1),
-    ((1, 499), PriorChoice.UNIFORM, 0.01, 0.1, 1),
+    ((1, 500), 0.2, 0.1, None),
+    ((500, 1), 5.0, 0.5, 1),
+    # alpha = n - 1 and n - 2
+    ((1, 500), 0.01, 0.1, 1),
+    ((2, 500), 0.01, 0.1, 1),
     # mu (1 + epsilon) >= 1: the upper tail is left out
-    ((3, 500), PriorChoice.UNIFORM, 1.0, 0.1, 1),
-    ((300, 700), PriorChoice.UNBIASED, 1.0, 0.1, None),
+    ((4, 501), 1.0, 0.1, 1),
+    ((300, 700), 1.0, 0.1, None),
     # delta = 1
-    ((1, 1), PriorChoice.UNBIASED, 0.5, 1.0, None),
-    ((10, 1000), PriorChoice.UNBIASED, 0.001, 1.0, 1),
+    ((1, 1), 0.5, 1.0, None),
+    ((10, 1000), 0.001, 1.0, 1),
     # lower limits that underflow, and a tail that underflows
-    ((1, 1000), PriorChoice.UNBIASED, 1e306, 0.1, None),
-    ((1, 1000), PriorChoice.UNBIASED, math.inf, 0.1, 1),
-    ((1, 1 << 20), PriorChoice.UNBIASED, 10.0, 1e-4, 1),
+    ((1, 1000), 1e306, 0.1, None),
+    ((1, 1000), math.inf, 0.1, 1),
+    ((1, 1 << 20), 10.0, 1e-4, 1),
 )
 
 
@@ -410,10 +393,13 @@ def test_should_stop_decides_as_the_failure_bound(case):
     assert should_stop(posterior, epsilon, delta, category) is expected
 
 
-@pytest.mark.parametrize("counts, prior, epsilon, delta, category", _EDGES)
+@pytest.mark.parametrize("counts, epsilon, delta, category", _EDGES, ids=[
+    "alpha-1-every", "alpha-1-one", "alpha-n-1", "alpha-n-2",
+    "no-upper-tail-one", "no-upper-tail-every", "delta-1-every",
+    "delta-1-one", "lower-underflows", "lower-is-0", "tail-underflows"])
 def test_should_stop_decides_edge_inputs_as_the_failure_bound(
-        counts, prior, epsilon, delta, category):
-    posterior = DirichletPosterior(counts, prior)
+        counts, epsilon, delta, category):
+    posterior = DirichletPosterior(counts)
     assert should_stop(posterior, epsilon, delta, category) is (
         _bound_decides(posterior, epsilon, delta, category))
 
