@@ -9,7 +9,6 @@ reproduces its estimate bit for bit.
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .exact import exact_conditional
 from .dependence import satisfies_ras
-from .network import ancestral_network, check_disjoint, parse_network
+from .network import check_disjoint, parse_network, relevant_network
 from .reformulate import (
     DEFAULT_SEED,
     InferConfig,
@@ -103,20 +102,7 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     try:
         print(text, flush=True)
     except OSError as exc:
-        _discard_stdout()
         raise CondsimError(f"cannot write report: {exc}") from exc
-
-
-def _discard_stdout() -> None:
-    """Point stdout's descriptor at the null device, so that the flush at
-    interpreter exit cannot fail a second time and print a traceback."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, OSError, ValueError):
-        return  # no descriptor behind it
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
 
 
 def _costs(trace: GreedyTrace | None, dependence_before: float):
@@ -134,14 +120,16 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
     query = parse_assignment_text(args.query)
     evidence = parse_assignment_text(args.evidence)
     check_disjoint(query, evidence, "query and evidence")
-    # With a query, price the network and S that infer would use.
-    net = ancestral_network(full, (*query, *evidence)) if query else full
+    # With a query, price the network, evidence and S that infer would.
+    net, kept = (relevant_network(full, query, evidence) if query
+                 else (full, evidence))
+    dropped = sorted(evidence.keys() - kept.keys(), key=full.index)
     started = time.perf_counter()
-    dep = dependence_value(net, evidence)
-    selected, trace = greedy_select(net, evidence, max_s=args.max_s,
+    dep = dependence_value(net, kept)
+    selected, trace = greedy_select(net, kept, max_s=args.max_s,
                                     exclude=tuple(query), report=dep)
     cost_before, cost_after = _costs(trace, dep.value)
-    dep_after = _value_given(dep, net, {*evidence, *selected})
+    dep_after = _value_given(dep, net, {*kept, *selected})
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     report = {
         "tool": "condsim",
@@ -151,6 +139,7 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
         "query": dict(query),
         "evidence": dict(evidence),
         "nodes_kept": net.n,
+        "evidence_dropped": dropped,
         "per_node": {name: {"lo": bounds.lo, "hi": bounds.hi,
                             "lambda": lam}
                      for name, (bounds, lam) in dep.per_node.items()},
@@ -164,6 +153,7 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
     }
     lines = [f"network {net.name} ({full.n} nodes, {net.n} kept)",
              f"evidence: {_format_assignment(evidence) or '(none)'}",
+             f"evidence dropped: {', '.join(dropped) or '(none)'}",
              "node  lo        hi        lambda"]
     for name, (bounds, lam) in dep.per_node.items():
         lines.append(f"  {name}: {bounds.lo:.6g}  {bounds.hi:.6g}  "
@@ -215,15 +205,15 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
         "seed": args.seed,
     }
     config = _infer_config(report["config"])
-    kept = ancestral_network(net, (*query, *evidence))
     oracle = None
     if args.exact:
-        # On the network infer answers on, and before sampling, so that
-        # an oracle that cannot run is a usage error and not a failure
+        # On the problem infer answers, and before sampling, so that an
+        # oracle that cannot run is a usage error and not a failure
         # after the answer; overlapping bindings get infer's message.
         check_disjoint(query, evidence, "query and evidence")
+        kept_net, kept = relevant_network(net, query, evidence)
         try:
-            oracle = exact_conditional(kept, query, evidence)
+            oracle = exact_conditional(kept_net, query, kept)
         except (NetworkTooLargeError, ZeroDenominatorError) as exc:
             raise ValueError(f"--exact: {exc}") from exc
     started = time.perf_counter()
@@ -248,10 +238,13 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
                                      result.dependence_before)
     report["cost_before"] = asdict(cost_before)
     report["cost_after"] = asdict(cost_after)
-    lines = [f"network {net.name} ({net.n} nodes, {kept.n} kept)",
+    lines = [f"network {net.name} ({net.n} nodes, "
+             f"{result.nodes_kept} kept)",
              f"Pr[{_format_assignment(query)} | "
              f"{_format_assignment(evidence) or 'nothing'}] "
              f"~ {result.estimate!r}",
+             "  evidence dropped: "
+             f"{', '.join(result.evidence_dropped) or '(none)'}",
              f"  epsilon {result.epsilon}  delta {result.delta}  "
              f"strategy {result.strategy_used}  seed {result.seed}",
              f"  S = [{', '.join(result.selected_s)}]  "

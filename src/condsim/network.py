@@ -18,7 +18,7 @@ the first listed parent as the most significant bit. All probabilities are
 strictly between 0 and 1.
 """
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -178,6 +178,45 @@ def ancestral_network(net: BeliefNetwork,
         return net
     nodes, cpts = zip(*((net.nodes[i], net.cpts[i]) for i in sorted(needed)))
     return BeliefNetwork(net.name, nodes, cpts)
+
+
+def relevant_network(net: BeliefNetwork, query: Collection[str],
+                     evidence: Assignment
+                     ) -> tuple[BeliefNetwork, dict[str, int]]:
+    """The network and evidence that Pr[query | evidence] depends on.
+
+    In the moral graph of the ancestral closure of the query and
+    evidence, a walk from the query nodes that may reach an evidence
+    node but not pass through it finds the evidence to keep. The kept
+    evidence separates the query from the rest, so the query is
+    independent of the rest given it (Lauritzen, Dawid, Larsen and
+    Leimer, Networks 1990); every table entry lies strictly inside
+    (0, 1), so the rest has positive probability and dropping it leaves
+    Pr[query | evidence] unchanged. Returns the ancestral closure of the
+    query and kept evidence, and the kept evidence in its given order.
+    One walk finds all there is to drop: each node it passes through
+    is an ancestor of the query or of kept evidence, so the smaller
+    closure keeps every link it used and a second walk reaches the same
+    evidence. ``query`` and ``evidence`` must name disjoint nodes.
+    """
+    closure = ancestral_network(net, (*query, *evidence))
+    links: dict[str, set[str]] = {node: set() for node in closure.nodes}
+    for node, cpt in zip(closure.nodes, closure.cpts):
+        family = (*cpt.parents, node)
+        for member in family:
+            links[member].update(family)
+    reached = set(query)
+    frontier = list(reached)
+    while frontier:
+        for node in links[frontier.pop()] - reached:
+            reached.add(node)
+            if node not in evidence:
+                frontier.append(node)
+    kept = {node: value for node, value in evidence.items()
+            if node in reached}
+    if len(kept) < len(evidence):
+        closure = ancestral_network(net, (*query, *kept))
+    return closure, kept
 
 
 def parse_network(text: str) -> BeliefNetwork:

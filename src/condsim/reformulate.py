@@ -28,8 +28,8 @@ from .errors import (
 from .network import (
     Assignment,
     BeliefNetwork,
-    ancestral_network,
     check_disjoint,
+    relevant_network,
 )
 from .sampling import (
     DEFAULT_ROW_BUDGET,
@@ -117,6 +117,7 @@ class InferenceResult:
     dependence_before: float
     dependence_after: float
     nodes_kept: int
+    evidence_dropped: tuple[str, ...]
     trials_total: int
     seed: int
     greedy_trace: "GreedyTrace | None"
@@ -283,8 +284,10 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     one conditioned stream, and the weighted sums meet in a clamped
     ratio. Auto picks selective exactly when the greedy set is nonempty.
     Equal arguments and seed reproduce the result bit for bit. All of it
-    runs on the ancestral closure of the query and evidence
-    (``nodes_kept`` nodes); the rest is barren.
+    runs on relevant_network's problem: the evidence the query does not
+    depend on is dropped (``evidence_dropped``, in declaration order),
+    and the ancestral closure of the query and kept evidence
+    (``nodes_kept`` nodes) is kept; the rest is barren.
 
     A selective run whose stage epsilon or delta underflows to 0 is
     refused with a ValueError before it draws. A
@@ -304,7 +307,9 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     if not query:
         raise ValueError("query must bind at least one node")
     check_disjoint(query, evidence, "query and evidence")
-    net = ancestral_network(net, (*query, *evidence))
+    pruned, kept = relevant_network(net, query, evidence)
+    dropped = tuple(sorted(evidence.keys() - kept.keys(), key=net.index))
+    net, evidence = pruned, kept
     root = RandomSource(seed)
     report = dependence_value(net, evidence)
 
@@ -373,6 +378,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
         denominator=denominator, clamped=clamped,
         dependence_before=report.value,
         dependence_after=dependence_after, nodes_kept=net.n,
+        evidence_dropped=dropped,
         trials_total=weight_trials + sum(num.trials + den.trials
                                          for num, den in pairs),
         seed=seed, greedy_trace=trace)

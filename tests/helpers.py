@@ -51,6 +51,22 @@ parents Z : Y
 cpt Z : 0.01 0.99
 """
 
+# A case of the mixed-small benchmark workload: N0 is a lone root and
+# N1 -> N2 -> N3 a chain, so evidence on N1 and N3 says nothing of N0.
+ISOLATED_SOURCE = """\
+network random
+node N0
+prior N0 : 0.5966645857311637
+node N1
+prior N1 : 0.13750553133293358
+node N2
+parents N2 : N1
+cpt N2 : 0.13568765254309306 0.4351316676336704
+node N3
+parents N3 : N2
+cpt N3 : 0.11137213831328571 0.8564166023206661
+"""
+
 
 def brute_marginal(net: BeliefNetwork, partial: dict) -> float:
     """Marginal by raw enumeration over completions, CPT lookups only."""

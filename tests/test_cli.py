@@ -16,16 +16,16 @@ from condsim.exact import exact_conditional
 from condsim.network import (
     ancestral_network,
     parse_network,
-    serialize_network,
+    relevant_network,
 )
 from condsim.reformulate import InferConfig, InferenceResult, infer
 from condsim.sampling import RandomSource, estimate_distribution_over
 
 from helpers import (
     BARREN_SOURCE,
+    ISOLATED_SOURCE,
     NET_C_SOURCE,
     random_network,
-    wide_network,
 )
 
 
@@ -124,6 +124,36 @@ def test_infer_prices_the_network_it_ran_on(capsys, tmp_path):
     assert report["cost_before"]["subproblem_term"] == pytest.approx(
         result["dependence_before"] ** 4)
     assert report["cost_after"] == report["cost_before"]
+
+
+def test_analyze_and_infer_drop_the_same_evidence(capsys, tmp_path):
+    # analyze --query prices the problem that infer and its oracle solve.
+    path = _write(tmp_path, ISOLATED_SOURCE)
+    bindings = ["--network", path, "--query", "N0=0",
+                "--evidence", "N3=0,N1=1"]
+    code, analyzed, _ = run_json(capsys, ["analyze", *bindings])
+    assert code == 0
+    assert analyzed["evidence"] == {"N3": 0, "N1": 1}
+    assert analyzed["evidence_dropped"] == ["N1", "N3"]
+    assert analyzed["nodes_kept"] == 1
+    run = ["infer", *bindings, "--epsilon", "0.2", "--delta", "0.1",
+           "--exact"]
+    code, report, _ = run_json(capsys, run)
+    assert code == 0
+    result = report["result"]
+    assert result["evidence_dropped"] == ["N1", "N3"]
+    assert result["nodes_kept"] == 1
+    assert result["dependence_before"] == analyzed["dependence_value"]
+    assert result["selected_s"] == analyzed["selected_s"] == []
+    assert report["exact"]["oracle"] == pytest.approx(
+        exact_conditional(parse_network(ISOLATED_SOURCE), {"N0": 0},
+                          {"N3": 0, "N1": 1}), rel=1e-12, abs=0)
+    code, out, _ = run_cli(capsys, run)
+    assert code == 0
+    assert "network random (4 nodes, 1 kept)" in out
+    assert "  evidence dropped: N1, N3" in out
+    code, out, _ = run_cli(capsys, ["analyze", *bindings])
+    assert "evidence dropped: N1, N3" in out
 
 
 def test_missing_network_file_is_a_read_error(capsys, tmp_path):
@@ -356,9 +386,9 @@ def test_failed_report_write_is_a_runtime_failure(capsys, monkeypatch,
                     reason="needs a /dev/full device")
 def test_report_write_to_a_full_device_ends_without_a_traceback(
         net_a_path):
-    # A real descriptor whose every write fails: once the report write
-    # fails, stdout is pointed at the null device, so the flush at
-    # interpreter exit cannot fail again.
+    # A real descriptor whose every write fails: the failed write leaves
+    # nothing buffered, so the flush at interpreter exit cannot fail
+    # again and print a traceback.
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     with open("/dev/full", "w") as full:
         done = subprocess.run(
@@ -518,16 +548,27 @@ def test_delta_without_a_finite_bound_answers(capsys, net_c_path):
     assert report["exact"]["satisfies_ras"]
 
 
-def _priors(n, p):
-    return "network priors\n" + "".join(
-        f"node N{i}\nprior N{i} : {p}\n" for i in range(n))
+def _ring(roots):
+    # Roots first, so all of them are live at once; C{i} reads R{i} and
+    # the next root round the ring, so every C{i} is evidence for C0.
+    return "network ring\n" + "".join(
+        f"node R{i}\nprior R{i} : 0.3\n" for i in range(roots)) + "".join(
+        f"node C{i}\nparents C{i} : R{i} R{(i + 1) % roots}\n"
+        f"cpt C{i} : 0.2 0.4 0.6 0.7\n" for i in range(roots))
+
+
+def _star(leaves, p):
+    # N1..N{leaves} are children of N0, so each is evidence for N0.
+    return "network star\nnode N0\nprior N0 : 0.5\n" + "".join(
+        f"node N{i}\nparents N{i} : N0\ncpt N{i} : {p} {p}\n"
+        for i in range(1, leaves + 1))
 
 
 @pytest.mark.parametrize("report", ["text", "json"])
 @pytest.mark.parametrize("source,query,evidence,message", [
-    (serialize_network(wide_network(21)), "C0=1",
+    (_ring(21), "C0=1",
      ",".join(f"C{i}=1" for i in range(1, 21)), "21 > 20 live nodes"),
-    (_priors(3, 5e-324), "N0=1", "N1=1,N2=1",
+    (_star(2, 5e-324), "N0=1", "N1=1,N2=1",
      "Pr[evidence] underflows to 0"),
 ], ids=["too-many-nodes", "evidence-underflows"])
 def test_exact_oracle_that_cannot_run_is_a_usage_error(
@@ -616,7 +657,7 @@ def _source(net):
 
 def test_exact_oracle_on_random_closures_keeps_its_value(capsys, tmp_path):
     # On random networks of at most 25 nodes with barren nodes, the CLI's
-    # oracle on the closure is the whole network's enumeration.
+    # oracle on the pruned closure is the whole network's enumeration.
     gen = np.random.Generator(np.random.PCG64(113))
     cases = 0
     while cases < 12:
@@ -624,9 +665,9 @@ def test_exact_oracle_on_random_closures_keeps_its_value(capsys, tmp_path):
                              max_parents=2, lo=0.2, hi=0.8)
         q, e = (net.nodes[i] for i in gen.choice(net.n, 2, replace=False))
         query, evidence = {q: int(gen.integers(0, 2))}, {e: 1}
-        kept = ancestral_network(net, (*query, *evidence)).n
-        if kept == net.n:
+        if ancestral_network(net, (*query, *evidence)).n == net.n:
             continue
+        kept = relevant_network(net, query, evidence)[0].n
         cases += 1
         code, report, _ = run_json(
             capsys, ["infer", "--network", _write(tmp_path, _source(net)),

@@ -25,6 +25,7 @@ from condsim.errors import (
 )
 from condsim.dependence import phi_min_lower_bound, predicted_cost
 from condsim.exact import exact_conditional, exact_distribution_over
+from condsim.network import relevant_network
 from condsim.reformulate import decompose, infer
 from condsim.sampling import (
     RandomSource,
@@ -206,6 +207,53 @@ def test_ancestral_network_keeps_the_marginals_of_its_nodes():
             partial = dict(zip(named, values))
             assert brute_marginal(sub, partial) == pytest.approx(
                 brute_marginal(net, partial), rel=1e-12)
+
+
+def test_relevant_network_reference_values():
+    # A -> B -> Q -> E <- X, and Y a lone root.
+    net = parse_network(
+        "network ref\nnode A\nprior A : 0.3\nnode B\nparents B : A\n"
+        "cpt B : 0.2 0.7\nnode Q\nparents Q : B\ncpt Q : 0.4 0.9\n"
+        "node X\nprior X : 0.6\nnode E\nparents E : Q X\n"
+        "cpt E : 0.1 0.3 0.5 0.8\nnode Y\nprior Y : 0.5\n")
+    # B separates A from Q; A stays in the closure as B's parent.
+    sub, kept = relevant_network(net, {"Q": 1}, {"A": 1, "B": 0})
+    assert kept == {"B": 0}
+    assert sub.nodes == ("A", "B", "Q")
+    # X is independent of Q until E, a child of both, is observed.
+    assert relevant_network(net, {"Q": 1}, {"X": 1, "Y": 0}) == (
+        ancestral_network(net, ["Q"]), {})
+    sub, kept = relevant_network(net, {"Q": 1}, {"Y": 0, "X": 1, "E": 1})
+    assert kept == {"X": 1, "E": 1}
+    assert sub.nodes == ("A", "B", "Q", "X", "E")
+    with pytest.raises(UnknownNodeError):
+        relevant_network(net, {"Q": 1}, {"Z": 1})
+
+
+def test_relevant_network_keeps_the_conditional_of_its_query():
+    # Separation in the moral graph (Lauritzen et al., 1990): the pruned
+    # problem has the whole network's Pr[q | e], it keeps a subset of the
+    # evidence in its given order, and pruning it again changes nothing.
+    gen = np.random.Generator(np.random.PCG64(31))
+    pruned = 0
+    for _ in range(200):
+        net = random_network(gen, int(gen.integers(7, 13)),
+                             max_parents=int(gen.integers(1, 4)))
+        size = int(gen.integers(2, 6))
+        width = int(gen.integers(1, 3))
+        picks = [str(x) for x in gen.choice(net.nodes, size=width + size,
+                                             replace=False)]
+        query = {x: int(gen.integers(0, 2)) for x in picks[:width]}
+        evidence = {x: int(gen.integers(0, 2)) for x in picks[width:]}
+        sub, kept = relevant_network(net, query, evidence)
+        assert kept.items() <= evidence.items()
+        assert list(kept) == [x for x in evidence if x in kept]
+        assert relevant_network(sub, query, kept) == (sub, kept)
+        assert relevant_network(net, query, kept) == (sub, kept)
+        assert exact_conditional(sub, query, kept) == pytest.approx(
+            exact_conditional(net, query, evidence), rel=1e-12, abs=0)
+        pruned += len(kept) < len(evidence)
+    assert pruned >= 100
 
 
 def test_equal_networks_hash_equal(net_c, monkeypatch):

@@ -34,7 +34,12 @@ from condsim.sampling import (
 )
 from condsim.stopping import DirichletPosterior, should_stop
 
-from helpers import BARREN_SOURCE, arcless_network, random_network
+from helpers import (
+    BARREN_SOURCE,
+    ISOLATED_SOURCE,
+    arcless_network,
+    random_network,
+)
 
 
 def test_greedy_trace_on_the_chain_network(net_c):
@@ -452,6 +457,20 @@ def test_infer_conditions_on_the_closure_not_on_barren_nodes():
     assert result.nodes_kept == 2
     assert result.dependence_before == pytest.approx(3.5 ** 2)
     assert satisfies_ras(exact_conditional(net, {"Q": 1}, {"E": 1}),
+                         result.estimate, 0.2)
+
+
+def test_infer_drops_evidence_the_query_does_not_depend_on():
+    # Pr[N0=0 | N3=0, N1=1] is Pr[N0=0]. Conditioned on that evidence,
+    # auto selected S = [N2] and scored about 540,000 trials.
+    net = parse_network(ISOLATED_SOURCE)
+    query, evidence = {"N0": 0}, {"N3": 0, "N1": 1}
+    result = infer(net, query, evidence, 0.2, 0.1, seed=7)
+    assert result.evidence_dropped == ("N1", "N3")
+    assert result.strategy_used == "direct" and result.selected_s == ()
+    assert result.nodes_kept == 1
+    assert 100 <= result.trials_total < 1000
+    assert satisfies_ras(exact_conditional(net, query, evidence),
                          result.estimate, 0.2)
 
 
