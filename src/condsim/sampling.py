@@ -46,6 +46,17 @@ _MAX_CHUNK = 1 << 18
 # batch draws more than the second.
 _FIRST_RAW_BATCH = 1 << 8
 _MAX_RAW_BATCH = 1 << 16
+# A forward batch of at least this many raw rows draws each node from one
+# random byte a row (``_byte_draw``); a smaller one draws a double a row.
+# The byte rule pays four more numpy calls a node, and a tie word draw in
+# most nodes of a small batch. Timed over the batches that one pass of
+# perfbench's mixed-small and rare-evidence workloads makes, on a 2-vCPU
+# Xeon, bytes took 1.3-1.6x the time of doubles at 256 rows, 1.08-1.21x
+# at 2,048, 0.89-0.95x at 4,096 and 0.29-0.49x at 65,536.
+_BYTE_BATCH = 1 << 12
+# An entry p of a CPT is drawn by the byte rule as T = ceil(p * 2^53),
+# split into its top byte T >> _LOW_BITS and the rest.
+_LOW_BITS = 45
 # Most doubles one Gibbs draw returns (8 MB).
 _MAX_DRAW = 1 << 20
 # Widest unbound Markov blanket a Gibbs table spans (2^16 entries); a
@@ -66,11 +77,20 @@ class RandomSource:
     """Deterministic random stream identified by a 64-bit seed.
 
     Backed by numpy's PCG64 generator, so equal seeds give bit-identical
-    sample sequences on every platform. Consuming draws advances internal
-    state; ``derive`` ignores that state and mixes the original seed with
-    a stream number, so substream layouts are reproducible regardless of
-    how much the parent stream has been used. The generator is built at
-    the first draw or skip, so a source that only derives builds none.
+    sample sequences on every platform. Every draw reads whole 64-bit
+    outputs w: a double is (w >> 11) * 2^-53, and ``bytes`` reads each
+    w's eight bytes little-endian, whatever the platform's byte order.
+    A forward batch of _BYTE_BATCH rows or more reads one byte per node
+    and row, plus a word on each tie (one in 256), where a smaller batch
+    reads a double: the byte and tie word settle the double's comparison
+    u < p exactly (``_byte_draw``), so both rules have one law. The bytes
+    read an eighth of the stream, at the cost of more numpy calls a
+    node, which only large batches recoup. Consuming draws advances
+    internal state; ``derive`` ignores that state and mixes the original
+    seed with a stream number, so substream layouts are reproducible
+    regardless of how much the parent stream has been used. The
+    generator is built at the first draw or skip, so a source that only
+    derives builds none.
     """
 
     __slots__ = ("seed", "_gen")
@@ -99,6 +119,19 @@ class RandomSource:
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` doubles drawn uniformly from [0, 1)."""
         return self._generator().random(count)
+
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` 64-bit outputs, as uint64."""
+        return self._generator().bit_generator.random_raw(count)
+
+    def bytes(self, count: int) -> np.ndarray:
+        """``count`` random bytes, eight from each of the next outputs.
+
+        The bytes of the last output that ``count`` leaves over are
+        dropped, so the stream moves on by ceil(count / 8) outputs.
+        """
+        words = self._generator().bit_generator.random_raw(-(-count // 8))
+        return words.astype("<u8", copy=False).view(np.uint8)[:count]
 
     def skip(self, count: int) -> None:
         """Advance past ``count`` doubles without drawing them."""
@@ -155,14 +188,22 @@ class RasEstimate:
 
 
 @lru_cache(maxsize=64)
-def _plan(net: BeliefNetwork) -> tuple[tuple[int, tuple[int, ...],
-                                             np.ndarray], ...]:
-    """Per node in declaration order: column, parent columns, CPT rows."""
+def _plan(net: BeliefNetwork) -> tuple[tuple, ...]:
+    """Per node in declaration order: column, parent columns, CPT rows.
+
+    Each step ends with the rows' byte-rule thresholds: for each entry
+    p, T = ceil(p * 2^53) split into its top byte T >> 45 (uint8, since
+    p < 1) and the rest T mod 2^45 (uint64). p * 2^53 is exact in
+    binary floating point, so T is too.
+    """
     steps = []
     for col, cpt in enumerate(net.cpts):
         cols = tuple(net.index(p) for p in cpt.parents)
         rows = np.asarray(cpt.rows, dtype=np.float64)
-        steps.append((col, cols, rows))
+        t = np.ceil(np.ldexp(rows, 53)).astype(np.uint64)
+        hi = (t >> np.uint64(_LOW_BITS)).astype(np.uint8)
+        lo = t & np.uint64((1 << _LOW_BITS) - 1)
+        steps.append((col, cols, rows, hi, lo))
     return tuple(steps)
 
 
@@ -195,9 +236,10 @@ def _schedule(net: BeliefNetwork, keep: tuple[int, ...] | None,
     declaration order. Each node has a slot, its place in the walk.
 
     Returns ``(fixes, draws, out)``: ``fixes`` holds (col, value) for the
-    clamped slots, ``draws`` holds (col, parent_slots, rows, want) for
-    the rest, with ``want`` the node's condition value (-1 for none), and
-    ``out`` the slots of the columns returned.
+    clamped slots, ``draws`` holds (col, parent_slots, tables, want) for
+    the rest, with ``tables`` the node's CPT rows and byte thresholds
+    (rows, hi, lo) from _plan and ``want`` its condition value (-1 for
+    none), and ``out`` the slots of the columns returned.
     """
     plan = _plan(net)
     fixed = dict(clamp)
@@ -206,16 +248,39 @@ def _schedule(net: BeliefNetwork, keep: tuple[int, ...] | None,
     order: dict[int, None] = {}  # an ordered set
     for group in (*([c] for c in sorted(want)), kept):
         needed = set(group)
-        for col, pcols, _ in reversed(plan):
+        for col, pcols, *_ in reversed(plan):
             if col in needed and col not in fixed:
                 needed.update(pcols)
         order.update(dict.fromkeys(sorted(needed - order.keys())))
     walk = sorted(order, key=lambda c: c not in fixed)
     slot = {c: i for i, c in enumerate(walk)}
     fixes = tuple((c, fixed[c]) for c in walk if c in fixed)
-    draws = tuple((c, tuple(slot[p] for p in plan[c][1]), plan[c][2],
+    draws = tuple((c, tuple(slot[p] for p in plan[c][1]), plan[c][2:],
                    want.get(c, -1)) for c in walk[len(fixes):])
     return fixes, draws, tuple(slot[c] for c in kept)
+
+
+def _byte_draw(rng: RandomSource, idx, hi: np.ndarray, lo: np.ndarray,
+               out: np.ndarray) -> None:
+    """Set each of ``out``'s rows to 1 with probability T / 2^53.
+
+    Row r reads the CPT entry of index ``idx[r]`` (``idx`` is 0 for a
+    node without parents), with T = hi * 2^45 + lo as in _plan. Each row
+    takes one random byte c: 1 if c < hi, 0 if c > hi. On a tie (c = hi,
+    one time in 256) the row takes one more output w, the tied rows in
+    order, and is 1 exactly when w >> 19 < lo. So Pr[1] = hi / 2^8 +
+    2^-8 * lo / 2^45 = T / 2^53, which is Pr[u < p] for a double u = k *
+    2^-53 with k uniform on 0 .. 2^53 - 1, since k < p * 2^53 exactly
+    when k < T: the byte rule keeps the law of a double a row.
+    """
+    c = rng.bytes(len(out))
+    t = hi[idx]
+    np.less(c, t, out=out)
+    tie = np.flatnonzero(c == t)
+    if len(tie):
+        at = idx if isinstance(idx, int) else idx[tie]
+        top = rng.words(len(tie)) >> np.uint64(64 - _LOW_BITS)
+        out[tie] = top < lo[at]
 
 
 def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
@@ -226,13 +291,20 @@ def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
 
     ``keep`` lists the columns returned (None: all, in declaration order);
     ``condition`` and ``clamp`` hold (column, value) pairs. The nodes are
-    drawn in the order of ``_schedule``, each from the next uniforms of
-    the stream, one per row still alive: after each condition node is
-    drawn, the rows that disagree with it are dropped, so later nodes
-    are drawn for survivors only. Nodes outside the ancestral closure of
-    ``keep`` and the condition draw nothing; clamped nodes take their
-    value. The batch is held one contiguous row of values per node, in
-    walk order, so dropping rows moves only the nodes already drawn.
+    drawn in the order of ``_schedule``, each for the rows still alive:
+    after each condition node is drawn, the rows that disagree with it
+    are dropped, so later nodes are drawn for survivors only. In a batch
+    of fewer than _BYTE_BATCH rows a node reads the next double u of the
+    stream per live row and is 1 when u < p; in a larger one it reads one
+    byte per live row, then its ties' words (``_byte_draw``). Both rules
+    give 1 with probability exactly ceil(p * 2^53) / 2^53 and differ only
+    in the stream they read. Small batches keep doubles because there
+    the byte rule's extra numpy calls cost more than the doubles save.
+    A batch takes its rule from ``count``, however few rows survive.
+    Nodes outside the ancestral closure of ``keep`` and the condition
+    draw nothing; clamped nodes take their value. The batch is held one
+    contiguous row of values per node, in walk order, so dropping rows
+    moves only the nodes already drawn.
 
     Returns the kept columns, one row each, of the forward rows that
     satisfy the condition.
@@ -242,12 +314,17 @@ def _sample_batch(net: BeliefNetwork, rng: RandomSource, count: int,
     batch = np.empty((first + len(draws), count), dtype=np.uint8)
     for i, (_, value) in enumerate(fixes):
         batch[i] = value
+    by_byte = count >= _BYTE_BATCH
     m = count
-    for i, (_, pslots, rows, want) in enumerate(draws, first):
+    for i, (_, pslots, (rows, hi, lo), want) in enumerate(draws, first):
         if m == 0:
             break
-        p = rows[_index(lambda s: batch[s, :m], pslots)]
-        np.less(rng.uniforms(m), p, out=batch[i, :m].view(bool))
+        idx = _index(lambda s: batch[s, :m], pslots)
+        drawn = batch[i, :m].view(bool)
+        if by_byte:
+            _byte_draw(rng, idx, hi, lo, drawn)
+        else:
+            np.less(rng.uniforms(m), rows[idx], out=drawn)
         if want >= 0:
             sel = np.flatnonzero(batch[i, :m] == want)
             if len(sel) < m:
@@ -342,7 +419,7 @@ class _RejectionStream(_Stream):
                  keep: tuple[int, ...]) -> None:
         super().__init__(net, condition, rng, row_budget, keep)
         rejected, clamped = dict(self._condition), {}
-        for col, pcols, _ in _plan(net):
+        for col, pcols, *_ in _plan(net):
             if col in rejected and all(p in clamped for p in pcols):
                 clamped[col] = rejected.pop(col)
         self._rejected = tuple(rejected.items())
@@ -360,7 +437,7 @@ def _unbound_blanket(col: int, pcols: tuple[int, ...], kids: tuple,
     ``kids`` are the _plan steps of col's children. The relation is
     symmetric: b is in a's unbound blanket exactly when a is in b's.
     """
-    blanket = (*pcols, *(c for ccol, cpcols, _ in kids
+    blanket = (*pcols, *(c for ccol, cpcols, *_ in kids
                          for c in (ccol, *cpcols)))
     return tuple(dict.fromkeys(c for c in blanket
                                if c != col and c not in clamped))
@@ -382,7 +459,7 @@ def _blanket_update(col: int, pcols: tuple[int, ...], rows: np.ndarray,
     """
     own = np.log(rows) - np.log1p(-rows)
     logs = [(ccol, cpcols, np.log(crows), np.log1p(-crows))
-            for ccol, cpcols, crows in kids]
+            for ccol, cpcols, crows, *_ in kids]
 
     def pr_one(column):
         def reading(value):
@@ -426,7 +503,7 @@ class _GibbsStream(_Stream):
         self._sweeps = sweeps
         clamped = dict(self._condition)
         plan = _plan(net)
-        free = [col for col, _, _ in plan if col not in clamped]
+        free = [col for col, *_ in plan if col not in clamped]
         kids = {col: tuple(s for s in plan if col in s[1]) for col in free}
         bits = {col: _unbound_blanket(col, plan[col][1], kids[col], clamped)
                 for col in free}

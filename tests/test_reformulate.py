@@ -385,7 +385,9 @@ def test_infer_dependence_never_grows_under_conditioning():
 # denominator, both unfinished, count 8,192 each. At 3 * 2^15 rows, the
 # numerator is unfinished at 32,768 trials; its denominator reads the
 # same stream and certified at 16,384 trials, which count in place of
-# the loop's.
+# the loop's. Since 0.12.0, seed 2's stream accepts enough rows to score
+# the 16,384-trial checkpoint within 2^15 rows, so the seeds are 0, 1
+# and 3.
 @pytest.mark.parametrize("config,error,phase,subproblem_trials", [
     (InferConfig(row_budget=1 << 15), RowBudgetExceededError, "fraction",
      1 << 14),
@@ -393,7 +395,7 @@ def test_infer_dependence_never_grows_under_conditioning():
      (1 << 15) + (1 << 14))])
 def test_infer_budget_error_counts_the_run_s_scored_trials(
         net_c, config, error, phase, subproblem_trials):
-    for seed in range(3):
+    for seed in (0, 1, 3):
         weight_trials = infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1,
                               "selective", seed=seed).weight_trials
         with pytest.raises(error) as einfo:
@@ -496,11 +498,11 @@ _ROWS_10000 = InferConfig(row_budget=10000)
     [({"A": 1}, {"C": 1}, 0.2, "direct", None, 11,
       (0.71875, 64, (1.0,))),
      ({"C": 1}, {"A": 1}, 0.2, "selective", None, 12,
-      (0.7217584591312388, 301568, (0.490234375, 0.509765625))),
+      (0.724185263077039, 301568, (0.490234375, 0.509765625))),
      ({"A": 1}, {"C": 1}, 0.001, "direct", _GIBBS_3, 13,
-      (0.6722016334533691, 2097152, (1.0,))),
+      (0.6723127365112305, 2097152, (1.0,))),
      ({"A": 1}, {"C": 1}, 0.001, "direct", None, 11,
-      (0.740147590637207, 1048576, (1.0,))),
+      (0.7404356002807617, 1048576, (1.0,))),
      ({"A": 1}, {"C": 1}, 0.05, "direct", _ROWS_1000, 11,
       ("RowBudgetExceededError", "fraction", 256, 1000,
        "subproblem 0 numerator: next batch would pass the row budget of "
@@ -531,8 +533,11 @@ def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
     # moved, nor at 0.9.0, which removed the sample cap and its two
     # pinned errors. The past-2^18 cases run at
     # epsilon 0.001 so that a checkpoint still spans several 2^18-trial
-    # chunks. A change that fails this changes a random stream or a stop
-    # point, so it bumps the version and says so in CHANGES.md.
+    # chunks. The selective and past-2^18 answers were re-pinned at
+    # 0.12.0, whose forward batches of 4,096 rows or more draw bytes;
+    # their trial counts and stop points did not move. A change that
+    # fails this changes a random stream or a stop point, so it bumps
+    # the version and says so in CHANGES.md.
     try:
         result = infer(net_c, query, evidence, epsilon, 0.1, strategy,
                        config, seed)

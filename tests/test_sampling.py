@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -489,11 +490,11 @@ def test_fraction_coverage_against_the_oracle(epsilon, lo, hi, count, reps):
         f"{misses} misses in {runs} runs, threshold {threshold:.4f}")
 
 
-# Epsilon 0.05 at mu 0.1 and 0.01 would take about 16 times the trials
-# of the other cells, so those two cells are left out.
+# The epsilon 0.05 runs at mu 0.1 and 0.01 take 16,384 and 131,072
+# trials, so their batches draw bytes, and this gate covers that rule.
 @pytest.mark.parametrize("mu, epsilon", [
-    *((mu, epsilon) for mu in (0.9, 0.5, 0.1, 0.01) for epsilon in (0.2, 0.5)),
-    (0.9, 0.05), (0.5, 0.05)])
+    (mu, epsilon) for mu in (0.9, 0.5, 0.1, 0.01)
+    for epsilon in (0.2, 0.5, 0.05)])
 def test_fraction_coverage_holds_in_every_cell(mu, epsilon):
     # Pooled runs can hide a cell that breaks delta, so each (mu, epsilon)
     # cell is gated on its own. A one-node network makes the truth exact,
@@ -560,8 +561,27 @@ def _walk_order(net, keep, condition, clamp):
     return order + sorted(closure(keep) - set(order))
 
 
+def _outcomes(rng, count, bound):
+    """The byte rule's draws, each as the integer k of its 2^53 outcomes.
+
+    A row reads one byte c, and a row whose c equals its ``bound`` (the
+    top byte of its T) reads the top 45 bits x of one more word, the tied
+    rows in order; k is c * 2^45 + x, with x = 0 where there is no tie.
+    The row is 1 exactly when k < T, that is u < p for u = k * 2^-53.
+    """
+    k = rng.bytes(count).astype(np.uint64) << np.uint64(45)
+    tie = np.flatnonzero(k >> np.uint64(45) == bound)
+    k[tie] |= rng.words(len(tie)) >> np.uint64(19)
+    return k
+
+
 def _survivor_rows(net, rng, count, keep, condition, clamp):
-    """A forward batch in walk order that draws for live rows only."""
+    """A forward batch in walk order that draws for live rows only.
+
+    A batch of at least ``_BYTE_BATCH`` rows takes each row's outcome k
+    from ``_outcomes`` and is 1 when k < ceil(p * 2^53); a smaller one
+    is 1 when its next double is below p.
+    """
     rows = np.zeros((count, net.n), dtype=np.uint8)
     alive = np.arange(count)
     want = dict(condition)
@@ -573,7 +593,11 @@ def _survivor_rows(net, rng, count, keep, condition, clamp):
         idx = np.zeros(len(alive), dtype=np.int64)
         for parent in cpt.parents:
             idx = 2 * idx + rows[alive, net.index(parent)]
-        if len(alive):
+        if len(alive) and count >= sampling._BYTE_BATCH:
+            t = np.array([math.ceil(p * 2 ** 53) for p in cpt.rows],
+                         dtype=np.uint64)[idx]
+            rows[alive, col] = _outcomes(rng, len(alive), t >> 45) < t
+        elif len(alive):
             u = rng.uniforms(len(alive))
             rows[alive, col] = u < np.asarray(cpt.rows)[idx]
         if col in want:
@@ -581,8 +605,11 @@ def _survivor_rows(net, rng, count, keep, condition, clamp):
     return rows, alive
 
 
-def _pruned_cases(seed, cases):
-    """Random (net, keep, condition, clamp, count) sampling requests."""
+def _pruned_cases(seed, cases, first_count=0):
+    """Random (net, keep, condition, clamp, count) sampling requests.
+
+    Counts lie in ``first_count`` + [1, 2000).
+    """
     gen = np.random.Generator(np.random.PCG64(seed))
     for case in range(cases):
         net = random_network(gen, int(gen.integers(2, 13)),
@@ -595,15 +622,18 @@ def _pruned_cases(seed, cases):
                       for c in order[n_keep:n_keep + n_bound])
         clamp = bound if case % 4 == 3 else ()
         condition = () if clamp else bound
-        yield net, keep, condition, clamp, int(gen.integers(1, 2000))
+        yield (net, keep, condition, clamp,
+               first_count + int(gen.integers(1, 2000)))
 
 
 def test_pruned_batch_matches_a_filtered_full_batch():
     # Drawing only for live rows, in walk order, must leave every drawn
     # value, every surviving row and the stream's position as the
     # reference walk, which filters its rows after each condition node.
-    for case, (net, keep, condition, clamp, count) in enumerate(
-            _pruned_cases(59, 60)):
+    # The first cases draw doubles, the last 30 bytes.
+    cases = (*_pruned_cases(59, 60),
+             *_pruned_cases(61, 30, sampling._BYTE_BATCH))
+    for case, (net, keep, condition, clamp, count) in enumerate(cases):
         rng, ref = RandomSource(case), RandomSource(case)
         rows = _sample_batch(net, rng, count, keep, condition, clamp)
         full, alive = _survivor_rows(net, ref, count, keep, condition,
@@ -640,9 +670,11 @@ def _wide_parent_cases(seed, cases):
 def test_wide_parent_sets_match_the_reference_walk():
     # A CPT of 2^9 to 2^12 rows is looked up with every parent's bit;
     # kept rows and the stream position must be those of the reference
-    # walk.
-    for case, (net, keep, condition, clamp, count) in enumerate(
-            _wide_parent_cases(131, 12)):
+    # walk. Batches of 1,000 to 5,000 rows fall on both sides of the
+    # byte rule's threshold.
+    cases = list(_wide_parent_cases(131, 12))
+    assert {c[-1] >= sampling._BYTE_BATCH for c in cases} == {True, False}
+    for case, (net, keep, condition, clamp, count) in enumerate(cases):
         rng, ref = RandomSource(case), RandomSource(case)
         rows = _sample_batch(net, rng, count, keep, condition, clamp)
         full, alive = _survivor_rows(net, ref, count, keep, condition,
@@ -698,16 +730,28 @@ def test_schedule_walks_evidence_ancestors_first():
 
 
 class _CountingSource(RandomSource):
-    """A random source that records the size of every draw and skip."""
+    """A random source that records the size of every draw and skip:
+    ``sizes`` of the doubles, ``byte_sizes`` and ``word_sizes`` of the
+    byte rule's bytes and tie words."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.sizes = []
+        self.byte_sizes = []
+        self.word_sizes = []
         self.skipped = []
 
     def uniforms(self, count):
         self.sizes.append(count)
         return super().uniforms(count)
+
+    def bytes(self, count):
+        self.byte_sizes.append(count)
+        return super().bytes(count)
+
+    def words(self, count):
+        self.word_sizes.append(count)
+        return super().words(count)
 
     def skip(self, count):
         self.skipped.append(count)
@@ -724,6 +768,17 @@ def test_rejected_rows_draw_no_more_uniforms(net_c):
     rng = _CountingSource(79)
     hits = _sample_batch(net_c, rng, 1000, (c,), ((a, 0),)).shape[1]
     assert rng.sizes == [1000, hits, hits]
+    # From _BYTE_BATCH raw rows on, a batch draws a byte, not a double,
+    # per live row, and a tie word per tie only.
+    rng = _CountingSource(79)
+    _sample_batch(net_c, rng, sampling._BYTE_BATCH - 1, (c,), ((b, 1),))
+    assert rng.byte_sizes == [] and len(rng.sizes) == 3
+    count = sampling._BYTE_BATCH
+    rng = _CountingSource(79)
+    hits = _sample_batch(net_c, rng, count, (c,), ((b, 1),)).shape[1]
+    assert rng.sizes == [] and rng.byte_sizes == [count, count, hits]
+    assert len(rng.word_sizes) == 3
+    assert 0 < sum(rng.word_sizes) < (2 * count + hits) / 128
     for case, (net, keep, condition, clamp, count) in enumerate(
             _pruned_cases(83, 60)):
         rng = _CountingSource(case)
@@ -758,6 +813,86 @@ def test_a_batch_that_empties_draws_nothing_more():
     ref.uniforms(1000)  # R
     ref.uniforms(1000)  # A
     assert np.array_equal(rng.uniforms(4), ref.uniforms(4))
+
+
+class _FixedSource:
+    """Hands out the bytes and tie words it is given, in order."""
+
+    def __init__(self, byte_values, words):
+        self._bytes = np.array(byte_values, dtype=np.uint8)
+        self.words_left = list(words)
+
+    def bytes(self, count):
+        assert count == len(self._bytes)
+        return self._bytes
+
+    def words(self, count):
+        taken = self.words_left[:count]
+        del self.words_left[:count]
+        return np.array(taken, dtype=np.uint64)
+
+
+def test_byte_rule_is_one_on_exactly_t_outcomes():
+    # A draw is one of 2^53 equally likely outcomes: a byte c and, when c
+    # ties T's top byte, the top 45 bits x of one more word (its other 19
+    # bits are ignored). Outcome k = c * 2^45 + x must give 1 exactly
+    # when u = k * 2^-53 is below p, as a double does, which makes T =
+    # ceil(p * 2^53) outcomes of 1. Each p is tried at every byte, with
+    # tie words on each side of T's low part and at both ends.
+    gen = np.random.Generator(np.random.PCG64(137))
+    ps = (1e-40, 2 ** -8, 255 / 256, 0.3, 0.5 + 2 ** -40, 1 - 2 ** -53,
+          *map(float, gen.uniform(0.0, 1.0, 20)),
+          *map(float, 10.0 ** -gen.uniform(1, 300, 10)))
+    for p in ps:
+        t = math.ceil(Fraction(p) * 2 ** 53)
+        net = parse_network(f"network one\nnode A\nprior A : {p!r}\n")
+        (_, _, _, hi, lo), = sampling._plan(net)
+        assert (int(hi[0]) << 45) + int(lo[0]) == t, p
+        tie, low = int(hi[0]), int(lo[0])
+        tops = {0, low - 1, low, int(gen.integers(0, 1 << 45)),
+                (1 << 45) - 1} - {-1}
+        for x in tops:
+            spare = int(gen.integers(0, 1 << 19))
+            source = _FixedSource(range(256), [x << 19 | spare])
+            out = np.empty(256, dtype=bool)
+            sampling._byte_draw(source, 0, hi, lo, out)
+            assert source.words_left == []
+            for c in range(256):
+                k = (c << 45) + x
+                assert out[c] == (Fraction(k, 2 ** 53) < p), (p, c, x)
+            # Every byte below the tie is all 2^45 of its outcomes; the
+            # tie gives 1 for x in [0, low) only.
+            assert np.count_nonzero(np.delete(out, tie)) == tie
+            assert out[tie] == (x < low)
+
+
+def test_byte_rule_reads_the_little_endian_bytes_of_raw_words():
+    # A node's bytes are the bytes of the next 64-bit outputs, least
+    # significant first, whatever the platform's byte order; the spare
+    # bytes of the last output are dropped, and the node's tie words
+    # follow. The reference builds them from random_raw with shifts.
+    net = parse_network("network two\nnode A\nprior A : 0.3\nnode B\n"
+                        "parents B : A\ncpt B : 0.7 0.4\n")
+    count = sampling._BYTE_BATCH + 5
+    for seed in range(3):
+        rng = RandomSource(seed)
+        rows = _sample_batch(net, rng, count)
+        raw = iter(int(w) for w in
+                   np.random.PCG64(seed).random_raw(8 * count))
+        want = np.zeros((2, count), dtype=np.uint8)
+        for col, cpt in enumerate(net.cpts):
+            words = [next(raw) for _ in range(-(-count // 8))]
+            stream = [w >> 8 * j & 255 for w in words for j in range(8)]
+            for r, c in enumerate(stream[:count]):
+                idx = want[0, r] if cpt.parents else 0
+                t = math.ceil(Fraction(cpt.rows[idx]) * 2 ** 53)
+                k = c << 45
+                if c == t >> 45:
+                    k += next(raw) >> 19
+                want[col, r] = k < t
+        assert np.array_equal(rows, want), seed
+        doubles = [(next(raw) >> 11) * 2.0 ** -53 for _ in range(4)]
+        assert rng.uniforms(4).tolist() == doubles
 
 
 def _mixed_conditions(seed, cases):
@@ -1033,14 +1168,15 @@ def test_wide_gibbs_sweeps_draw_at_most_the_bound(monkeypatch):
 
     rng = _CountingSource(127)
     rows = batch(rng)
-    # The start state draws 40 times; each sweep draws 16, 16 and 8
-    # blocks.
+    # The start state draws 40 times, from bytes; each sweep draws 16,
+    # 16 and 8 blocks of doubles.
+    assert rng.byte_sizes == [m] * 40
     assert max(rng.sizes) <= sampling._MAX_DRAW == 16 * m
-    assert rng.sizes[40:] == [16 * m, 16 * m, 8 * m] * 2
+    assert rng.sizes == [16 * m, 16 * m, 8 * m] * 2
     monkeypatch.setattr(sampling, "_MAX_DRAW", 40 * m)
     ref = _CountingSource(127)
     assert np.array_equal(batch(ref), rows)
-    assert ref.sizes[40:] == [40 * m] * 2
+    assert ref.sizes == [40 * m] * 2
     assert np.array_equal(rng.uniforms(4), ref.uniforms(4))
 
 
