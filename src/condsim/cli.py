@@ -80,6 +80,16 @@ def _result_dict(result: InferenceResult) -> dict:
     return out
 
 
+def _weights(result: InferenceResult) -> str:
+    """How the run weighted its subproblems: "none" with S empty (one
+    subproblem of weight 1), "exact" when elimination gave Pr[S = s],
+    and "sampled" when logic sampling estimated it, which scores at
+    least one weight trial."""
+    if not result.selected_s:
+        return "none"
+    return "sampled" if result.weight_trials else "exact"
+
+
 def _finite(value):
     """``value`` with every float that is not finite replaced by None."""
     if isinstance(value, float):
@@ -234,6 +244,7 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
         return 5
     report["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
     report["result"] = _result_dict(result)
+    report["weights"] = _weights(result)
     cost_before, cost_after = _costs(result.greedy_trace,
                                      result.dependence_before)
     report["cost_before"] = asdict(cost_before)
@@ -248,8 +259,10 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
              f"  epsilon {result.epsilon}  delta {result.delta}  "
              f"strategy {result.strategy_used}  seed {result.seed}",
              f"  S = [{', '.join(result.selected_s)}]  "
-             f"trials {result.trials_total}  "
-             f"(weights {result.weight_trials})",
+             f"trials {result.trials_total}",
+             f"  weights: {report['weights']}"
+             + (f" ({result.weight_trials} trials)"
+                if result.weight_trials else ""),
              f"  dependence before {result.dependence_before:.6g}  "
              f"after {result.dependence_after:.6g}",
              f"  clamped: {'yes' if result.clamped else 'no'}"]

@@ -66,11 +66,11 @@ class NonPositivePhiMinError(CondsimError):
 
 
 class RowBudgetExceededError(CondsimError):
-    """A stream's next batch would pass its raw-row budget.
+    """A stream's next batch would pass its run's raw-row budget.
 
     Every forward row counts, accepted or rejected, and a Gibbs chain
     counts as one row per sweep. Instances carry partial diagnostics:
-    the phase that failed ("distribution" for the weights, "fraction"
+    the phase that failed ("distribution" for sampled weights, "fraction"
     for a conditioned estimate, empty outside an estimate), the number
     of scored trials, and the bound that was hit (``cap``, the row
     budget).

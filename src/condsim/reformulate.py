@@ -2,9 +2,10 @@
 
 A hard inference Pr[query | evidence] is split into easier pieces: a
 greedy search picks a conditioning set S of parent nodes, the joint
-distribution over S is estimated once, each instantiation of S spawns a
-pair of conditioned subproblems, and the weighted pieces recombine into
-a ratio estimate whose relative-error and failure budgets compose to the
+distribution over S is computed once (by elimination where it fits,
+estimated otherwise), each instantiation of S spawns a pair of
+conditioned subproblems, and the weighted pieces recombine into a ratio
+estimate whose relative-error and failure budgets compose to the
 caller's epsilon and delta.
 """
 
@@ -21,13 +22,16 @@ from .dependence import (
 )
 from .errors import (
     LengthMismatchError,
+    NetworkTooLargeError,
     OverlappingSetsError,
     RowBudgetExceededError,
     ZeroDenominatorError,
 )
+from .exact import exact_distribution_over
 from .network import (
     Assignment,
     BeliefNetwork,
+    ancestral_network,
     check_disjoint,
     relevant_network,
 )
@@ -37,10 +41,11 @@ from .sampling import (
     RandomSource,
     RasEstimate,
     TrialGeneratorKind,
+    _RowAccount,
     _check_risk_params,
+    _distribution,
     _fractions,
     estimate_conditional_fraction,
-    estimate_distribution_over,
 )
 
 DEFAULT_SEED = 271828182845
@@ -264,7 +269,12 @@ def _budget_split(epsilon: float, delta: float,
     Both sums and their ratio multiply (1 + e) factors, so each stage
     runs at (1 + epsilon)^(1/4) - 1; failure probabilities add, so the
     weight phase gets delta/2 and each of the 2 * 2^s_size subproblem
-    estimates gets delta / (4 * 2^s_size).
+    estimates gets delta / (4 * 2^s_size). This is the split for
+    sampled weights, as in the paper. Exact weights carry no error and
+    no failure, so where infer computes them the weight phase's stage
+    factor and delta/2 are simply not spent: every estimate still
+    certifies at these budgets, and the answer meets (epsilon, delta)
+    with room to spare.
     """
     stage_eps = (1.0 + epsilon) ** 0.25 - 1.0
     return stage_eps, delta / 2.0, delta / (4.0 * (1 << s_size))
@@ -279,22 +289,33 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
 
     The direct strategy scores trials conditioned on the evidence. The
     selective strategy reformulates through the greedy conditioning set:
-    weights over S come from one distribution estimate, each instantiation
-    contributes certified numerator and denominator fractions, read from
-    one conditioned stream, and the weighted sums meet in a clamped
-    ratio. Auto picks selective exactly when the greedy set is nonempty.
-    Equal arguments and seed reproduce the result bit for bit. All of it
-    runs on relevant_network's problem: the evidence the query does not
-    depend on is dropped (``evidence_dropped``, in declaration order),
-    and the ancestral closure of the query and kept evidence
-    (``nodes_kept`` nodes) is kept; the rest is barren.
+    each instantiation s of S contributes certified numerator and
+    denominator fractions, read from one conditioned stream (subproblem
+    i reads stream i + 1), and the sums weighted by mu_s = Pr[S = s]
+    meet in a clamped ratio. Auto picks selective exactly when the
+    greedy set is nonempty. Equal arguments and seed reproduce the
+    result bit for bit. All of it runs on relevant_network's problem:
+    the evidence the query does not depend on is dropped
+    (``evidence_dropped``, in declaration order), and the ancestral
+    closure of the query and kept evidence (``nodes_kept`` nodes) is
+    kept; the rest is barren.
 
-    A selective run whose stage epsilon or delta underflows to 0 is
-    refused with a ValueError before it draws. A
-    :class:`RowBudgetExceededError` from a subproblem estimate is raised
-    again with the trials the whole run had scored, its message naming
-    the subproblem and its first unfinished reader, the numerator or the
-    denominator.
+    The weights depart from the paper, which estimates them by logic
+    sampling: they are computed exactly, by elimination on the
+    ancestral closure of S, with ``weight_trials`` 0 and stream 0 left
+    unread. Only where elimination is refused (NetworkTooLargeError)
+    are they estimated as the paper does, by logic sampling on stream 0.
+    Either way the stage budgets are _budget_split's, so every
+    subproblem estimate is the same for both weights.
+
+    One row budget, ``config.row_budget``, bounds the whole run: every
+    stream a selective run reads charges its raw rows to one account. A
+    direct run reads one stream. A selective run whose stage epsilon or
+    delta underflows to 0 is refused with a ValueError before it draws.
+    A :class:`RowBudgetExceededError` from a subproblem estimate is
+    raised again with the trials the whole run had scored, its message
+    naming the subproblem and its first unfinished reader, the numerator
+    or the denominator.
     """
     if config is None:
         config = InferConfig()
@@ -341,9 +362,16 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                 f"|S| = {len(selected)} give a stage epsilon of "
                 f"{stage_eps!r} and a subproblem delta of {delta_s!r}; "
                 "both must be positive")
-        mu_s, weight_trials = estimate_distribution_over(
-            net, selected, stage_eps, delta_w, root.derive(0),
-            row_budget=config.row_budget)
+        account = _RowAccount(config.row_budget)
+        mu_s, weight_trials = (1.0,), 0
+        if selected:
+            try:
+                mu_s = exact_distribution_over(
+                    ancestral_network(net, selected), selected)
+            except NetworkTooLargeError:
+                mu_s, weight_trials = _distribution(
+                    net, selected, stage_eps, delta_w, root.derive(0),
+                    account)
         scored = weight_trials
         pairs = []
         for sub in decompose(net, query, evidence, selected):
@@ -354,7 +382,7 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                 {"numerator": sub.numerator_target,
                  "denominator": sub.denominator_target},
                 sub.instantiation, stage_eps, delta_s, config.generator,
-                root.derive(sub.index + 1), config.row_budget)
+                root.derive(sub.index + 1), account)
             pairs.append((fractions["numerator"], fractions["denominator"]))
             scored += sum(est.trials for est in fractions.values())
         dependence_after = _value_given(report, net, {*evidence, *selected})

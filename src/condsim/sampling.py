@@ -11,8 +11,9 @@ Estimators feed trial categories into a Dirichlet posterior and stop at
 the first checkpoint (the powers of two and the worst-case bound) that
 the stopping rule certifies, on every category for the weights and on
 the consistent category for a fraction. Several fractions can read one
-conditioned stream, each certified on its own. Each stream stops at its
-raw-row budget, so every estimate ends.
+conditioned stream, each certified on its own. Every stream charges its
+raw rows to its run's account, and a batch that would take the account
+past its row budget is refused, so every estimate ends.
 """
 
 import math
@@ -346,6 +347,20 @@ def _pairs(net: BeliefNetwork,
     return tuple((net.index(k), int(v)) for k, v in assignment.items())
 
 
+class _RowAccount:
+    """The raw rows a run has drawn, against the run's one row budget.
+
+    Every stream of the run charges its batches here, so the budget
+    bounds the run however many streams it reads.
+    """
+
+    __slots__ = ("budget", "drawn")
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.drawn = 0
+
+
 class _Stream:
     """Trials of one estimate, buffered across the batches that make them.
 
@@ -362,21 +377,22 @@ class _Stream:
     each power-of-two checkpoint from _FIRST_RAW_BATCH on, and one that
     rejects ends a batch near it.
 
-    Every raw row is made here, so the stream's one work bound is kept
-    here too: a batch that would take the raw rows drawn past
-    ``row_budget`` raises RowBudgetExceededError before it draws. A
-    Gibbs chain counts as ``_sweeps`` rows.
+    Every raw row is made here, so the run's one work bound is kept here
+    too: each batch is charged to ``account``, the run's _RowAccount,
+    and a batch that would take the rows the run has drawn past its
+    budget raises RowBudgetExceededError before it draws. A Gibbs chain
+    counts as ``_sweeps`` rows.
     """
 
     _sweeps = 1
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
-                 rng: RandomSource, row_budget: int,
+                 rng: RandomSource, account: _RowAccount,
                  keep: tuple[int, ...]) -> None:
         self._net = net
         self._condition = _pairs(net, condition)
         self._rng = rng
-        self._budget = row_budget
+        self._account = account
         self._keep = keep
         self._rest = np.empty((len(keep), 0), dtype=np.uint8)
         self._made = 0
@@ -391,10 +407,12 @@ class _Stream:
             rate = (self._made + 1) / (self._drawn + 1)
             spread = 2.0 * math.sqrt(wanted * (1.0 - rate))
             m = min(math.ceil((wanted + spread) / rate), _MAX_RAW_BATCH)
-            if (self._drawn + m) * self._sweeps > self._budget:
+            account = self._account
+            if account.drawn + m * self._sweeps > account.budget:
                 raise RowBudgetExceededError(
                     f"next batch would pass the row budget of "
-                    f"{self._budget} raw rows", cap=self._budget)
+                    f"{account.budget} raw rows", cap=account.budget)
+            account.drawn += m * self._sweeps
             self._drawn += m
             parts.append(self._next(m))
             self._made += parts[-1].shape[1]
@@ -415,9 +433,9 @@ class _RejectionStream(_Stream):
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
-                 rng: RandomSource, row_budget: int,
+                 rng: RandomSource, account: _RowAccount,
                  keep: tuple[int, ...]) -> None:
-        super().__init__(net, condition, rng, row_budget, keep)
+        super().__init__(net, condition, rng, account, keep)
         rejected, clamped = dict(self._condition), {}
         for col, pcols, *_ in _plan(net):
             if col in rejected and all(p in clamped for p in pcols):
@@ -497,9 +515,9 @@ class _GibbsStream(_Stream):
     """
 
     def __init__(self, net: BeliefNetwork, condition: Assignment,
-                 rng: RandomSource, sweeps: int, row_budget: int,
+                 rng: RandomSource, sweeps: int, account: _RowAccount,
                  keep: tuple[int, ...]) -> None:
-        super().__init__(net, condition, rng, row_budget, keep)
+        super().__init__(net, condition, rng, account, keep)
         self._sweeps = sweeps
         clamped = dict(self._condition)
         plan = _plan(net)
@@ -547,10 +565,10 @@ class _GibbsStream(_Stream):
 
 def _make_stream(net: BeliefNetwork, condition: Assignment,
                  kind: TrialGeneratorKind, rng: RandomSource,
-                 row_budget: int, keep: tuple[int, ...]):
+                 account: _RowAccount, keep: tuple[int, ...]):
     if kind.kind == "rejection":
-        return _RejectionStream(net, condition, rng, row_budget, keep)
-    return _GibbsStream(net, condition, rng, kind.burn_in_sweeps, row_budget,
+        return _RejectionStream(net, condition, rng, account, keep)
+    return _GibbsStream(net, condition, rng, kind.burn_in_sweeps, account,
                         keep)
 
 
@@ -565,8 +583,8 @@ def conditioned_sample_batch(net: BeliefNetwork, condition: Assignment,
     net.validate_assignment(condition)
     if len(condition) >= net.n:
         raise ValueError("condition must leave at least one node unbound")
-    stream = _make_stream(net, condition, kind, rng, row_budget,
-                          tuple(range(net.n)))
+    stream = _make_stream(net, condition, kind, rng,
+                          _RowAccount(row_budget), tuple(range(net.n)))
     return np.ascontiguousarray(stream.take(count).T)
 
 
@@ -614,7 +632,7 @@ def _certify(draw, readers: Sequence[_Reader], epsilon: float,
     k. Checkpoints double from k, and each reader's W is a checkpoint
     too; at each one every unfinished reader is evaluated, and it
     certifies only once all its categories have been observed. The
-    stream's row budget is the one bound on the rows drawn: a batch past
+    run's row budget is the one bound on the rows drawn: a batch past
     it raises again, naming the first unfinished reader and its phase,
     and counting every reader's trials, those at which it certified or
     else all drawn. Each row falls in exactly one category, so every
@@ -664,8 +682,8 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
     Logic samples are classified into the 2^|S| instantiations (first
     listed node is the most significant bit) until the stopping rule
     certifies every category to relative error epsilon with total failure
-    probability at most delta. Returns the posterior mean vector and the
-    trial count.
+    probability at most delta. The estimate draws at most ``row_budget``
+    raw rows. Returns the posterior mean vector and the trial count.
     """
     _check_risk_params(epsilon, delta)
     s = tuple(s_nodes)
@@ -676,13 +694,21 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
             f"{len(s)} nodes span too many categories "
             f"(limit {_MAX_CATEGORY_NODES})")
     net.validate_nodes(s)
+    return _distribution(net, s, epsilon, delta, rng, _RowAccount(row_budget))
+
+
+def _distribution(net: BeliefNetwork, s: tuple[str, ...], epsilon: float,
+                  delta: float, rng: RandomSource,
+                  account: _RowAccount) -> tuple[tuple[float, ...], int]:
+    """estimate_distribution_over on checked arguments, a nonempty S of
+    at most _MAX_CATEGORY_NODES nodes, its rows charged to ``account``."""
     cols = tuple(net.index(x) for x in s)
     positions = range(len(cols))
     reader = _Reader(lambda rows: np.bincount(_index(rows.__getitem__,
                                                      positions),
                                               minlength=1 << len(s)),
                      len(s), net, s, epsilon, delta)
-    _certify(_RejectionStream(net, {}, rng, row_budget, cols).take,
+    _certify(_RejectionStream(net, {}, rng, account, cols).take,
              (reader,), epsilon, delta)
     return reader.posterior.mu, reader.trials
 
@@ -701,13 +727,14 @@ def estimate_conditional_fraction(net: BeliefNetwork, target: Assignment,
     observed. The empty target needs no trials and estimates 1. The
     worst-case bound W, a checkpoint, is sized over target and condition
     together, since Pr[target | condition] >= Pr[target, condition].
+    The estimate draws at most ``row_budget`` raw rows.
     """
     _check_risk_params(epsilon, delta)
     net.validate_assignment(condition)
     net.validate_assignment(target)
     check_disjoint(target, condition, "target and condition")
     return _fractions(net, {"": target}, condition, epsilon, delta, kind,
-                      rng, row_budget)[""]
+                      rng, _RowAccount(row_budget))[""]
 
 
 def _match_all(at: list[int], values: list[int]):
@@ -742,11 +769,12 @@ def _classifier(at: list[int], values: list[int]):
 def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
                condition: Assignment, epsilon: float, delta: float,
                kind: TrialGeneratorKind, rng: RandomSource,
-               row_budget: int) -> dict[str, RasEstimate]:
+               account: _RowAccount) -> dict[str, RasEstimate]:
     """Certified Pr[t | condition] for each named target t, every one
     read from one conditioned stream, as estimate_conditional_fraction
     certifies one. Each target is a reader of the stream, and its name
-    prefixes its budget errors. The caller has checked the bindings: each
+    prefixes its budget errors. The stream charges its rows to
+    ``account``. The caller has checked the bindings: each
     target is disjoint from the condition, all name known nodes, and
     epsilon and delta are in range."""
     keep = tuple(dict.fromkeys(net.index(x) for target in targets.values()
@@ -758,7 +786,7 @@ def _fractions(net: BeliefNetwork, targets: dict[str, Assignment],
                              category=1, name=name)
                for name, target in targets.items() if target}
     if readers:
-        stream = _make_stream(net, condition, kind, rng, row_budget, keep)
+        stream = _make_stream(net, condition, kind, rng, account, keep)
         _certify(stream.take, tuple(readers.values()), epsilon, delta)
     estimates = {}
     for name in targets:

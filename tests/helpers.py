@@ -141,6 +141,39 @@ def wide_network(roots: int) -> BeliefNetwork:
     return BeliefNetwork("wide", names, cpts)
 
 
+def wide_ancestry_source(tail: str, width: int = 21) -> str:
+    """A network source: ``width`` roots R0.., then a chain M0 -> M1 ->
+    ... in which M{i} also reads R{i}, then ``tail``, node declarations
+    that may read the chain's last node M{width - 1}.
+
+    Along declaration order every root stays live until its chain node,
+    so at width 21 elimination over any set whose ancestral closure holds
+    M20 needs more than 20 live nodes and is refused. The chain's links
+    are mild (lambda below 4), so greedy does not condition on them.
+    """
+    roots = "".join(f"node R{i}\nprior R{i} : 0.5\n" for i in range(width))
+    chain = "node M0\nparents M0 : R0\ncpt M0 : 0.4 0.6\n" + "".join(
+        f"node M{i}\nparents M{i} : M{i - 1} R{i}\n"
+        f"cpt M{i} : 0.4 0.5 0.5 0.6\n" for i in range(1, width))
+    return f"network wide\n{roots}{chain}{tail}"
+
+
+# NET_C_SOURCE's A, B and C hung below wide_ancestry_source's chain: A
+# reads M20 with a flat row, so Pr[A, B, C] is net_c's, but the closure
+# of any conditioning set is too wide for elimination.
+WIDE_NET_C_SOURCE = wide_ancestry_source("""\
+node A
+parents A : M20
+cpt A : 0.5 0.5
+node B
+parents B : A
+cpt B : 0.1 0.9
+node C
+parents C : B
+cpt C : 0.2 0.8
+""")
+
+
 def expected_stop_n(probs, epsilon: float, delta: float, start: int) -> int:
     """First geometric checkpoint whose expected counts clear the rule.
 

@@ -25,7 +25,9 @@ from helpers import (
     BARREN_SOURCE,
     ISOLATED_SOURCE,
     NET_C_SOURCE,
+    WIDE_NET_C_SOURCE,
     random_network,
+    wide_ancestry_source,
 )
 
 
@@ -273,6 +275,31 @@ def test_infer_selective_report_shape(capsys, net_c_path):
     assert report["cost_before"]["subproblem_term"] == pytest.approx(
         1296.0 ** 4)
     assert report["cost_after"]["weight_term"] == pytest.approx(80.0)
+
+
+def test_reports_say_whether_the_weights_were_exact(capsys, tmp_path,
+                                                    net_c_path):
+    # net_c's S = [B] has a closure that elimination takes; below the
+    # wide chain the same S's closure is refused, so its weights are
+    # logic-sampled. A direct run has no weights.
+    wide = tmp_path / "wide.bnet"
+    wide.write_text(WIDE_NET_C_SOURCE, encoding="utf-8")
+    query = ["--query", "C=1", "--evidence", "A=1", "--epsilon", "0.2",
+             "--delta", "0.1", "--seed", "12"]
+    for path, strategy, weights, line in (
+            (net_c_path, "selective", "exact", "  weights: exact"),
+            (str(wide), "selective", "sampled",
+             "  weights: sampled (4096 trials)"),
+            (net_c_path, "direct", "none", "  weights: none")):
+        argv = ["infer", "--network", path, *query, "--strategy", strategy]
+        code, report, _ = run_json(capsys, argv)
+        assert code == 0
+        assert report["weights"] == weights
+        assert (report["result"]["weight_trials"] > 0) == (
+            weights == "sampled")
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert line in out.splitlines()
 
 
 def test_infer_text_report_mentions_estimate(capsys, net_a_path):
@@ -692,6 +719,13 @@ node D
 parents D : A B C
 cpt D : 0.01 0.99 0.99 0.01 0.99 0.01 0.01 0.99
 """
+# _TINY_TRIPLE's D, with rows of 1e-80, below a wide chain: A, B and C
+# read its end M20 with flat rows of 1e-102, so elimination refuses
+# their closure and the weights over them are sampled.
+_WIDE_TRIPLE = wide_ancestry_source("".join(
+    f"node {x}\nparents {x} : M20\ncpt {x} : 1e-102 1e-102\n" for x in "ABC")
+    + "node D\nparents D : A B C\n"
+    "cpt D : 1e-80 0.99 0.99 1e-80 0.99 1e-80 1e-80 0.99\n")
 _TINY_ROW = """\
 network tiny
 node A
@@ -713,8 +747,7 @@ def _write(tmp_path, source):
     (_TINY_PAIR.format(p="1e-200"), "A=1,B=1", "direct", "fraction"),
     # D's rows are steep enough that D^4 overflows, so greedy takes the
     # step to S = [A, B, C] although its weight term is 8e306.
-    (_TINY_TRIPLE.replace("1e-120", "1e-102").replace("0.01", "1e-80"),
-     "D=1", "selective", "distribution"),
+    (_WIDE_TRIPLE, "D=1", "selective", "distribution"),
 ], ids=["bound-overflows", "phi-underflows", "weight-bound-overflows"])
 def test_rare_target_without_a_finite_bound_ends_at_the_row_budget(
         capsys, tmp_path, source, query, strategy, phase):
@@ -884,10 +917,10 @@ def _chain(n, prior, rows):
     (_STEEP, ["--query", "B=1"], "fraction"),
     (_STEEP.replace("1e-40 0.5", "1e-40 1e-40"),
      ["--query", "B=1", "--strategy", "direct"], "fraction"),
-    # Greedy takes S = N1..N12, whose 4,096 weight categories include
-    # ones far too rare to observe.
+    # Greedy takes S = N1..N12. Their 4,096 weights are exact, but
+    # rejection on N59=1 takes the subproblems past the run's budget.
     (_chain(60, 0.4, "0.3 0.8"), ["--query", "N0=1", "--evidence", "N59=1"],
-     "distribution"),
+     "fraction"),
 ], ids=["steep-auto", "flat-direct", "chain-auto"])
 def test_runs_that_used_to_stall_end_at_the_row_budget(capsys, tmp_path,
                                                        source, flags, phase):

@@ -7,12 +7,14 @@ import pytest
 from condsim.dependence import dependence_value, satisfies_ras
 from condsim.errors import (
     LengthMismatchError,
+    NetworkTooLargeError,
     OverlappingSetsError,
     RowBudgetExceededError,
     ZeroDenominatorError,
 )
 from condsim.exact import exact_conditional, exact_distribution_over, \
     exact_marginal
+from condsim import reformulate, sampling
 from condsim.network import BeliefNetwork, Cpt, parse_network
 from condsim.reformulate import (
     DEFAULT_SEED,
@@ -37,9 +39,15 @@ from condsim.stopping import DirichletPosterior, should_stop
 from helpers import (
     BARREN_SOURCE,
     ISOLATED_SOURCE,
+    NET_C_SOURCE,
+    WIDE_NET_C_SOURCE,
     arcless_network,
     random_network,
 )
+
+# net_c below a chain too wide for elimination: selective runs on it
+# sample their weights on stream 0.
+_WIDE_C = parse_network(WIDE_NET_C_SOURCE)
 
 
 def test_greedy_trace_on_the_chain_network(net_c):
@@ -380,30 +388,68 @@ def test_infer_dependence_never_grows_under_conditioning():
         assert result.dependence_after <= result.dependence_before + 1e-9
 
 
-# At 2^15 rows, subproblem 0's stream (acceptance 0.5) scores the
-# 8,192-trial checkpoint and cannot draw the next; its numerator and
-# denominator, both unfinished, count 8,192 each. At 3 * 2^15 rows, the
-# numerator is unfinished at 32,768 trials; its denominator reads the
-# same stream and certified at 16,384 trials, which count in place of
-# the loop's. Since 0.12.0, seed 2's stream accepts enough rows to score
-# the 16,384-trial checkpoint within 2^15 rows, so the seeds are 0, 1
-# and 3.
+# On the wide net_c, S = [B] and the weights take 4,096 logic samples,
+# 4,096 raw rows of the run's budget. At 2^15 rows, subproblem 0's stream
+# (acceptance 0.5) scores the 8,192-trial checkpoint and cannot draw the
+# next; its numerator and denominator, both unfinished, count 8,192
+# each. At 3 * 2^15 rows, the numerator is unfinished at 32,768 trials;
+# its denominator reads the same stream and certified at 16,384 trials,
+# which count in place of the loop's. At 10,000 rows, 5,904 are left for
+# subproblem 0, whose numerator and denominator count 2,048 trials each;
+# a budget of 10,000 rows for each stream let each count 4,096.
 @pytest.mark.parametrize("config,error,phase,subproblem_trials", [
     (InferConfig(row_budget=1 << 15), RowBudgetExceededError, "fraction",
      1 << 14),
     (InferConfig(row_budget=3 << 15), RowBudgetExceededError, "fraction",
-     (1 << 15) + (1 << 14))])
+     (1 << 15) + (1 << 14)),
+    (InferConfig(row_budget=10000), RowBudgetExceededError, "fraction",
+     1 << 12)])
 def test_infer_budget_error_counts_the_run_s_scored_trials(
-        net_c, config, error, phase, subproblem_trials):
-    for seed in (0, 1, 3):
-        weight_trials = infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1,
-                              "selective", seed=seed).weight_trials
+        config, error, phase, subproblem_trials):
+    for seed in range(4):
         with pytest.raises(error) as einfo:
-            infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1, "selective", config,
-                  seed)
+            infer(_WIDE_C, {"A": 1}, {"C": 1}, 0.2, 0.1, "selective",
+                  config, seed)
         assert einfo.value.phase == phase
-        assert einfo.value.trials == weight_trials + subproblem_trials
+        assert einfo.value.trials == 4096 + subproblem_trials
         assert str(einfo.value).startswith("subproblem 0 numerator: ")
+
+
+def test_one_row_budget_bounds_the_whole_run(monkeypatch):
+    # A 60-node chain, query N0=1, evidence N59=1, at max_s 4: S = N1..N4,
+    # with exact weights, and rejection on N59=1 in each of the 16
+    # subproblems. Unbounded, the run draws more rows in all than the
+    # budget below, but no stream draws that many. Under the budget the
+    # run ends at it, having drawn no more rows in all than it allows.
+    net = parse_network("network chain\nnode N0\nprior N0 : 0.4\n" + "".join(
+        f"node N{i}\nparents N{i} : N{i - 1}\ncpt N{i} : 0.3 0.8\n"
+        for i in range(1, 60)))
+    streams = []
+    take = sampling._Stream.take
+
+    def counted(self, count):
+        if all(stream is not self for stream in streams):
+            streams.append(self)
+        return take(self, count)
+
+    def rows():
+        return [stream._drawn * stream._sweeps for stream in streams]
+
+    monkeypatch.setattr(sampling._Stream, "take", counted)
+    budget = 1 << 23
+    result = infer(net, {"N0": 1}, {"N59": 1}, 0.2, 0.1,
+                   config=InferConfig(max_s=4), seed=1)
+    assert result.selected_s == ("N1", "N2", "N3", "N4")
+    assert len(streams) == 16
+    assert max(rows()) < budget < sum(rows())
+    streams.clear()
+    with pytest.raises(RowBudgetExceededError) as einfo:
+        infer(net, {"N0": 1}, {"N59": 1}, 0.2, 0.1,
+              config=InferConfig(max_s=4, row_budget=budget), seed=1)
+    assert einfo.value.cap == budget
+    # It ends at the first batch, of at most 2^16 rows, that would not
+    # fit.
+    assert budget - (1 << 16) < sum(rows()) <= budget
 
 
 def test_subproblem_readers_count_their_stream_s_rows(net_c):
@@ -494,36 +540,36 @@ _ROWS_10000 = InferConfig(row_budget=10000)
 
 
 @pytest.mark.parametrize(
-    "query,evidence,epsilon,strategy,config,seed,pinned",
-    [({"A": 1}, {"C": 1}, 0.2, "direct", None, 11,
+    "source,query,evidence,epsilon,strategy,config,seed,pinned",
+    [(NET_C_SOURCE, {"A": 1}, {"C": 1}, 0.2, "direct", None, 11,
       (0.71875, 64, (1.0,))),
-     ({"C": 1}, {"A": 1}, 0.2, "selective", None, 12,
-      (0.724185263077039, 301568, (0.490234375, 0.509765625))),
-     ({"A": 1}, {"C": 1}, 0.001, "direct", _GIBBS_3, 13,
+     (NET_C_SOURCE, {"C": 1}, {"A": 1}, 0.2, "selective", None, 12,
+      (0.7221951709639522, 297472, (0.5, 0.5))),
+     (NET_C_SOURCE, {"A": 1}, {"C": 1}, 0.001, "direct", _GIBBS_3, 13,
       (0.6723127365112305, 2097152, (1.0,))),
-     ({"A": 1}, {"C": 1}, 0.001, "direct", None, 11,
+     (NET_C_SOURCE, {"A": 1}, {"C": 1}, 0.001, "direct", None, 11,
       (0.7404356002807617, 1048576, (1.0,))),
-     ({"A": 1}, {"C": 1}, 0.05, "direct", _ROWS_1000, 11,
+     (NET_C_SOURCE, {"A": 1}, {"C": 1}, 0.05, "direct", _ROWS_1000, 11,
       ("RowBudgetExceededError", "fraction", 256, 1000,
        "subproblem 0 numerator: next batch would pass the row budget of "
        "1000 raw rows")),
-     ({"C": 1}, {"A": 1}, 0.2, "selective", _ROWS_10000, 11,
-      ("RowBudgetExceededError", "fraction", 12288, 10000,
+     (NET_C_SOURCE, {"C": 1}, {"A": 1}, 0.2, "selective", _ROWS_10000, 11,
+      ("RowBudgetExceededError", "fraction", 8192, 10000,
        "subproblem 0 numerator: next batch would pass the row budget of "
        "10000 raw rows")),
-     ({"C": 1}, {"A": 1}, 0.2, "selective", _ROWS_1000, 11,
-      ("RowBudgetExceededError", "distribution", 512, 1000,
-       "next batch would pass the row budget of 1000 raw rows")),
-     ({"C": 1}, {"A": 1}, 0.2, "direct", None, 15,
+     (WIDE_NET_C_SOURCE, {"C": 1}, {"A": 1}, 0.2, "selective", _ROWS_1000,
+      11, ("RowBudgetExceededError", "distribution", 512, 1000,
+           "next batch would pass the row budget of 1000 raw rows")),
+     (NET_C_SOURCE, {"C": 1}, {"A": 1}, 0.2, "direct", None, 15,
       (0.84375, 32, (1.0,))),
-     ({"A": 1}, {"B": 1}, 0.2, "direct", _GIBBS_3, 16,
+     (NET_C_SOURCE, {"A": 1}, {"B": 1}, 0.2, "direct", _GIBBS_3, 16,
       (0.84375, 32, (1.0,)))],
     ids=["rejection", "selective", "gibbs-past-2^18", "rejection-past-2^18",
          "budget-fraction",
          "budget-subproblem", "budget-distribution", "clamped-condition",
          "gibbs-barren"])
-def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
-                                   config, seed, pinned):
+def test_random_streams_are_pinned(source, query, evidence, epsilon,
+                                   strategy, config, seed, pinned):
     # Recorded at version 0.7.0, whose subproblem numerators and
     # denominators read one stream and whose rejection batches aim at the
     # next checkpoint; the Gibbs and clamped-condition cases and the
@@ -535,12 +581,17 @@ def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
     # epsilon 0.001 so that a checkpoint still spans several 2^18-trial
     # chunks. The selective and past-2^18 answers were re-pinned at
     # 0.12.0, whose forward batches of 4,096 rows or more draw bytes;
-    # their trial counts and stop points did not move. A change that
-    # fails this changes a random stream or a stop point, so it bumps
-    # the version and says so in CHANGES.md.
+    # their trial counts and stop points did not move. At 0.13.0 the
+    # selective answers on net_c take exact weights: the selective case
+    # loses its 4,096 weight trials and its answer moves, and the
+    # budget-subproblem case counts no weight trials. The
+    # budget-distribution case moved to the wide net_c, whose weights
+    # are still sampled, with the same pin. A change that fails this
+    # changes a random stream or a stop point, so it bumps the version
+    # and says so in CHANGES.md.
     try:
-        result = infer(net_c, query, evidence, epsilon, 0.1, strategy,
-                       config, seed)
+        result = infer(parse_network(source), query, evidence, epsilon, 0.1,
+                       strategy, config, seed)
     except RowBudgetExceededError as exc:
         got = (type(exc).__name__, exc.phase, exc.trials, exc.cap, str(exc))
     else:
@@ -548,27 +599,68 @@ def test_random_streams_are_pinned(net_c, query, evidence, epsilon, strategy,
     assert got == pinned
 
 
+def _generator_seeds(monkeypatch):
+    """The seeds of the generators that sources build from now on."""
+    built = []
+    generator = RandomSource._generator
+
+    def counted(self):
+        if self._gen is None:
+            built.append(self.seed)
+        return generator(self)
+
+    monkeypatch.setattr(RandomSource, "_generator", counted)
+    return built
+
+
 def test_an_answer_builds_a_generator_only_for_the_streams_it_reads(
         net_c, monkeypatch):
     # infer's root source only derives the sources that draw: one for a
-    # direct answer, and for a selective one the weights' and one per
-    # subproblem.
-    built = []
-    generator = np.random.Generator
-
-    def counted(bits):
-        built.append(bits)
-        return generator(bits)
-
-    monkeypatch.setattr(np.random, "Generator", counted)
+    # direct answer, and for a selective one whose weights are sampled,
+    # the weights' and one per subproblem.
+    built = _generator_seeds(monkeypatch)
     infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1, "direct", seed=11)
-    assert len(built) == 1
+    assert built == [mix_seed(11, 1)]
     built.clear()
-    result = infer(net_c, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective", seed=12)
-    assert len(built) == 1 + 2 ** len(result.selected_s) == 3
+    result = infer(_WIDE_C, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective",
+                   seed=12)
+    assert result.weight_trials > 0
+    assert built == [mix_seed(12, i) for i in range(3)]
 
 
-def test_the_certify_loop_checks_no_posterior_it_builds(net_c, monkeypatch):
+def test_weights_are_exact_where_elimination_fits(net_c, monkeypatch):
+    # On net_c the closure of S = [B] is {A, B}: the weights are Pr[B],
+    # computed exactly, no weight trial is scored, and stream 0 builds no
+    # generator.
+    built = _generator_seeds(monkeypatch)
+    exact = infer(net_c, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective", seed=12)
+    assert exact.selected_s == ("B",)
+    assert exact.mu_s == exact_distribution_over(net_c, ["B"])
+    assert exact.weight_trials == 0
+    assert exact.trials_total == sum(
+        num.trials + den.trials for num, den in exact.subproblem_estimates)
+    assert built == [mix_seed(12, 1), mix_seed(12, 2)]
+    # Where elimination is refused, the weights are sampled on stream 0,
+    # as in 0.12.0, whose pinned answer this is. Each subproblem reads
+    # stream i + 1 at the same stage budgets either way, so only the
+    # weights, the knitted estimate and the trial total move.
+    def refused(net, subset):
+        raise NetworkTooLargeError("refused")
+
+    monkeypatch.setattr(reformulate, "exact_distribution_over", refused)
+    sampled = infer(net_c, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective",
+                    seed=12)
+    assert sampled.subproblem_estimates == exact.subproblem_estimates
+    assert sampled.weight_trials == 4096
+    assert sampled.mu_s == (0.490234375, 0.509765625)
+    assert sampled.estimate == 0.724185263077039
+    assert sampled.trials_total == exact.trials_total + 4096
+    # Below the wide chain, elimination refuses S's closure unpatched.
+    with pytest.raises(NetworkTooLargeError):
+        exact_distribution_over(_WIDE_C, ["B"])
+
+
+def test_the_certify_loop_checks_no_posterior_it_builds(monkeypatch):
     checked = []
     post_init = DirichletPosterior.__post_init__
 
@@ -577,7 +669,11 @@ def test_the_certify_loop_checks_no_posterior_it_builds(net_c, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(DirichletPosterior, "__post_init__", counted)
-    result = infer(net_c, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective", seed=12)
+    # The wide net_c's weights are sampled, so the loop certifies the
+    # weights' reader as well as the subproblems'.
+    result = infer(_WIDE_C, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective",
+                   seed=12)
+    assert result.weight_trials == 4096
     assert result.trials_total == 301568
     assert checked == []
     # A posterior that a caller builds is still checked, and so are the
