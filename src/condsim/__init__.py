@@ -5,7 +5,7 @@ and estimate conditional probabilities to a requested relative error with
 a certified failure probability.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .errors import (
     BnetSyntaxError,

@@ -80,16 +80,6 @@ def _result_dict(result: InferenceResult) -> dict:
     return out
 
 
-def _weights(result: InferenceResult) -> str:
-    """How the run weighted its subproblems: "none" with S empty (one
-    subproblem of weight 1), "exact" when elimination gave Pr[S = s],
-    and "sampled" when logic sampling estimated it, which scores at
-    least one weight trial."""
-    if not result.selected_s:
-        return "none"
-    return "sampled" if result.weight_trials else "exact"
-
-
 def _finite(value):
     """``value`` with every float that is not finite replaced by None."""
     if isinstance(value, float):
@@ -177,9 +167,9 @@ def cmd_analyze(args: argparse.Namespace, source: str) -> int:
                      f"ratio {step.candidate_ratio:.6g}")
     lines.append(f"dependence value given S = {dep_after:.6g}")
     lines.append(f"cost before: subproblem {cost_before.subproblem_term:.6g}"
-                 f", weight {cost_before.weight_term:.6g}")
+                 f", weight if logic-sampled {cost_before.weight_term:.6g}")
     lines.append(f"cost after:  subproblem {cost_after.subproblem_term:.6g}"
-                 f", weight {cost_after.weight_term:.6g}")
+                 f", weight if logic-sampled {cost_after.weight_term:.6g}")
     _emit(report, args.report == "json", lines)
     return 0
 
@@ -244,7 +234,8 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
         return 5
     report["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
     report["result"] = _result_dict(result)
-    report["weights"] = _weights(result)
+    # "none": S is empty, one subproblem of weight 1.
+    report["weights"] = "exact" if result.selected_s else "none"
     cost_before, cost_after = _costs(result.greedy_trace,
                                      result.dependence_before)
     report["cost_before"] = asdict(cost_before)
@@ -260,9 +251,7 @@ def cmd_infer(args: argparse.Namespace, source: str) -> int:
              f"strategy {result.strategy_used}  seed {result.seed}",
              f"  S = [{', '.join(result.selected_s)}]  "
              f"trials {result.trials_total}",
-             f"  weights: {report['weights']}"
-             + (f" ({result.weight_trials} trials)"
-                if result.weight_trials else ""),
+             f"  weights: {report['weights']}",
              f"  dependence before {result.dependence_before:.6g}  "
              f"after {result.dependence_after:.6g}",
              f"  clamped: {'yes' if result.clamped else 'no'}"]

@@ -6,7 +6,7 @@ probability of seeing a given value ranges over an interval [lo, hi]
 interval into a worst-case ratio, and the product of squared lambdas is
 the network's dependence value for the bound set. The dependence value
 feeds a two-term cost model that prices conditioning a set of nodes:
-a simulation-difficulty term and a weight-estimation term.
+a simulation-difficulty term and the paper's weight-estimation term.
 """
 
 from dataclasses import dataclass
@@ -28,9 +28,11 @@ class NodeBounds:
 class CostEstimate:
     """Predicted cost split of conditioning a node set.
 
-    ``subproblem_term`` prices simulating all instantiations of the set;
-    ``weight_term`` prices estimating the set's weight vector, using the
-    analytic lower bound ``phi_min_bound`` for the rarest instantiation.
+    ``subproblem_term`` prices simulating all instantiations of the set,
+    and is the one term greedy selection weighs. ``weight_term`` is the
+    paper's price of logic-sampling the set's weight vector, using the
+    analytic lower bound ``phi_min_bound`` for the rarest instantiation;
+    it is reported, not paid, since infer computes the weights exactly.
     """
 
     subproblem_term: float

@@ -70,8 +70,9 @@ class RowBudgetExceededError(CondsimError):
 
     Every forward row counts, accepted or rejected, and a Gibbs chain
     counts as one row per sweep. Instances carry partial diagnostics:
-    the phase that failed ("distribution" for sampled weights, "fraction"
-    for a conditioned estimate, empty outside an estimate), the number
+    the phase that failed ("distribution" for estimate_distribution_over,
+    the paper's logic-sampled weights, which infer never runs; "fraction"
+    for a conditioned estimate; empty outside an estimate), the number
     of scored trials, and the bound that was hit (``cap``, the row
     budget).
     """

@@ -3,11 +3,13 @@
 The CPT tables are multiplied from 1.0 in declaration order, and each
 node not kept is summed out right after the table of its last child, so
 cost grows as 2**(frontier width), not 2**n. Calls whose live frontier,
-kept nodes included, would pass MAX_WIDTH nodes are refused. The order of
+kept nodes included, would pass MAX_WIDTH nodes are refused before the
+first table, by a walk over the parent sets alone. The order of
 products and sums is fixed, so repeated calls return bit-identical
 values; no table outlives a call.
 """
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 import numpy as np
@@ -33,6 +35,34 @@ def _tables(net: BeliefNetwork) -> tuple[tuple[list[int], np.ndarray], ...]:
     return tuple(tables)
 
 
+def _frontiers(net: BeliefNetwork, keep: Iterable[str],
+               fix: Iterable[str] = ()) -> list[list[int]]:
+    """The live nodes after each table of _project's elimination, in
+    axis order, walked on the parent sets alone, with no table.
+
+    After each node's table the node joins the live set unless ``fix``
+    binds it, and each live node not in ``keep`` leaves it after the last
+    table that reads it. A walk whose live set passes MAX_WIDTH nodes is
+    refused with NetworkTooLargeError.
+    """
+    kept = {net.index(node) for node in keep}
+    fixed = {net.index(node) for node in fix}
+    families = [[net.index(p) for p in cpt.parents] + [i]
+                for i, cpt in enumerate(net.cpts)]
+    last = {c: i for i, family in enumerate(families) for c in family}
+    live: list[int] = []
+    frontiers = []
+    for i in range(net.n):
+        born = [] if i in fixed else [i]
+        live = [c for c in live + born if last[c] != i or c in kept]
+        if len(live) > MAX_WIDTH:
+            raise NetworkTooLargeError(
+                f"exact elimination needs {len(live)} > {MAX_WIDTH} live "
+                f"nodes after node {net.nodes[i]!r}")
+        frontiers.append(live)
+    return frontiers
+
+
 def _project(net: BeliefNetwork, keep: tuple[str, ...],
              fix: Assignment) -> np.ndarray:
     """Joint mass of the states that satisfy ``fix``, by values of ``keep``.
@@ -42,29 +72,24 @@ def _project(net: BeliefNetwork, keep: tuple[str, ...],
     1.0 takes the CPT tables in declaration order, each sliced at the
     nodes that ``fix`` binds, so a free node adds an axis at its own
     table. A node not kept is summed out, one axis at a time, after the
-    last table that reads it. The live axes never pass MAX_WIDTH.
+    last table that reads it, as _frontiers walks it before any table;
+    so a call whose live axes would pass MAX_WIDTH is refused at once.
     """
-    kept = [net.index(node) for node in keep]
+    frontiers = _frontiers(net, keep, fix)
     fixed = {net.index(node): value for node, value in fix.items()}
-    tables = _tables(net)
-    last = {c: i for i, (family, _) in enumerate(tables) for c in family}
     live: list[int] = []
     mass = np.ones(())
-    for i, (family, table) in enumerate(tables):
+    for i, (family, table) in enumerate(_tables(net)):
         factor = table[tuple(fixed.get(c, slice(None)) for c in family)]
         if i not in fixed:
-            live.append(i)
+            live = live + [i]
             mass = mass[..., None]
         mass = mass * factor.reshape([2 if c in family else 1 for c in live])
         for axis in reversed(range(len(live))):
-            if last[live[axis]] == i and live[axis] not in kept:
+            if live[axis] not in frontiers[i]:
                 mass = mass.sum(axis=axis)
-                del live[axis]
-        if len(live) > MAX_WIDTH:
-            raise NetworkTooLargeError(
-                f"exact elimination needs {len(live)} > {MAX_WIDTH} live "
-                f"nodes after node {net.nodes[i]!r}")
-    return mass.transpose([live.index(c) for c in kept])
+        live = frontiers[i]
+    return mass.transpose([live.index(net.index(node)) for node in keep])
 
 
 def exact_marginal(net: BeliefNetwork, partial: Assignment) -> float:

@@ -1,16 +1,15 @@
 """Conditioning-set selection and query reformulation.
 
 A hard inference Pr[query | evidence] is split into easier pieces: a
-greedy search picks a conditioning set S of parent nodes, the joint
-distribution over S is computed once (by elimination where it fits,
-estimated otherwise), each instantiation of S spawns a pair of
+greedy search picks a conditioning set S of parent nodes whose joint
+distribution elimination can compute, that distribution is computed
+once, exactly, each instantiation of S spawns a pair of
 conditioned subproblems, and the weighted pieces recombine into a ratio
 estimate whose relative-error and failure budgets compose to the
 caller's epsilon and delta.
 """
 
 from dataclasses import dataclass
-from math import inf
 
 from .dependence import (
     CostEstimate,
@@ -27,7 +26,7 @@ from .errors import (
     RowBudgetExceededError,
     ZeroDenominatorError,
 )
-from .exact import exact_distribution_over
+from .exact import _frontiers, exact_distribution_over
 from .network import (
     Assignment,
     BeliefNetwork,
@@ -43,7 +42,6 @@ from .sampling import (
     TrialGeneratorKind,
     _RowAccount,
     _check_risk_params,
-    _distribution,
     _fractions,
     estimate_conditional_fraction,
 )
@@ -138,10 +136,14 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment, *,
     with u' its parents not yet bound, i is eligible when 2^|u'| is less
     than lambda, and the eligible candidate with the largest
     lambda / 2^|u'| wins (declaration order breaks ties). The
-    search stops when estimating the weights would cost at least as much
-    as the subproblems, when no candidate is eligible, or when the next
-    addition would push |S| past max_s, make the weight term infinite or
-    not lower the total cost, subproblem plus weight term.
+    search stops when no candidate is eligible ("no eligible
+    candidate"), or when the next addition would push |S| past max_s
+    ("size cap reached"), give S an ancestral closure on which
+    elimination of Pr[S] is refused ("weights would not fit
+    elimination"), or not lower the subproblem term 2^|S| * D^4 ("total
+    cost not lowered"). So infer always computes the weights exactly,
+    and they add nothing to the price; each cost still reports
+    ``weight_term``, the paper's price of logic-sampling them.
     Nodes in ``exclude`` never enter S, so query nodes can be kept out of
     the conditioning set. Every lambda and cost comes from ``report``,
     dependence_value(net, evidence), which is computed when not given.
@@ -160,11 +162,7 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment, *,
                      len(s_nodes), _phi_floor(net, s_nodes))
 
     cost_now = cost(())
-    reason = ""
     while True:
-        if cost_now.weight_term >= cost_now.subproblem_term:
-            reason = "weight term dominates"
-            break
         best = None
         for rank, (name, cpt) in enumerate(zip(net.nodes, net.cpts)):
             # node_lambda(net, name, evidence, selected): 1 once every
@@ -186,15 +184,17 @@ def greedy_select(net: BeliefNetwork, evidence: Assignment, *,
             reason = "no eligible candidate"
             break
         _, name, unbound, lam = best
-        if len(selected) + len(unbound) > max_s:
+        s_after = (*selected, *unbound)
+        if len(s_after) > max_s:
             reason = "size cap reached"
             break
-        after = cost(tuple(selected) + unbound)
-        if after.weight_term == inf:
-            reason = "weight term infinite"
+        try:
+            _frontiers(ancestral_network(net, s_after), s_after)
+        except NetworkTooLargeError:
+            reason = "weights would not fit elimination"
             break
-        if not (after.subproblem_term + after.weight_term
-                < cost_now.subproblem_term + cost_now.weight_term):
+        after = cost(s_after)
+        if not after.subproblem_term < cost_now.subproblem_term:
             reason = "total cost not lowered"
             break
         steps.append(GreedyStep(name, unbound, lam, best[0][0],
@@ -263,21 +263,21 @@ def bayes_ratio(numerator: float,
 
 
 def _budget_split(epsilon: float, delta: float,
-                  s_size: int) -> tuple[float, float, float]:
-    """Per-stage budgets whose composition meets (epsilon, delta).
+                  s_size: int) -> tuple[float, float]:
+    """Stage epsilon and per-subproblem delta whose composition meets
+    (epsilon, delta).
 
-    Both sums and their ratio multiply (1 + e) factors, so each stage
-    runs at (1 + epsilon)^(1/4) - 1; failure probabilities add, so the
-    weight phase gets delta/2 and each of the 2 * 2^s_size subproblem
-    estimates gets delta / (4 * 2^s_size). This is the split for
-    sampled weights, as in the paper. Exact weights carry no error and
-    no failure, so where infer computes them the weight phase's stage
-    factor and delta/2 are simply not spent: every estimate still
-    certifies at these budgets, and the answer meets (epsilon, delta)
-    with room to spare.
+    These are the paper's budgets, split for logic-sampled weights: both
+    sums and their ratio multiply (1 + e) factors, so each stage runs at
+    (1 + epsilon)^(1/4) - 1; failure probabilities add, so the weight
+    phase gets delta/2 and each of the 2 * 2^s_size subproblem estimates
+    gets delta / (4 * 2^s_size). infer computes the weights exactly,
+    with no error and no failure, so the weight phase's stage factor and
+    delta/2 are not spent: every estimate certifies at these budgets,
+    and the answer meets (epsilon, delta) with room to spare.
     """
     stage_eps = (1.0 + epsilon) ** 0.25 - 1.0
-    return stage_eps, delta / 2.0, delta / (4.0 * (1 << s_size))
+    return stage_eps, delta / (4.0 * (1 << s_size))
 
 
 def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
@@ -301,12 +301,11 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     kept; the rest is barren.
 
     The weights depart from the paper, which estimates them by logic
-    sampling: they are computed exactly, by elimination on the
-    ancestral closure of S, with ``weight_trials`` 0 and stream 0 left
-    unread. Only where elimination is refused (NetworkTooLargeError)
-    are they estimated as the paper does, by logic sampling on stream 0.
-    Either way the stage budgets are _budget_split's, so every
-    subproblem estimate is the same for both weights.
+    sampling (sampling.estimate_distribution_over): they are computed
+    exactly, by elimination on the ancestral closure of S, which
+    greedy_select keeps within elimination's reach. ``weight_trials``
+    is always 0 and stream 0 is left unread. The stage budgets are
+    still _budget_split's, the paper's.
 
     One row budget, ``config.row_budget``, bounds the whole run: every
     stream a selective run reads charges its raw rows to one account. A
@@ -352,10 +351,11 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                                         exclude=tuple(query), report=report)
     use_selective = (strategy == "selective"
                      or (strategy == "auto" and bool(selected)))
+    mu_s = (exact_distribution_over(ancestral_network(net, selected),
+                                    selected) if selected else (1.0,))
 
     if use_selective:
-        stage_eps, delta_w, delta_s = _budget_split(epsilon, delta,
-                                                    len(selected))
+        stage_eps, delta_s = _budget_split(epsilon, delta, len(selected))
         if not (stage_eps > 0.0 and delta_s > 0.0):
             raise ValueError(
                 f"epsilon {epsilon!r} and delta {delta!r} split over "
@@ -363,16 +363,6 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
                 f"{stage_eps!r} and a subproblem delta of {delta_s!r}; "
                 "both must be positive")
         account = _RowAccount(config.row_budget)
-        mu_s, weight_trials = (1.0,), 0
-        if selected:
-            try:
-                mu_s = exact_distribution_over(
-                    ancestral_network(net, selected), selected)
-            except NetworkTooLargeError:
-                mu_s, weight_trials = _distribution(
-                    net, selected, stage_eps, delta_w, root.derive(0),
-                    account)
-        scored = weight_trials
         pairs = []
         for sub in decompose(net, query, evidence, selected):
             # Subproblem i reads stream i + 1; its numerator and
@@ -388,7 +378,6 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
         dependence_after = _value_given(report, net, {*evidence, *selected})
     else:
         # One subproblem of weight 1 whose denominator is exactly 1.
-        mu_s, weight_trials = (1.0,), 0
         pairs = [(certified("subproblem 0 numerator: ",
                             estimate_conditional_fraction, net, query,
                             evidence, epsilon, delta, config.generator,
@@ -401,12 +390,11 @@ def infer(net: BeliefNetwork, query: Assignment, evidence: Assignment,
     return InferenceResult(
         estimate=estimate, epsilon=epsilon, delta=delta,
         strategy_used="selective" if use_selective else "direct",
-        selected_s=selected, mu_s=mu_s, weight_trials=weight_trials,
+        selected_s=selected, mu_s=mu_s, weight_trials=0,
         subproblem_estimates=tuple(pairs), numerator=numerator,
         denominator=denominator, clamped=clamped,
         dependence_before=report.value,
         dependence_after=dependence_after, nodes_kept=net.n,
         evidence_dropped=dropped,
-        trials_total=weight_trials + sum(num.trials + den.trials
-                                         for num, den in pairs),
+        trials_total=sum(num.trials + den.trials for num, den in pairs),
         seed=seed, greedy_trace=trace)

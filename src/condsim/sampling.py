@@ -9,8 +9,8 @@ drawn, and it updates only the kept nodes; otherwise every sweep updates
 every unbound node.
 Estimators feed trial categories into a Dirichlet posterior and stop at
 the first checkpoint (the powers of two and the worst-case bound) that
-the stopping rule certifies, on every category for the weights and on
-the consistent category for a fraction. Several fractions can read one
+the stopping rule certifies, on every category for a distribution and
+on the consistent category for a fraction. Several fractions can read one
 conditioned stream, each certified on its own. Every stream charges its
 raw rows to its run's account, and a batch that would take the account
 past its row budget is refused, so every estimate ends.
@@ -684,6 +684,8 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
     certifies every category to relative error epsilon with total failure
     probability at most delta. The estimate draws at most ``row_budget``
     raw rows. Returns the posterior mean vector and the trial count.
+    This is the paper's estimator of the knitting weights Pr[S = s];
+    infer computes them exactly instead.
     """
     _check_risk_params(epsilon, delta)
     s = tuple(s_nodes)
@@ -694,22 +696,14 @@ def estimate_distribution_over(net: BeliefNetwork, s_nodes: Sequence[str],
             f"{len(s)} nodes span too many categories "
             f"(limit {_MAX_CATEGORY_NODES})")
     net.validate_nodes(s)
-    return _distribution(net, s, epsilon, delta, rng, _RowAccount(row_budget))
-
-
-def _distribution(net: BeliefNetwork, s: tuple[str, ...], epsilon: float,
-                  delta: float, rng: RandomSource,
-                  account: _RowAccount) -> tuple[tuple[float, ...], int]:
-    """estimate_distribution_over on checked arguments, a nonempty S of
-    at most _MAX_CATEGORY_NODES nodes, its rows charged to ``account``."""
     cols = tuple(net.index(x) for x in s)
     positions = range(len(cols))
     reader = _Reader(lambda rows: np.bincount(_index(rows.__getitem__,
                                                      positions),
                                               minlength=1 << len(s)),
                      len(s), net, s, epsilon, delta)
-    _certify(_RejectionStream(net, {}, rng, account, cols).take,
-             (reader,), epsilon, delta)
+    _certify(_RejectionStream(net, {}, rng, _RowAccount(row_budget),
+                              cols).take, (reader,), epsilon, delta)
     return reader.posterior.mu, reader.trials
 
 

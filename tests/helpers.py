@@ -7,9 +7,16 @@ they can serve as a second, independent route to the same numbers.
 import itertools
 
 import numpy as np
+from scipy import stats
 
+from condsim.dependence import satisfies_ras
 from condsim.network import BeliefNetwork, Cpt, conditional_row
-from condsim.stopping import DirichletPosterior, failure_probability_bound
+from condsim.stopping import (
+    DirichletPosterior,
+    failure_probability_bound,
+    should_stop,
+    worst_case_sample_bound,
+)
 
 NET_A_SOURCE = """\
 network net_a
@@ -190,3 +197,57 @@ def expected_stop_n(probs, epsilon: float, delta: float, start: int) -> int:
                 return n
         n *= 2
     return n
+
+
+def fraction_checkpoints(mu: float, epsilon: float, delta: float):
+    """The trial counts at which sampling._certify evaluates the rule for
+    estimate_conditional_fraction on a one-node network of prior ``mu``
+    with target 1: the powers of two from k = 2, and the worst-case bound
+    W over the node, in increasing order, without end."""
+    w = worst_case_sample_bound(1, epsilon, delta, min(mu, 1.0 - mu))
+    n = 2
+    while True:
+        if 2 < w < n and w & (w - 1):
+            yield w
+            w = 0
+        yield n
+        n *= 2
+
+
+def exact_fraction_miss(mu: float, epsilon: float, delta: float,
+                        drop: float = 1e-16) -> float:
+    """Exact probability that estimate_conditional_fraction, reading
+    i.i.d. Bernoulli(mu) rows, certifies a value outside
+    [mu / (1 + epsilon), mu * (1 + epsilon)], by recursion over the
+    checkpoints (Armitage, McPherson and Rowe, JRSS A 1969).
+
+    Between checkpoints the unstopped count grows by a binomial
+    increment; at each checkpoint every count that the rule certifies
+    stops, a miss when its value is outside the interval. Mass below
+    ``drop`` at either end of a count distribution is cut, and counted
+    as missed, so the result bounds the miss probability from above.
+    """
+    first, alive = 0, np.ones(1)  # alive[j]: Pr[count = first + j]
+    n, missed = 0, 0.0
+    for stop in fraction_checkpoints(mu, epsilon, delta):
+        m = stop - n
+        mean, sd = m * mu, (m * mu * (1.0 - mu)) ** 0.5
+        lo = max(0, int(mean - 12.0 * sd) - 12)
+        hi = min(m, int(mean + 12.0 * sd) + 12)
+        step = stats.binom.pmf(np.arange(lo, hi + 1), m, mu)
+        missed += alive.sum() * max(0.0, 1.0 - step.sum())
+        alive, first, n = np.convolve(alive, step), first + lo, stop
+        cum = np.cumsum(alive)
+        head = int(np.searchsorted(cum, drop))
+        tail = int(np.searchsorted(cum, cum[-1] - drop)) + 1
+        missed += cum[-1] - (cum[tail - 1] - (cum[head - 1] if head else 0))
+        alive, first = alive[head:tail].copy(), first + head
+        for j, mass in enumerate(alive):
+            count = first + j
+            posterior = DirichletPosterior._trusted((n - count, count), n)
+            if mass and should_stop(posterior, epsilon, delta, category=1):
+                missed += 0.0 if satisfies_ras(mu, count / n,
+                                               epsilon) else mass
+                alive[j] = 0.0
+        if alive.sum() < drop:
+            return missed + alive.sum()

@@ -83,7 +83,7 @@ def test_analyze_chain_reports_full_conditioning(capsys, net_c_path):
     assert report["dependence_value"] == pytest.approx(1296.0)
     assert report["selected_s"] == ["A", "B"]
     assert report["dependence_after"] == pytest.approx(1.0)
-    assert report["greedy_trace"]["stop_reason"] == "weight term dominates"
+    assert report["greedy_trace"]["stop_reason"] == "no eligible candidate"
 
 
 def test_analyze_with_evidence(capsys, net_a_path):
@@ -279,27 +279,27 @@ def test_infer_selective_report_shape(capsys, net_c_path):
 
 def test_reports_say_whether_the_weights_were_exact(capsys, tmp_path,
                                                     net_c_path):
-    # net_c's S = [B] has a closure that elimination takes; below the
-    # wide chain the same S's closure is refused, so its weights are
-    # logic-sampled. A direct run has no weights.
+    # net_c's S = [B] has a closure that elimination takes, so its
+    # weights are exact. Below the wide chain the same S's closure is
+    # refused, so greedy stops before B, and like a direct run the
+    # selective run has no weights. No run samples weights.
     wide = tmp_path / "wide.bnet"
     wide.write_text(WIDE_NET_C_SOURCE, encoding="utf-8")
     query = ["--query", "C=1", "--evidence", "A=1", "--epsilon", "0.2",
              "--delta", "0.1", "--seed", "12"]
-    for path, strategy, weights, line in (
-            (net_c_path, "selective", "exact", "  weights: exact"),
-            (str(wide), "selective", "sampled",
-             "  weights: sampled (4096 trials)"),
-            (net_c_path, "direct", "none", "  weights: none")):
+    for path, strategy, weights, selected in (
+            (net_c_path, "selective", "exact", ["B"]),
+            (str(wide), "selective", "none", []),
+            (net_c_path, "direct", "none", [])):
         argv = ["infer", "--network", path, *query, "--strategy", strategy]
         code, report, _ = run_json(capsys, argv)
         assert code == 0
         assert report["weights"] == weights
-        assert (report["result"]["weight_trials"] > 0) == (
-            weights == "sampled")
+        assert report["result"]["selected_s"] == selected
+        assert report["result"]["weight_trials"] == 0
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
-        assert line in out.splitlines()
+        assert f"  weights: {weights}" in out.splitlines()
 
 
 def test_infer_text_report_mentions_estimate(capsys, net_a_path):
@@ -721,7 +721,7 @@ cpt D : 0.01 0.99 0.99 0.01 0.99 0.01 0.01 0.99
 """
 # _TINY_TRIPLE's D, with rows of 1e-80, below a wide chain: A, B and C
 # read its end M20 with flat rows of 1e-102, so elimination refuses
-# their closure and the weights over them are sampled.
+# their closure, and greedy does not condition on them.
 _WIDE_TRIPLE = wide_ancestry_source("".join(
     f"node {x}\nparents {x} : M20\ncpt {x} : 1e-102 1e-102\n" for x in "ABC")
     + "node D\nparents D : A B C\n"
@@ -742,42 +742,60 @@ def _write(tmp_path, source):
     return str(path)
 
 
-@pytest.mark.parametrize("source,query,strategy,phase", [
-    (_TINY_PAIR.format(p="1e-160"), "A=1,B=1", "direct", "fraction"),
-    (_TINY_PAIR.format(p="1e-200"), "A=1,B=1", "direct", "fraction"),
-    # D's rows are steep enough that D^4 overflows, so greedy takes the
-    # step to S = [A, B, C] although its weight term is 8e306.
-    (_WIDE_TRIPLE, "D=1", "selective", "distribution"),
-], ids=["bound-overflows", "phi-underflows", "weight-bound-overflows"])
+@pytest.mark.parametrize("prior", ["1e-160", "1e-200"],
+                         ids=["bound-overflows", "phi-underflows"])
 def test_rare_target_without_a_finite_bound_ends_at_the_row_budget(
-        capsys, tmp_path, source, query, strategy, phase):
+        capsys, tmp_path, prior):
     # phi_min is too small for a finite worst-case bound W, so W is no
-    # checkpoint, and the target (or a weight category) is too rare to
-    # observe: the row budget ends the run, with a partial report.
+    # checkpoint, and the target is too rare to observe: the row budget
+    # ends the run, with a partial report.
     code, report, err = run_json(
-        capsys, ["infer", "--network", _write(tmp_path, source),
-                 "--query", query, "--strategy", strategy,
+        capsys, ["infer", "--network",
+                 _write(tmp_path, _TINY_PAIR.format(p=prior)),
+                 "--query", "A=1,B=1", "--strategy", "direct",
                  "--epsilon", "0.2", "--delta", "0.1", *_ROW_BUDGET])
     assert code == 5
     assert report["error"]["kind"] == "RowBudgetExceededError"
-    assert report["error"]["phase"] == phase
+    assert report["error"]["phase"] == "fraction"
     assert report["error"]["cap"] == 1 << 20
     assert "row budget" in report["error"]["message"]
     assert "row budget" in err
 
 
 def test_weights_without_a_finite_bound_end_at_the_row_budget():
-    # The three priors' product underflows, so the weight phase has no
-    # finite worst-case bound, and its rarest categories never appear.
-    with pytest.raises(RowBudgetExceededError) as einfo:
-        estimate_distribution_over(
-            parse_network(_TINY_TRIPLE), ("A", "B", "C"), 0.2, 0.1,
-            RandomSource(1), row_budget=1 << 16)
-    assert einfo.value.phase == "distribution"
-    assert einfo.value.cap == 1 << 16
-    # Every scored trial is a checkpoint's, within the budget.
-    trials = einfo.value.trials
-    assert 0 < trials <= 1 << 16 and trials & (trials - 1) == 0
+    # The three rows' product underflows, so the paper's weight
+    # estimator has no finite worst-case bound over A, B and C, and
+    # their rarest categories never appear.
+    for source in (_TINY_TRIPLE, _WIDE_TRIPLE):
+        with pytest.raises(RowBudgetExceededError) as einfo:
+            estimate_distribution_over(
+                parse_network(source), ("A", "B", "C"), 0.2, 0.1,
+                RandomSource(1), row_budget=1 << 16)
+        assert einfo.value.phase == "distribution"
+        assert einfo.value.cap == 1 << 16
+        # Every scored trial is a checkpoint's, within the budget.
+        trials = einfo.value.trials
+        assert 0 < trials <= 1 << 16 and trials & (trials - 1) == 0
+
+
+def test_greedy_stops_before_weights_that_would_need_sampling(
+        capsys, tmp_path):
+    # On the wide triple D^4 overflows, and greedy would condition on
+    # A, B and C, but elimination refuses their closure: S stays empty,
+    # and infer never reaches the weight estimator's phase.
+    path = _write(tmp_path, _WIDE_TRIPLE)
+    code, report, _ = run_json(capsys, ["analyze", "--network", path,
+                                        "--query", "D=1"])
+    assert code == 0
+    assert report["selected_s"] == []
+    assert report["greedy_trace"]["stop_reason"] == (
+        "weights would not fit elimination")
+    code, report, _ = run_json(
+        capsys, ["infer", "--network", path, "--query", "D=1",
+                 "--strategy", "selective", "--epsilon", "0.2",
+                 "--delta", "0.1", *_ROW_BUDGET])
+    assert code == 5
+    assert report["error"]["phase"] == "fraction"
 
 
 def test_underflowing_row_answers_within_epsilon(capsys, tmp_path):
@@ -794,14 +812,16 @@ def test_underflowing_row_answers_within_epsilon(capsys, tmp_path):
 
 
 def test_analyze_reports_an_infinite_weight_term(capsys, tmp_path):
-    # Conditioning on A, B and C would make the weight term infinite, so
-    # greedy stops before that step.
+    # Logic-sampling the weights over A, B and C would cost an infinite
+    # weight term, since their rarest category's bound underflows; the
+    # weights are exact, so greedy conditions on them all the same.
     code, report, _ = run_json(
         capsys, ["analyze", "--network", _write(tmp_path, _TINY_TRIPLE)])
     assert code == 0
-    assert report["selected_s"] == []
-    assert report["greedy_trace"]["stop_reason"] == "weight term infinite"
-    assert report["cost_after"]["weight_term"] == 1.0
+    assert report["selected_s"] == ["A", "B", "C"]
+    assert report["greedy_trace"]["stop_reason"] == "no eligible candidate"
+    assert report["cost_after"]["subproblem_term"] == 8.0
+    assert report["cost_after"]["weight_term"] is None
 
 
 _OVERFLOW = """\
@@ -823,16 +843,17 @@ def test_greedy_strength_that_overflows_is_infinite(capsys, tmp_path):
     code, report, _ = run_json(capsys, ["analyze", "--network", path])
     assert code == 0
     assert report["greedy_trace"]["steps"][0]["node"] == "B"
-    # The next step, C adding B, would trade a subproblem term of 45,037.5
-    # for a weight term of 8e10, so greedy stops before it.
-    assert report["selected_s"] == ["A"]
-    assert report["greedy_trace"]["stop_reason"] == "total cost not lowered"
+    # The next step, C adding B, lowers the subproblem term from
+    # 45,037.5 to 4; the weight term of 8e10 it would add is the price of
+    # sampled weights, which are not sampled.
+    assert report["selected_s"] == ["A", "B"]
+    assert report["greedy_trace"]["stop_reason"] == "no eligible candidate"
     code, report, err = run_json(
         capsys, ["infer", "--network", path, "--query", "C=1",
                  "--epsilon", "0.2", "--delta", "0.1",
                  "--row-budget", "100000"])
     assert code == 0
-    assert report["result"]["selected_s"] == ["A"]
+    assert report["result"]["selected_s"] == ["A", "B"]
     assert "Traceback" not in err
 
 
@@ -871,7 +892,9 @@ def test_auto_answers_when_the_weight_term_is_infinite(capsys, tmp_path):
                  "--query", "D=1", "--epsilon", "0.2", "--delta", "0.1",
                  "--exact"])
     assert code == 0
-    assert report["result"]["strategy_used"] == "direct"
+    assert report["result"]["strategy_used"] == "selective"
+    assert report["result"]["selected_s"] == ["A", "B", "C"]
+    assert report["weights"] == "exact"
     assert report["exact"]["satisfies_ras"]
 
 

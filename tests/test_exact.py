@@ -13,13 +13,20 @@ from condsim.errors import (
     OverlappingSetsError,
     ZeroDenominatorError,
 )
-from condsim.network import BeliefNetwork, Cpt, parse_network
+from condsim.exact import MAX_WIDTH, _frontiers
+from condsim.network import (
+    BeliefNetwork,
+    Cpt,
+    ancestral_network,
+    parse_network,
+)
 
 from helpers import (
     arcless_network,
     brute_marginal,
     random_chain,
     random_network,
+    wide_ancestry_source,
     wide_network,
 )
 
@@ -107,6 +114,61 @@ def test_width_guard():
         0.3, rel=1e-12)
     assert exact_marginal(wide_network(20), {}) == pytest.approx(
         1.0, rel=1e-12)
+
+
+def _live_widths(net, keep):
+    """Per table, in declaration order, the nodes live after it when
+    elimination keeps ``keep``: those declared so far that are kept or
+    read by a later table."""
+    kept = {net.index(node) for node in keep}
+    last = {}
+    for i, cpt in enumerate(net.cpts):
+        for c in [net.index(p) for p in cpt.parents] + [i]:
+            last[c] = i
+    return [sum(j in kept or last[j] > i for j in range(i + 1))
+            for i in range(net.n)]
+
+
+def test_width_check_refuses_exactly_what_elimination_refuses():
+    # On the closure of S, as greedy checks it and infer then computes
+    # the weights: the check passes exactly when the projection answers,
+    # which is exactly when no table leaves more than MAX_WIDTH nodes
+    # live, and a refusal names the first table that does.
+    wide = parse_network(wide_ancestry_source(""))
+    cases = [(wide_network(21), ["C0"]), (wide_network(21), ["R20"]),
+             (wide_network(20), ["C0", "R19"]), (wide, ["M20"]),
+             (wide, ["M19"]), (wide, ["R20", "M3"]), (wide, ["R2", "M1"])]
+    gen = np.random.Generator(np.random.PCG64(61))
+    for _ in range(30):
+        net = random_network(gen, int(gen.integers(16, 29)), max_parents=3)
+        size = min(int(gen.integers(1, 25)), net.n)
+        cases.append((net, [str(x) for x in gen.choice(net.nodes, size,
+                                                       replace=False)]))
+    outcomes = set()
+    for net, s in cases:
+        closure = ancestral_network(net, s)
+        widths = _live_widths(closure, s)
+        try:
+            _frontiers(closure, s)
+            refused = None
+        except NetworkTooLargeError as exc:
+            refused = str(exc)
+        try:
+            dist = exact_distribution_over(closure, s)
+        except NetworkTooLargeError as exc:
+            assert str(exc) == refused
+        else:
+            assert refused is None
+            assert sum(dist) == pytest.approx(1.0, rel=1e-9)
+        if max(widths) > MAX_WIDTH:
+            first = next(i for i, w in enumerate(widths) if w > MAX_WIDTH)
+            assert refused == (
+                f"exact elimination needs {widths[first]} > {MAX_WIDTH} "
+                f"live nodes after node {closure.nodes[first]!r}")
+        else:
+            assert refused is None
+        outcomes.add(refused is None)
+    assert outcomes == {True, False}
 
 
 def test_chunked_enumeration_matches_closed_form():

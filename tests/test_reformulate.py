@@ -19,6 +19,7 @@ from condsim.network import BeliefNetwork, Cpt, parse_network
 from condsim.reformulate import (
     DEFAULT_SEED,
     InferConfig,
+    _budget_split,
     bayes_ratio,
     combine_weighted,
     decompose,
@@ -43,17 +44,35 @@ from helpers import (
     WIDE_NET_C_SOURCE,
     arcless_network,
     random_network,
+    wide_ancestry_source,
 )
 
-# net_c below a chain too wide for elimination: selective runs on it
-# sample their weights on stream 0.
+# net_c below a chain too wide for elimination: greedy never conditions
+# on it, since the closure of any S would be refused.
 _WIDE_C = parse_network(WIDE_NET_C_SOURCE)
+# A -> B -> C beside wide_ancestry_source's chain, C also reading its end
+# M20 with rows that do not depend on it: Pr[A, B, C] is _SIDE's. S = [A]
+# fits elimination; adding C's parents B and M20 does not.
+_WIDE_SIDE = parse_network(wide_ancestry_source("""\
+node A
+prior A : 0.3
+node B
+parents B : A
+cpt B : 0.05 0.95
+node C
+parents C : B M20
+cpt C : 0.05 0.05 0.95 0.95
+"""))
+_SIDE = parse_network("network side\nnode A\nprior A : 0.3\nnode B\n"
+                      "parents B : A\ncpt B : 0.05 0.95\nnode C\n"
+                      "parents C : B\ncpt C : 0.05 0.95\n")
 
 
 def test_greedy_trace_on_the_chain_network(net_c):
     selected, trace = greedy_select(net_c, {})
+    # Every parent is bound once S = [A, B], so no candidate is left.
     assert selected == ("A", "B")
-    assert trace.stop_reason == "weight term dominates"
+    assert trace.stop_reason == "no eligible candidate"
     assert len(trace.steps) == 2
 
     first, second = trace.steps
@@ -82,14 +101,14 @@ def test_greedy_skips_independent_networks():
     net = arcless_network(5)
     selected, trace = greedy_select(net, {})
     assert selected == ()
-    assert trace.stop_reason == "weight term dominates"
+    assert trace.stop_reason == "no eligible candidate"
     assert trace.steps == ()
 
 
 def test_greedy_stops_when_evidence_already_decouples(net_a):
     selected, trace = greedy_select(net_a, {"A": 1})
     assert selected == ()
-    assert trace.stop_reason == "weight term dominates"
+    assert trace.stop_reason == "no eligible candidate"
 
 
 def test_greedy_selects_the_parent_of_a_strong_link(net_a):
@@ -109,6 +128,18 @@ def test_greedy_respects_the_size_cap(net_c):
     assert selected == ("A",)
     assert trace.stop_reason == "size cap reached"
     assert len(trace.steps) == 1
+
+
+def test_greedy_stops_where_the_weights_would_not_fit_elimination():
+    # C's parents are worth conditioning on, but the closure of S would
+    # hold the wide chain, so infer could not compute the weights.
+    selected, trace = greedy_select(_WIDE_C, {"C": 1}, exclude=("A",))
+    assert selected == ()
+    assert trace.stop_reason == "weights would not fit elimination"
+    selected, trace = greedy_select(_WIDE_SIDE, {}, exclude=("C",))
+    assert selected == ("A",)
+    assert trace.stop_reason == "weights would not fit elimination"
+    assert [step.node for step in trace.steps] == ["B"]
 
 
 def test_greedy_parameter_validation(net_a):
@@ -388,31 +419,55 @@ def test_infer_dependence_never_grows_under_conditioning():
         assert result.dependence_after <= result.dependence_before + 1e-9
 
 
-# On the wide net_c, S = [B] and the weights take 4,096 logic samples,
-# 4,096 raw rows of the run's budget. At 2^15 rows, subproblem 0's stream
-# (acceptance 0.5) scores the 8,192-trial checkpoint and cannot draw the
-# next; its numerator and denominator, both unfinished, count 8,192
-# each. At 3 * 2^15 rows, the numerator is unfinished at 32,768 trials;
-# its denominator reads the same stream and certified at 16,384 trials,
-# which count in place of the loop's. At 10,000 rows, 5,904 are left for
-# subproblem 0, whose numerator and denominator count 2,048 trials each;
-# a budget of 10,000 rows for each stream let each count 4,096.
+# On net_c, S = [B], and subproblem 0's stream (acceptance 0.5) is the
+# first the run reads. At 20,000 rows it scores the 8,192-trial
+# checkpoint and cannot draw the next; its numerator and denominator,
+# both unfinished, count 8,192 each. At 3 * 2^15 rows, the numerator is
+# unfinished at 32,768 trials; its denominator reads the same stream and
+# certified at 16,384 trials, which count in place of the loop's. At
+# 8,000 rows the numerator and denominator count 2,048 trials each.
 @pytest.mark.parametrize("config,error,phase,subproblem_trials", [
-    (InferConfig(row_budget=1 << 15), RowBudgetExceededError, "fraction",
+    (InferConfig(row_budget=20000), RowBudgetExceededError, "fraction",
      1 << 14),
     (InferConfig(row_budget=3 << 15), RowBudgetExceededError, "fraction",
      (1 << 15) + (1 << 14)),
-    (InferConfig(row_budget=10000), RowBudgetExceededError, "fraction",
+    (InferConfig(row_budget=8000), RowBudgetExceededError, "fraction",
      1 << 12)])
 def test_infer_budget_error_counts_the_run_s_scored_trials(
-        config, error, phase, subproblem_trials):
+        net_c, config, error, phase, subproblem_trials):
     for seed in range(4):
         with pytest.raises(error) as einfo:
-            infer(_WIDE_C, {"A": 1}, {"C": 1}, 0.2, 0.1, "selective",
+            infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1, "selective",
                   config, seed)
         assert einfo.value.phase == phase
-        assert einfo.value.trials == 4096 + subproblem_trials
+        assert einfo.value.trials == subproblem_trials
         assert str(einfo.value).startswith("subproblem 0 numerator: ")
+
+
+def test_a_budget_error_counts_the_subproblems_certified_before_it(
+        net_c, monkeypatch):
+    # A budget that ends the run at subproblem 1's first batch: the
+    # error counts the trials subproblem 0 scored, as the unbounded run
+    # certified them, and subproblem 1 has scored none.
+    drawn = []
+    take = sampling._Stream.take
+
+    def counted(self, count):
+        rows = take(self, count)
+        drawn.append((self, self._drawn))
+        return rows
+
+    monkeypatch.setattr(sampling._Stream, "take", counted)
+    result = infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1, "selective",
+                   seed=5)
+    first = drawn[0][0]
+    budget = max(rows for stream, rows in drawn if stream is first)
+    (num, den), _ = result.subproblem_estimates
+    with pytest.raises(RowBudgetExceededError) as einfo:
+        infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1, "selective",
+              InferConfig(row_budget=budget), seed=5)
+    assert einfo.value.trials == num.trials + den.trials
+    assert str(einfo.value).startswith("subproblem 1 numerator: ")
 
 
 def test_one_row_budget_bounds_the_whole_run(monkeypatch):
@@ -472,16 +527,24 @@ def test_subproblem_readers_count_their_stream_s_rows(net_c):
             (evidence & (rows[:, a] == 1))[:num.trials])
 
 
-def test_auto_answers_where_a_step_would_raise_the_total_cost():
-    # Conditioning on B too would trade a subproblem term of 45,037.5 for
-    # a weight term of 8e10, the cost of certifying Pr[A=0, B=1] = 5e-11,
-    # so greedy stops at S = [A].
+def test_auto_conditions_on_a_category_too_rare_to_sample():
+    # S = [A, B] has the category A=0, B=1 of probability 5e-11, whose
+    # logic-sampled weight would cost 8e10 trials. The weights are exact,
+    # so greedy weighs the subproblem term alone, which the step from
+    # S = [A] lowers from 45,037.5 to 4.
     net = parse_network("network overflow\nnode A\nprior A : 0.5\n"
                         "node B\nparents B : A\ncpt B : 1e-10 0.9\n"
                         "node C\nparents C : B\ncpt C : 0.2 0.7\n")
     result = infer(net, {"C": 1}, {}, 0.2, 0.1)
-    assert result.selected_s == ("A",)
-    assert result.greedy_trace.stop_reason == "total cost not lowered"
+    assert result.selected_s == ("A", "B")
+    trace = result.greedy_trace
+    assert trace.stop_reason == "no eligible candidate"
+    assert trace.steps[0].cost_after.subproblem_term == pytest.approx(
+        45037.5)
+    assert trace.final_cost.subproblem_term == 4.0
+    assert trace.final_cost.weight_term == pytest.approx(8e10)
+    assert result.mu_s == pytest.approx(
+        exact_distribution_over(net, ["A", "B"]), rel=1e-12, abs=0)
     assert satisfies_ras(exact_conditional(net, {"C": 1}, {}),
                          result.estimate, 0.2)
 
@@ -557,16 +620,13 @@ _ROWS_10000 = InferConfig(row_budget=10000)
       ("RowBudgetExceededError", "fraction", 8192, 10000,
        "subproblem 0 numerator: next batch would pass the row budget of "
        "10000 raw rows")),
-     (WIDE_NET_C_SOURCE, {"C": 1}, {"A": 1}, 0.2, "selective", _ROWS_1000,
-      11, ("RowBudgetExceededError", "distribution", 512, 1000,
-           "next batch would pass the row budget of 1000 raw rows")),
      (NET_C_SOURCE, {"C": 1}, {"A": 1}, 0.2, "direct", None, 15,
       (0.84375, 32, (1.0,))),
      (NET_C_SOURCE, {"A": 1}, {"B": 1}, 0.2, "direct", _GIBBS_3, 16,
       (0.84375, 32, (1.0,)))],
     ids=["rejection", "selective", "gibbs-past-2^18", "rejection-past-2^18",
          "budget-fraction",
-         "budget-subproblem", "budget-distribution", "clamped-condition",
+         "budget-subproblem", "clamped-condition",
          "gibbs-barren"])
 def test_random_streams_are_pinned(source, query, evidence, epsilon,
                                    strategy, config, seed, pinned):
@@ -584,9 +644,9 @@ def test_random_streams_are_pinned(source, query, evidence, epsilon,
     # their trial counts and stop points did not move. At 0.13.0 the
     # selective answers on net_c take exact weights: the selective case
     # loses its 4,096 weight trials and its answer moves, and the
-    # budget-subproblem case counts no weight trials. The
-    # budget-distribution case moved to the wide net_c, whose weights
-    # are still sampled, with the same pin. A change that fails this
+    # budget-subproblem case counts no weight trials. At 0.14.0 infer
+    # never samples weights, and the budget-distribution case became
+    # test_the_weight_estimator_s_stream_is_pinned. A change that fails this
     # changes a random stream or a stop point, so it bumps the version
     # and says so in CHANGES.md.
     try:
@@ -597,6 +657,23 @@ def test_random_streams_are_pinned(source, query, evidence, epsilon,
     else:
         got = (result.estimate, result.trials_total, result.mu_s)
     assert got == pinned
+
+
+def test_the_weight_estimator_s_stream_is_pinned(net_c):
+    # estimate_distribution_over, the paper's estimator of the weights,
+    # as 0.12.0's selective runs on net_c read it: S = [B] at the stage
+    # epsilon and delta / 2, on stream 0. Pinned at 0.8.0 and unmoved
+    # since; test_weights_are_exact_where_elimination_fits pins its
+    # answer.
+    stage_eps = _budget_split(0.2, 0.1, 1)[0]
+    with pytest.raises(RowBudgetExceededError) as einfo:
+        estimate_distribution_over(net_c, ("B",), stage_eps, 0.05,
+                                   RandomSource(11).derive(0),
+                                   row_budget=1000)
+    exc = einfo.value
+    assert (exc.phase, exc.trials, exc.cap, str(exc)) == (
+        "distribution", 512, 1000,
+        "next batch would pass the row budget of 1000 raw rows")
 
 
 def _generator_seeds(monkeypatch):
@@ -616,16 +693,22 @@ def _generator_seeds(monkeypatch):
 def test_an_answer_builds_a_generator_only_for_the_streams_it_reads(
         net_c, monkeypatch):
     # infer's root source only derives the sources that draw: one for a
-    # direct answer, and for a selective one whose weights are sampled,
-    # the weights' and one per subproblem.
+    # direct answer, and one per subproblem for a selective one, whose
+    # exact weights leave stream 0 unread. Below the wide chain greedy's
+    # S is empty, so a selective answer has one subproblem.
     built = _generator_seeds(monkeypatch)
     infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1, "direct", seed=11)
     assert built == [mix_seed(11, 1)]
     built.clear()
+    result = infer(net_c, {"A": 1}, {"C": 1}, 0.2, 0.1, "selective",
+                   seed=12)
+    assert result.selected_s == ("B",)
+    assert built == [mix_seed(12, 1), mix_seed(12, 2)]
+    built.clear()
     result = infer(_WIDE_C, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective",
                    seed=12)
-    assert result.weight_trials > 0
-    assert built == [mix_seed(12, i) for i in range(3)]
+    assert result.selected_s == ()
+    assert built == [mix_seed(12, 1)]
 
 
 def test_weights_are_exact_where_elimination_fits(net_c, monkeypatch):
@@ -640,27 +723,56 @@ def test_weights_are_exact_where_elimination_fits(net_c, monkeypatch):
     assert exact.trials_total == sum(
         num.trials + den.trials for num, den in exact.subproblem_estimates)
     assert built == [mix_seed(12, 1), mix_seed(12, 2)]
-    # Where elimination is refused, the weights are sampled on stream 0,
-    # as in 0.12.0, whose pinned answer this is. Each subproblem reads
-    # stream i + 1 at the same stage budgets either way, so only the
-    # weights, the knitted estimate and the trial total move.
-    def refused(net, subset):
-        raise NetworkTooLargeError("refused")
-
-    monkeypatch.setattr(reformulate, "exact_distribution_over", refused)
-    sampled = infer(net_c, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective",
-                    seed=12)
-    assert sampled.subproblem_estimates == exact.subproblem_estimates
-    assert sampled.weight_trials == 4096
-    assert sampled.mu_s == (0.490234375, 0.509765625)
-    assert sampled.estimate == 0.724185263077039
-    assert sampled.trials_total == exact.trials_total + 4096
-    # Below the wide chain, elimination refuses S's closure unpatched.
+    # The paper's weights, logic-sampled on stream 0 at the stage
+    # epsilon and delta / 2, knit the same subproblem estimates into
+    # 0.12.0's pinned answer: only the weights set the two apart.
+    mu_s, trials = estimate_distribution_over(
+        net_c, ("B",), _budget_split(0.2, 0.1, 1)[0], 0.05,
+        RandomSource(12).derive(0))
+    assert (mu_s, trials) == ((0.490234375, 0.509765625), 4096)
+    numerator = combine_weighted(
+        [num.value for num, _ in exact.subproblem_estimates], mu_s)
+    denominator = combine_weighted(
+        [den.value for _, den in exact.subproblem_estimates], mu_s)
+    assert bayes_ratio(numerator, denominator) == (0.724185263077039,
+                                                   False)
+    # Below the wide chain elimination refuses the same S's closure, so
+    # greedy does not condition on B.
     with pytest.raises(NetworkTooLargeError):
         exact_distribution_over(_WIDE_C, ["B"])
+    result = infer(_WIDE_C, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective",
+                   seed=12)
+    assert result.selected_s == ()
+    assert result.greedy_trace.stop_reason == (
+        "weights would not fit elimination")
 
 
-def test_the_certify_loop_checks_no_posterior_it_builds(monkeypatch):
+@pytest.mark.parametrize("strategy", ["direct", "selective", "auto"])
+def test_infer_answers_on_wide_nets_without_sampled_weights(
+        monkeypatch, strategy):
+    # With the paper's weight estimator made to raise, every strategy
+    # still answers below and beside the wide chain, where the oracle
+    # reads the small networks of the same law.
+    def refused(*args, **kwargs):
+        raise AssertionError("infer sampled its weights")
+
+    monkeypatch.setattr(sampling, "estimate_distribution_over", refused)
+    cases = ((_WIDE_C, parse_network(NET_C_SOURCE), {"C": 1}, {"A": 1}),
+             (_WIDE_C, parse_network(NET_C_SOURCE), {"A": 1}, {"C": 1}),
+             (_WIDE_SIDE, _SIDE, {"C": 1}, {}),
+             (_WIDE_SIDE, _SIDE, {"A": 1}, {"C": 1}))
+    for seed, (net, small, query, evidence) in enumerate(cases):
+        result = infer(net, query, evidence, 0.2, 0.1, strategy, seed=seed)
+        assert result.weight_trials == 0
+        assert result.mu_s == (exact_distribution_over(
+            small, list(result.selected_s)) if result.selected_s
+            else (1.0,))
+        assert satisfies_ras(exact_conditional(small, query, evidence),
+                             result.estimate, 0.2)
+
+
+def test_the_certify_loop_checks_no_posterior_it_builds(net_c,
+                                                        monkeypatch):
     checked = []
     post_init = DirichletPosterior.__post_init__
 
@@ -669,12 +781,13 @@ def test_the_certify_loop_checks_no_posterior_it_builds(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(DirichletPosterior, "__post_init__", counted)
-    # The wide net_c's weights are sampled, so the loop certifies the
-    # weights' reader as well as the subproblems'.
-    result = infer(_WIDE_C, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective",
+    # The loop certifies the subproblems' readers, and the reader over
+    # every category of the paper's weight estimator.
+    result = infer(net_c, {"C": 1}, {"A": 1}, 0.2, 0.1, "selective",
                    seed=12)
-    assert result.weight_trials == 4096
-    assert result.trials_total == 301568
+    assert result.trials_total == 297472
+    assert estimate_distribution_over(net_c, ("A", "B"), 0.2, 0.1,
+                                      RandomSource(12))[0]
     assert checked == []
     # A posterior that a caller builds is still checked, and so are the
     # rule's inputs.

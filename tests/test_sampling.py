@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -47,7 +48,12 @@ from condsim.sampling import (
 )
 from condsim.stopping import worst_case_sample_bound
 
-from helpers import arcless_network, random_network
+from helpers import (
+    arcless_network,
+    exact_fraction_miss,
+    fraction_checkpoints,
+    random_network,
+)
 
 
 def test_mix_seed_is_a_stable_pure_function():
@@ -519,7 +525,71 @@ def test_fraction_coverage_holds_in_every_cell(mu, epsilon, delta):
         f"{misses} misses in {runs} runs, threshold {threshold:.4f}")
 
 
-# The rule over every category, which sampled weights run: k = 4 and 8
+# Toward both tails, and the worst mu the first exact scans found (0.651
+# at epsilon 0.2 and delta 0.1, 0.690 at 0.2 and 0.01, 0.8095 at 0.1 and
+# 0.01), in every cell.
+_COVERAGE_MU = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 0.5, 0.651, 0.690,
+                0.7, 0.8095, 0.9, 0.97, 0.99, 0.997, 0.999)
+# The worst mu per cell of a finer scan (1,201 mu in [0.02, 0.98], 481
+# at epsilon 0.05, then 201 within 0.002 of the worst), where its miss
+# stays within delta: 0.94, 0.92, 0.90, 0.95, 0.96, 0.98, 0.98 and 0.86
+# delta. _OVER_DELTA holds the three cells where it does not.
+_WORST_MU = {(0.2, 0.1): 0.65104, (0.1, 0.1): 0.6605, (0.05, 0.1): 0.7924,
+             (0.5, 0.01): 0.29166, (0.2, 0.01): 0.6901,
+             (0.1, 0.01): 0.80964, (0.05, 0.01): 0.89284,
+             (0.5, 0.001): 0.2604, (0.1, 0.001): 0.7848}
+
+
+@pytest.mark.parametrize("epsilon, delta", [
+    pytest.param(epsilon, delta, id=f"{epsilon}-{delta}")
+    for delta in (0.1, 0.01, 0.001) for epsilon in (0.5, 0.2, 0.1, 0.05)])
+def test_fraction_miss_is_within_delta_exactly(epsilon, delta):
+    # The exact miss probability of a fraction estimate on Bernoulli(mu)
+    # rows, by recursion over the checkpoints, with no sampling slack.
+    # Without the one-category tails' extra pseudo-observation it is
+    # 0.213 at mu 0.9, epsilon 0.05 and delta 0.1.
+    mus = _COVERAGE_MU + ((_WORST_MU[epsilon, delta],)
+                          if (epsilon, delta) in _WORST_MU else ())
+    for mu in mus:
+        miss = exact_fraction_miss(mu, epsilon, delta)
+        assert miss <= delta, f"mu {mu}: miss {miss / delta:.4f} delta"
+
+
+# Cells where the exact miss passes delta: mu lies just inside a point
+# where mu (1 + epsilon) meets a count over a checkpoint (5/8 at 8
+# trials, 19/32 at 32), so that count misses. Each is pinned as miss /
+# delta. A change to the rule that brings one within delta moves it to
+# _WORST_MU.
+_OVER_DELTA = {(0.5, 0.1, 0.41666): 1.0089977650718214,
+               (0.2, 0.001, 0.49478): 1.0213127116992746,
+               (0.05, 0.001, 0.8761): 1.0257082515865523}
+
+
+def test_fraction_miss_passes_delta_where_known():
+    for (epsilon, delta, mu), over in _OVER_DELTA.items():
+        assert exact_fraction_miss(mu, epsilon, delta) / delta == (
+            pytest.approx(over, rel=1e-9))
+
+
+def test_fraction_estimates_stop_at_the_exact_recursion_s_checkpoints():
+    # exact_fraction_miss states _certify's schedule: the powers of two
+    # from 2 and W. The library's runs stop on it, at W too.
+    for mu, epsilon, delta in ((0.651, 0.2, 0.1), (0.41666, 0.5, 0.1),
+                               (0.9, 0.05, 0.1)):
+        net = parse_network(f"network one\nnode A\nprior A : {mu!r}\n")
+        marks = set(itertools.islice(
+            fraction_checkpoints(mu, epsilon, delta), 24))
+        w = worst_case_sample_bound(1, epsilon, delta, min(mu, 1.0 - mu))
+        assert w in marks
+        stops = {estimate_conditional_fraction(
+            net, {"A": 1}, {}, epsilon, delta,
+            TrialGeneratorKind.rejection(), RandomSource(rep)).trials
+            for rep in range(60)}
+        assert stops <= marks
+
+
+# The rule over every category, which the paper's weight estimator runs:
+# k = 4 and 8
 # categories of independent roots, the rarest 0.1 and 0.015. They missed
 # 71 and 111 runs of 1,500 (k = 4, epsilon 0.2 and 0.05) and 61 and 93
 # (k = 8), against a gate of 184.
