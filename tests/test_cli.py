@@ -742,17 +742,22 @@ def _write(tmp_path, source):
     return str(path)
 
 
-@pytest.mark.parametrize("prior", ["1e-160", "1e-200"],
-                         ids=["bound-overflows", "phi-underflows"])
+@pytest.mark.parametrize("source,query,strategy", [
+    (_TINY_PAIR.format(p="1e-160"), "A=1,B=1", "direct"),
+    (_TINY_PAIR.format(p="1e-200"), "A=1,B=1", "direct"),
+    # D's rows are steep enough that D^4 overflows; greedy stops before
+    # weights over A, B and C that elimination could not give, so the
+    # rare D=1 itself is the fraction that meets the budget.
+    (_WIDE_TRIPLE, "D=1", "selective"),
+], ids=["bound-overflows", "phi-underflows", "weight-bound-overflows"])
 def test_rare_target_without_a_finite_bound_ends_at_the_row_budget(
-        capsys, tmp_path, prior):
+        capsys, tmp_path, source, query, strategy):
     # phi_min is too small for a finite worst-case bound W, so W is no
     # checkpoint, and the target is too rare to observe: the row budget
     # ends the run, with a partial report.
     code, report, err = run_json(
-        capsys, ["infer", "--network",
-                 _write(tmp_path, _TINY_PAIR.format(p=prior)),
-                 "--query", "A=1,B=1", "--strategy", "direct",
+        capsys, ["infer", "--network", _write(tmp_path, source),
+                 "--query", query, "--strategy", strategy,
                  "--epsilon", "0.2", "--delta", "0.1", *_ROW_BUDGET])
     assert code == 5
     assert report["error"]["kind"] == "RowBudgetExceededError"
